@@ -74,9 +74,11 @@ class HistogramWorkload : public Workload
     histWarp(WarpCtx ctx, HistogramWorkload *self)
     {
         // Coalesced key load, then a divergent atomic scatter: the
-        // canonical irregular-update idiom.
-        std::vector<VAddr> ka;
-        std::vector<std::uint32_t> tids;
+        // canonical irregular-update idiom. Address lists and per-lane
+        // scratch are LaneBufs on pooled storage, so building and
+        // yielding an op never calls the allocator.
+        LaneVec ka;
+        LaneBuf<std::uint32_t> tids;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint32_t tid = ctx.globalThread(lane);
             tids.push_back(tid);
@@ -84,7 +86,7 @@ class HistogramWorkload : public Workload
         }
         co_yield WarpOp::load(std::move(ka));
 
-        std::vector<VAddr> ha;
+        LaneVec ha;
         for (std::uint32_t tid : tids) {
             const std::uint32_t bin = self->d_keys_[tid];
             ++self->d_hist_[bin];

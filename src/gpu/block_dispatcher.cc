@@ -84,18 +84,11 @@ BlockDispatcher::refillSm(std::uint32_t sm_id)
     // inactive blocks first (preferring runnable ones), then dispatch
     // fresh grid blocks.
     while (sm.activeBlocks() < baseline_) {
-        int promote = -1;
-        const auto inactive = sm.inactiveBlockSlots();
-        for (std::uint32_t slot : inactive) {
-            if (sm.switchInCandidate(slot)) {
-                promote = static_cast<int>(slot);
-                break;
-            }
-        }
-        if (promote < 0 && next_block_ >= total_ && !inactive.empty()) {
+        int promote = sm.firstInactiveBlock(/*runnable_only=*/true);
+        if (promote < 0 && next_block_ >= total_) {
             // Tail of the grid: promote even a stalled block so it can
             // finish once its pages arrive.
-            promote = static_cast<int>(inactive.front());
+            promote = sm.firstInactiveBlock(/*runnable_only=*/false);
         }
         if (promote >= 0) {
             const auto slot = static_cast<std::uint32_t>(promote);

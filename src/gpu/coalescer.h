@@ -64,9 +64,38 @@ class Coalescer
                    : 0.0;
     }
 
+    /**
+     * Largest line span, in 64-line bitmap words, that the clustered
+     * gather path dedups on the stack; wider ops sort.
+     */
+    static constexpr std::size_t kBitmapWords = 64;
+
+    /**
+     * True when an out-of-order op of @p lanes lanes spanning @p words
+     * bitmap words dedups faster through the bitmap than through a
+     * sort. The sort's cost grows as n log n with a mispredict per
+     * compare, the bitmap's as n plus a pass over its words; measured
+     * on random gathers the crossover sits near n words at 8-16 lanes
+     * and past 8n words at 32-64 lanes, which n*n/8 tracks.
+     */
+    static constexpr bool
+    bitmapWins(std::size_t words, std::size_t lanes)
+    {
+        return words <= kBitmapWords && 8 * words <= lanes * lanes;
+    }
+
   private:
+    /**
+     * Out-of-order tail of coalesceInto(): @p lines holds the
+     * ascending unique lines of lanes [0, @p i); rebuilds it over all
+     * @p n lanes.
+     */
+    void dedupUnordered(const VAddr *lane_addrs, std::size_t n,
+                        std::size_t i, std::vector<VAddr> &lines) const;
+
     std::uint32_t line_bytes_;
     bool line_pow2_ = false;  //!< mask instead of modulo when pow2
+    unsigned line_shift_ = 0; //!< log2(line_bytes_) when pow2
     VAddr line_mask_ = 0;
     std::uint64_t instructions_ = 0;
     std::uint64_t transactions_ = 0;

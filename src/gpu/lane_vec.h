@@ -1,78 +1,176 @@
 /**
  * @file
- * Small-buffer address list for warp memory operations.
+ * Pooled per-lane buffers for warp memory operations and kernel
+ * scratch.
  *
- * Every memory WarpOp carries the per-lane addresses of one coalesced
- * access — at most a few per lane of a 32-wide warp. A std::vector
- * heap-allocates each of those lists, which made the allocator the
- * single largest cost outside the memory model (millions of
- * malloc/free pairs per simulated kernel). LaneVec stores up to
- * kInline addresses in place and only falls back to the heap for the
- * rare oversized list, so building and yielding a memory op is
- * allocation-free on the common path.
+ * A LaneBuf is a 24-byte handle (pointer, size, capacity). Its storage
+ * is a 1 KB chunk from a per-thread LIFO free list, so a kernel that
+ * builds an address list, yields it and builds the next one keeps
+ * reusing the same few cache-hot chunks with no allocator call, and a
+ * coroutine frame holds handles instead of inline arrays. A list that
+ * outgrows one chunk moves to a plain heap block.
  *
- * Deliberately minimal: append-only growth plus the read API the SM
- * and the workloads actually use. Moves transfer the heap block when
- * one exists and otherwise copy the (small) live prefix.
+ * Moves are O(1) and leave the source empty with no storage, so
+ * yielding a WarpOp costs a few pointer moves. A default-constructed
+ * LaneBuf owns nothing until its first push_back() or reserve().
+ *
+ * Pool rules (LaneChunkPool):
+ *  - a chunk goes back to the free list of the thread that releases
+ *    it, whichever thread acquired it;
+ *  - a thread's free list is freed when the thread exits, and a chunk
+ *    released after that is deleted directly;
+ *  - under AddressSanitizer a chunk on the free list is poisoned, so a
+ *    use after release is still reported.
  */
 
 #ifndef BAUVM_GPU_LANE_VEC_H_
 #define BAUVM_GPU_LANE_VEC_H_
 
 #include <cstddef>
-#include <utility>
+#include <cstring>
+#include <new>
+#include <type_traits>
 
 #include "src/sim/types.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define BAUVM_LANE_POOL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define BAUVM_LANE_POOL_ASAN 1
+#endif
+#endif
+#ifdef BAUVM_LANE_POOL_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace bauvm
 {
 
-/** Inline-storage vector of per-lane addresses (see file comment). */
-class LaneVec
+/** Per-thread LIFO free list of fixed-size chunks (see file comment). */
+class LaneChunkPool
 {
   public:
-    /**
-     * Covers every shipped kernel's widest op (up to three addresses
-     * per lane of a 32-wide warp) without touching the heap.
-     */
-    static constexpr std::size_t kInline = 128;
+    static constexpr std::size_t kChunkBytes = 1024;
 
-    LaneVec() = default;
-    ~LaneVec() { delete[] heap_; }
+    static void *
+    acquire()
+    {
+        FreeChunk *c = head_;
+        if (!c)
+            return acquireSlow();
+        unpoison(c);
+        head_ = c->next;
+        return c;
+    }
 
-    LaneVec(const LaneVec &o) { appendAll(o); }
+    static void
+    release(void *p) noexcept
+    {
+        if (state_ != State::Live) {
+            releaseSlow(p);
+            return;
+        }
+        push(p);
+    }
 
-    LaneVec &
-    operator=(const LaneVec &o)
+  private:
+    struct FreeChunk {
+        FreeChunk *next;
+    };
+    enum class State : unsigned char { Unused, Live, Dead };
+
+    static void *acquireSlow();
+    static void releaseSlow(void *p) noexcept;
+    static void drain() noexcept;
+    friend struct LaneChunkPoolReaper;
+
+    static void
+    push(void *p) noexcept
+    {
+        FreeChunk *c = static_cast<FreeChunk *>(p);
+        c->next = head_;
+        head_ = c;
+#ifdef BAUVM_LANE_POOL_ASAN
+        ASAN_POISON_MEMORY_REGION(c, kChunkBytes);
+#endif
+    }
+
+    static void
+    unpoison([[maybe_unused]] FreeChunk *c) noexcept
+    {
+#ifdef BAUVM_LANE_POOL_ASAN
+        ASAN_UNPOISON_MEMORY_REGION(c, kChunkBytes);
+#endif
+    }
+
+    static inline thread_local constinit FreeChunk *head_ = nullptr;
+    static inline thread_local constinit State state_ = State::Unused;
+};
+
+/**
+ * Growable list of trivially copyable @p T on pooled storage (see file
+ * comment). Deliberately minimal: append, clear and the read API the
+ * SM, the coalescer and the kernels use.
+ */
+template <typename T>
+class LaneBuf
+{
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "LaneBuf copies elements with memcpy");
+    static_assert(sizeof(T) <= LaneChunkPool::kChunkBytes,
+                  "one chunk must hold at least one element");
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "chunks carry operator new's default alignment");
+
+  public:
+    /** Elements one pooled chunk holds (128 for 8-byte addresses). */
+    static constexpr std::size_t kChunkCap =
+        LaneChunkPool::kChunkBytes / sizeof(T);
+
+    LaneBuf() = default;
+    ~LaneBuf() { release(); }
+
+    LaneBuf(const LaneBuf &o) { copyFrom(o); }
+
+    LaneBuf &
+    operator=(const LaneBuf &o)
     {
         if (this != &o) {
             size_ = 0;
-            appendAll(o);
+            copyFrom(o);
         }
         return *this;
     }
 
-    LaneVec(LaneVec &&o) noexcept { stealFrom(o); }
+    LaneBuf(LaneBuf &&o) noexcept
+        : data_(o.data_), size_(o.size_), cap_(o.cap_)
+    {
+        o.data_ = nullptr;
+        o.size_ = o.cap_ = 0;
+    }
 
-    LaneVec &
-    operator=(LaneVec &&o) noexcept
+    LaneBuf &
+    operator=(LaneBuf &&o) noexcept
     {
         if (this != &o) {
-            delete[] heap_;
-            heap_ = nullptr;
-            cap_ = kInline;
-            size_ = 0;
-            stealFrom(o);
+            release();
+            data_ = o.data_;
+            size_ = o.size_;
+            cap_ = o.cap_;
+            o.data_ = nullptr;
+            o.size_ = o.cap_ = 0;
         }
         return *this;
     }
 
+    /** By value: @p v may alias an element that grow() frees. */
     void
-    push_back(VAddr a)
+    push_back(T v)
     {
         if (size_ == cap_)
-            grow(cap_ * 2);
-        data()[size_++] = a;
+            grow(size_ + 1);
+        data_[size_++] = v;
     }
 
     void
@@ -82,68 +180,82 @@ class LaneVec
             grow(n);
     }
 
+    /** Replaces the contents with @p n copies of @p v. */
+    void
+    assign(std::size_t n, const T &v)
+    {
+        size_ = 0;
+        reserve(n);
+        for (std::size_t i = 0; i < n; ++i)
+            data_[i] = v;
+        size_ = n;
+    }
+
+    /** Empties the list and keeps its storage. */
     void clear() { size_ = 0; }
 
     std::size_t size() const { return size_; }
+    std::size_t capacity() const { return cap_; }
     bool empty() const { return size_ == 0; }
 
-    VAddr *data() { return heap_ ? heap_ : inline_; }
-    const VAddr *data() const { return heap_ ? heap_ : inline_; }
+    T *data() { return data_; }
+    const T *data() const { return data_; }
 
-    VAddr operator[](std::size_t i) const { return data()[i]; }
-    VAddr &operator[](std::size_t i) { return data()[i]; }
-    VAddr back() const { return data()[size_ - 1]; }
+    const T &operator[](std::size_t i) const { return data_[i]; }
+    T &operator[](std::size_t i) { return data_[i]; }
+    const T &back() const { return data_[size_ - 1]; }
 
-    const VAddr *begin() const { return data(); }
-    const VAddr *end() const { return data() + size_; }
-    VAddr *begin() { return data(); }
-    VAddr *end() { return data() + size_; }
+    const T *begin() const { return data_; }
+    const T *end() const { return data_ + size_; }
+    T *begin() { return data_; }
+    T *end() { return data_ + size_; }
 
   private:
+    /** Storage for at least @p need elements, keeping the contents. */
     void
-    appendAll(const LaneVec &o)
+    grow(std::size_t need)
+    {
+        if (cap_ == 0 && need <= kChunkCap) {
+            data_ = static_cast<T *>(LaneChunkPool::acquire());
+            cap_ = kChunkCap;
+            return;
+        }
+        std::size_t cap = cap_ ? cap_ * 2 : kChunkCap;
+        while (cap < need)
+            cap *= 2;
+        T *block = static_cast<T *>(::operator new(cap * sizeof(T)));
+        if (size_)
+            std::memcpy(block, data_, size_ * sizeof(T));
+        release();
+        data_ = block;
+        cap_ = cap;
+    }
+
+    void
+    release() noexcept
+    {
+        if (cap_ == kChunkCap)
+            LaneChunkPool::release(data_);
+        else if (cap_ != 0)
+            ::operator delete(data_);
+    }
+
+    void
+    copyFrom(const LaneBuf &o)
     {
         reserve(o.size_);
-        VAddr *d = data();
-        const VAddr *s = o.data();
-        for (std::size_t i = 0; i < o.size_; ++i)
-            d[i] = s[i];
+        if (o.size_)
+            std::memcpy(data_, o.data_, o.size_ * sizeof(T));
         size_ = o.size_;
     }
 
-    /** Move-construct body: @p o is left empty and inline. */
-    void
-    stealFrom(LaneVec &o) noexcept
-    {
-        if (o.heap_) {
-            heap_ = std::exchange(o.heap_, nullptr);
-            cap_ = std::exchange(o.cap_, kInline);
-            size_ = o.size_;
-        } else {
-            size_ = o.size_;
-            for (std::size_t i = 0; i < size_; ++i)
-                inline_[i] = o.inline_[i];
-        }
-        o.size_ = 0;
-    }
-
-    void
-    grow(std::size_t new_cap)
-    {
-        VAddr *block = new VAddr[new_cap];
-        const VAddr *s = data();
-        for (std::size_t i = 0; i < size_; ++i)
-            block[i] = s[i];
-        delete[] heap_;
-        heap_ = block;
-        cap_ = new_cap;
-    }
-
-    VAddr *heap_ = nullptr;
+    T *data_ = nullptr;
     std::size_t size_ = 0;
-    std::size_t cap_ = kInline;
-    VAddr inline_[kInline];
+    std::size_t cap_ = 0;
 };
+
+/** Per-lane addresses of one warp memory operation. */
+using LaneVec = LaneBuf<VAddr>;
 
 } // namespace bauvm
 

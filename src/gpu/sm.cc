@@ -9,10 +9,10 @@ namespace bauvm
 
 SmBase::SmBase(std::uint32_t id, const GpuConfig &config,
                EventQueue &events, SmListener *listener,
-               const SimHooks &hooks)
+               const SimHooks &hooks, std::uint32_t line_bytes)
     : id_(id), track_(traceTrackSm(id)), config_(config),
-      events_(events), listener_(listener),
-      coalescer_(128 /* L1 line */), hooks_(hooks)
+      events_(events), listener_(listener), coalescer_(line_bytes),
+      hooks_(hooks)
 {
 }
 
@@ -32,7 +32,12 @@ SmBase::addBlock(const KernelInfo *kernel, std::uint32_t block_id,
         blocks_.emplace_back();
 
     Block &b = blocks_[slot];
+    // Keep the retired block's warp array: its capacity serves the new
+    // block without an allocation.
+    std::vector<WarpState> warp_states = std::move(b.warps);
+    warp_states.clear();
     b = Block{};
+    b.warps = std::move(warp_states);
     b.in_use = true;
     b.kernel = kernel;
     b.block_id = block_id;
@@ -181,16 +186,16 @@ SmBase::blockFullyStalled(std::uint32_t slot) const
     return true;
 }
 
-std::vector<std::uint32_t>
-SmBase::inactiveBlockSlots() const
+int
+SmBase::firstInactiveBlock(bool runnable_only) const
 {
-    std::vector<std::uint32_t> out;
     for (std::uint32_t i = 0; i < blocks_.size(); ++i) {
         const Block &b = blocks_[i];
-        if (b.in_use && !b.finished && !b.active && !b.activating)
-            out.push_back(i);
+        if (b.in_use && !b.finished && !b.active && !b.activating &&
+            (!runnable_only || switchInCandidate(i)))
+            return static_cast<int>(i);
     }
-    return out;
+    return -1;
 }
 
 int
@@ -250,8 +255,8 @@ template <ObserverMode M>
 SmT<M>::SmT(std::uint32_t id, const GpuConfig &config, EventQueue &events,
             MemoryHierarchyT<M> &hierarchy, UvmRuntimeT<M> &runtime,
             SmListener *listener, const SimHooks &hooks)
-    : SmBase(id, config, events, listener, hooks), hierarchy_(hierarchy),
-      runtime_(runtime)
+    : SmBase(id, config, events, listener, hooks, hierarchy.l1LineBytes()),
+      hierarchy_(hierarchy), runtime_(runtime)
 {
 }
 
@@ -259,9 +264,10 @@ template <ObserverMode M>
 void
 SmT<M>::pump()
 {
-    while (!ready_queue_.empty()) {
-        auto [slot, warp] = ready_queue_.front();
-        ready_queue_.pop_front();
+    // processOp() may enqueue (and so reallocate) mid-loop: index,
+    // never hold a reference into the queue.
+    while (ready_head_ < ready_queue_.size()) {
+        const auto [slot, warp] = ready_queue_[ready_head_++];
         Block &b = blocks_[slot];
         if (!b.in_use || b.finished)
             continue;
@@ -274,6 +280,8 @@ SmT<M>::pump()
         issue_free_ = issue + 1; // one instruction per cycle
         processOp(slot, warp, issue);
     }
+    ready_queue_.clear();
+    ready_head_ = 0;
 }
 
 template <ObserverMode M>

@@ -25,7 +25,6 @@
 #define BAUVM_GPU_SM_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/check/observer_mode.h"
@@ -107,8 +106,12 @@ class SmBase
     /** True when active block @p slot has every live warp stalled. */
     bool blockFullyStalled(std::uint32_t slot) const;
 
-    /** Slots of resident, unfinished, inactive blocks. */
-    std::vector<std::uint32_t> inactiveBlockSlots() const;
+    /**
+     * Lowest slot of a resident, unfinished, inactive block, or -1.
+     * With @p runnable_only, the lowest one switchInCandidate()
+     * accepts.
+     */
+    int firstInactiveBlock(bool runnable_only) const;
 
     /** First active block with every live warp stalled, or -1. */
     int firstFullyStalledActiveBlock() const;
@@ -179,8 +182,10 @@ class SmBase
         }
     };
 
+    /** @param line_bytes the L1 line size transactions coalesce to. */
     SmBase(std::uint32_t id, const GpuConfig &config, EventQueue &events,
-           SmListener *listener, const SimHooks &hooks);
+           SmListener *listener, const SimHooks &hooks,
+           std::uint32_t line_bytes);
 
     /**
      * Drains the ready queue, issuing one instruction per cycle. The
@@ -205,7 +210,10 @@ class SmBase
 
     bool switch_on_memory_stall_ = false;
     std::vector<Block> blocks_;
-    std::deque<std::pair<std::uint32_t, std::uint32_t>> ready_queue_;
+    /** (slot, warp) FIFO that pump() drains from ready_head_ and then
+     *  empties, so enqueues reuse its capacity instead of allocating. */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> ready_queue_;
+    std::size_t ready_head_ = 0;
     bool pump_scheduled_ = false;
     Cycle issue_free_ = 0;
     std::uint64_t issued_ = 0;

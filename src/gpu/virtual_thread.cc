@@ -30,16 +30,6 @@ VirtualThreadController::oneWayCost() const
     return (bytes + bw - 1) / bw;
 }
 
-int
-VirtualThreadController::pickCandidate(const SmBase &sm) const
-{
-    for (std::uint32_t slot : sm.inactiveBlockSlots()) {
-        if (sm.switchInCandidate(slot))
-            return static_cast<int>(slot);
-    }
-    return -1;
-}
-
 void
 VirtualThreadController::doSwitch(SmBase &sm, std::uint32_t out_slot,
                                   std::uint32_t in_slot)
@@ -68,7 +58,7 @@ VirtualThreadController::onBlockStalled(std::uint32_t sm_id,
     SmBase &sm = *sms_[sm_id];
     if (!sm.blockActive(slot) || !sm.blockFullyStalled(slot))
         return;
-    const int in = pickCandidate(sm);
+    const int in = sm.firstInactiveBlock(/*runnable_only=*/true);
     if (in < 0)
         return; // a later onInactiveWarpReady will retry
     doSwitch(sm, slot, static_cast<std::uint32_t>(in));

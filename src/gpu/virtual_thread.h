@@ -84,8 +84,6 @@ class VirtualThreadController
     std::uint64_t growEvents() const { return grows_; }
 
   private:
-    /** Picks a runnable inactive block on @p sm, or -1. */
-    int pickCandidate(const SmBase &sm) const;
     void doSwitch(SmBase &sm, std::uint32_t out_slot, std::uint32_t in_slot);
 
     ToConfig config_;

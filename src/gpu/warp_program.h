@@ -20,7 +20,6 @@
 #include <functional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/gpu/lane_vec.h"
 #include "src/sim/types.h"
@@ -57,39 +56,16 @@ struct WarpOp {
     }
     static WarpOp sync() { return WarpOp{Kind::Sync, 0, {}}; }
 
-    /**
-     * Vector-accepting twins for external kernels written against the
-     * historical std::vector address lists (cold path: one copy).
-     */
-    static WarpOp load(const std::vector<VAddr> &a)
-    {
-        return WarpOp{Kind::Load, 0, fromVector(a)};
-    }
-    static WarpOp store(const std::vector<VAddr> &a)
-    {
-        return WarpOp{Kind::Store, 0, fromVector(a)};
-    }
-    static WarpOp atomic(const std::vector<VAddr> &a)
-    {
-        return WarpOp{Kind::Atomic, 0, fromVector(a)};
-    }
-
-    static LaneVec
-    fromVector(const std::vector<VAddr> &a)
-    {
-        LaneVec v;
-        v.reserve(a.size());
-        for (const VAddr addr : a)
-            v.push_back(addr);
-        return v;
-    }
-
     bool isMemory() const
     {
         return kind == Kind::Load || kind == Kind::Store ||
                kind == Kind::Atomic;
     }
 };
+
+// A suspended warp's frame holds a handful of WarpOp temporaries; keep
+// them handle-sized so a resume touches a few cache lines, not KBs.
+static_assert(sizeof(WarpOp) <= 64, "WarpOp must stay compact");
 
 /**
  * Variadic builders used inside coroutines. (GCC 12 miscompiles

@@ -80,6 +80,9 @@ class MemoryHierarchyBase
     /** Additional latency on every L2 access (ETC capacity compression). */
     void setExtraL2Latency(Cycle extra) { extra_l2_latency_ = extra; }
 
+    /** L1 line size: the granule the SM coalesces lane addresses to. */
+    std::uint32_t l1LineBytes() const { return config_.l1.line_bytes; }
+
     /** Extra latency the SM charges for atomic operations. */
     Cycle atomicLatency() const { return config_.atomic_latency; }
 

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -153,7 +152,7 @@ class BfsWorkload : public GraphWorkloadBase
                    bool atomic)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        LaneBuf<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const VertexId v = ctx.globalThread(lane);
@@ -166,7 +165,7 @@ class BfsWorkload : public GraphWorkloadBase
             co_return;
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<VertexId> active;
+        LaneBuf<VertexId> active;
         for (VertexId v : owned) {
             if (self->d_level_[v] == level)
                 active.push_back(v);
@@ -174,22 +173,23 @@ class BfsWorkload : public GraphWorkloadBase
         if (active.empty())
             co_return;
 
-        a = {};
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<std::uint64_t> pos, end;
+        LaneBuf<std::uint64_t> pos, end;
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
         }
 
+        LaneBuf<std::size_t> who;
+        LaneBuf<VertexId> nbrs;
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            who.clear();
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -201,7 +201,7 @@ class BfsWorkload : public GraphWorkloadBase
             co_yield WarpOp::load(std::move(ea));
 
             LaneVec la;
-            std::vector<VertexId> nbrs;
+            nbrs.clear();
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
@@ -247,6 +247,7 @@ class BfsWorkload : public GraphWorkloadBase
 
         const std::uint64_t begin = self->graph_->rowOffsets()[v];
         const std::uint64_t end = self->graph_->rowOffsets()[v + 1];
+        LaneBuf<VertexId> nbrs;
         for (std::uint64_t e = begin; e < end; e += ctx.warp_size) {
             const std::uint64_t chunk =
                 std::min<std::uint64_t>(ctx.warp_size, end - e);
@@ -256,7 +257,7 @@ class BfsWorkload : public GraphWorkloadBase
             co_yield WarpOp::load(std::move(ea));
 
             LaneVec la;
-            std::vector<VertexId> nbrs;
+            nbrs.clear();
             for (std::uint64_t i = 0; i < chunk; ++i) {
                 const VertexId nb = self->d_col_[e + i];
                 nbrs.push_back(nb);
@@ -282,7 +283,7 @@ class BfsWorkload : public GraphWorkloadBase
     frontierWarp(WarpCtx ctx, BfsWorkload *self, std::uint32_t level,
                  std::uint32_t fsize)
     {
-        std::vector<std::uint32_t> slots;
+        LaneBuf<std::uint32_t> slots;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint32_t idx = ctx.globalThread(lane);
@@ -295,26 +296,27 @@ class BfsWorkload : public GraphWorkloadBase
             co_return;
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<VertexId> active;
+        LaneBuf<VertexId> active;
         for (std::uint32_t idx : slots)
             active.push_back(self->d_frontier_[idx]);
 
-        a = {};
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<std::uint64_t> pos, end;
+        LaneBuf<std::uint64_t> pos, end;
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
         }
 
+        LaneBuf<std::size_t> who;
+        LaneBuf<VertexId> nbrs;
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            who.clear();
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -326,7 +328,7 @@ class BfsWorkload : public GraphWorkloadBase
             co_yield WarpOp::load(std::move(ea));
 
             LaneVec la;
-            std::vector<VertexId> nbrs;
+            nbrs.clear();
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
@@ -356,7 +358,7 @@ class BfsWorkload : public GraphWorkloadBase
     edgeCentricWarp(WarpCtx ctx, BfsWorkload *self, std::uint32_t level)
     {
         const std::uint64_t e_count = self->graph_->numEdges();
-        std::vector<std::uint64_t> edges;
+        LaneBuf<std::uint64_t> edges;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint64_t e = ctx.globalThread(lane);
@@ -370,12 +372,11 @@ class BfsWorkload : public GraphWorkloadBase
         co_yield WarpOp::load(std::move(a));
 
         // Load the source levels (random gather).
-        a = {};
         for (std::uint64_t e : edges)
             a.push_back(self->d_level_.addr(self->d_esrc_[e]));
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<std::uint64_t> live;
+        LaneBuf<std::uint64_t> live;
         for (std::uint64_t e : edges) {
             if (self->d_level_[self->d_esrc_[e]] == level)
                 live.push_back(e);
@@ -383,12 +384,10 @@ class BfsWorkload : public GraphWorkloadBase
         if (live.empty())
             co_return;
 
-        a = {};
         for (std::uint64_t e : live)
             a.push_back(self->d_edst_.addr(e));
         co_yield WarpOp::load(std::move(a));
 
-        a = {};
         for (std::uint64_t e : live)
             a.push_back(self->d_level_.addr(self->d_edst_[e]));
         co_yield WarpOp::load(std::move(a));

@@ -27,7 +27,6 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -140,7 +139,7 @@ class HybridBfsWorkload : public GraphWorkloadBase
     topDownWarp(WarpCtx ctx, HybridBfsWorkload *self, std::uint32_t level,
                 std::uint32_t fsize)
     {
-        std::vector<std::uint32_t> slots;
+        LaneBuf<std::uint32_t> slots;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint32_t idx = ctx.globalThread(lane);
@@ -153,28 +152,29 @@ class HybridBfsWorkload : public GraphWorkloadBase
             co_return;
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<VertexId> active;
+        LaneBuf<VertexId> active;
         for (std::uint32_t idx : slots) {
             active.push_back(
                 static_cast<VertexId>(self->d_frontier_[idx]));
         }
 
-        a = {};
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<std::uint64_t> pos, end;
+        LaneBuf<std::uint64_t> pos, end;
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
         }
 
+        LaneBuf<std::size_t> who;
+        LaneBuf<VertexId> nbrs;
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            who.clear();
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -186,7 +186,7 @@ class HybridBfsWorkload : public GraphWorkloadBase
             co_yield WarpOp::load(std::move(ea));
 
             LaneVec la;
-            std::vector<VertexId> nbrs;
+            nbrs.clear();
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
@@ -218,7 +218,7 @@ class HybridBfsWorkload : public GraphWorkloadBase
                  std::uint32_t level)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        LaneBuf<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const VertexId v = ctx.globalThread(lane);
@@ -231,7 +231,7 @@ class HybridBfsWorkload : public GraphWorkloadBase
             co_return;
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<VertexId> unvisited;
+        LaneBuf<VertexId> unvisited;
         for (VertexId v : owned) {
             if (self->d_level_[v] == kInf)
                 unvisited.push_back(v);
@@ -239,23 +239,25 @@ class HybridBfsWorkload : public GraphWorkloadBase
         if (unvisited.empty())
             co_return;
 
-        a = {};
         for (VertexId v : unvisited) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<std::uint64_t> pos, end;
-        std::vector<bool> found(unvisited.size(), false);
+        LaneBuf<std::uint64_t> pos, end;
+        LaneBuf<bool> found;
+        found.assign(unvisited.size(), false);
         for (VertexId v : unvisited) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
         }
 
+        LaneBuf<std::size_t> who;
+        LaneBuf<VertexId> probes; //!< neighbour probed by who[k]
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            who.clear();
             for (std::size_t i = 0; i < unvisited.size(); ++i) {
                 if (!found[i] && pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -267,18 +269,19 @@ class HybridBfsWorkload : public GraphWorkloadBase
             co_yield WarpOp::load(std::move(ea));
 
             LaneVec la;
-            std::vector<std::pair<std::size_t, VertexId>> probes;
+            probes.clear();
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
-                probes.emplace_back(i, nb);
+                probes.push_back(nb);
                 la.push_back(self->d_level_.addr(nb));
             }
             co_yield WarpOp::load(std::move(la));
 
             LaneVec sa;
-            for (const auto &[i, nb] : probes) {
-                if (!found[i] && self->d_level_[nb] == level) {
+            for (std::size_t k = 0; k < who.size(); ++k) {
+                const std::size_t i = who[k];
+                if (!found[i] && self->d_level_[probes[k]] == level) {
                     // First settled parent wins; the lane stops
                     // probing (the bottom-up early exit).
                     found[i] = true;

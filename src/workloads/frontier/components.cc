@@ -13,7 +13,6 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -94,7 +93,7 @@ class ComponentsWorkload : public GraphWorkloadBase
     pushWarp(WarpCtx ctx, ComponentsWorkload *self, std::uint32_t round,
              std::uint32_t fsize)
     {
-        std::vector<std::uint32_t> slots;
+        LaneBuf<std::uint32_t> slots;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint32_t idx = ctx.globalThread(lane);
@@ -107,8 +106,7 @@ class ComponentsWorkload : public GraphWorkloadBase
             co_return;
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<VertexId> active;
-        a = {};
+        LaneBuf<VertexId> active;
         for (std::uint32_t idx : slots) {
             const auto v =
                 static_cast<VertexId>(self->d_frontier_[idx]);
@@ -117,22 +115,23 @@ class ComponentsWorkload : public GraphWorkloadBase
         }
         co_yield WarpOp::load(std::move(a));
 
-        a = {};
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<std::uint64_t> pos, end;
+        LaneBuf<std::uint64_t> pos, end;
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
         }
 
+        LaneBuf<std::size_t> who;
+        LaneBuf<VertexId> probes; //!< neighbour probed by who[k]
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            who.clear();
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -144,19 +143,20 @@ class ComponentsWorkload : public GraphWorkloadBase
             co_yield WarpOp::load(std::move(ea));
 
             LaneVec la;
-            std::vector<std::pair<std::size_t, VertexId>> probes;
+            probes.clear();
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
-                probes.emplace_back(i, nb);
+                probes.push_back(nb);
                 la.push_back(self->d_label_.addr(nb));
             }
             co_yield WarpOp::load(std::move(la));
 
             LaneVec sa;
-            for (const auto &[i, nb] : probes) {
+            for (std::size_t k = 0; k < who.size(); ++k) {
+                const VertexId nb = probes[k];
                 const std::uint64_t mine =
-                    self->d_label_[active[i]];
+                    self->d_label_[active[who[k]]];
                 if (self->d_label_[nb] > mine) {
                     // atomicMin on the neighbour's label, plus a
                     // stamped enqueue so a vertex improved by several

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -185,7 +184,7 @@ class KtrussWorkload : public GraphWorkloadBase
     filterWarp(WarpCtx ctx, KtrussWorkload *self)
     {
         const std::uint64_t e_count = self->edges_;
-        std::vector<std::uint64_t> owned;
+        LaneBuf<std::uint64_t> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint64_t e = ctx.globalThread(lane);

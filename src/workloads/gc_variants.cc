@@ -14,9 +14,9 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/graph/reference_algorithms.h"
@@ -29,11 +29,68 @@ namespace bauvm
 namespace
 {
 
+/**
+ * The neighbour colors each active lane has seen: a 64-bit mask per
+ * lane for colors below 64 and a shared (lane, color) list for the
+ * rest. smallestUnused() is the smallest color not seen, as a per-lane
+ * set would give, without a node allocation per color.
+ */
+class UsedColors
+{
+  public:
+    void
+    reset(std::size_t lanes)
+    {
+        low_.assign(lanes, 0);
+        high_.clear();
+    }
+
+    void
+    insert(std::size_t lane, std::uint32_t color)
+    {
+        if (color < 64)
+            low_[lane] |= std::uint64_t{1} << color;
+        else
+            high_.push_back(High{static_cast<std::uint32_t>(lane), color});
+    }
+
+    std::uint32_t
+    smallestUnused(std::size_t lane)
+    {
+        const std::uint64_t unused = ~low_[lane];
+        if (unused != 0)
+            return static_cast<std::uint32_t>(std::countr_zero(unused));
+        scratch_.clear();
+        for (const High &h : high_) {
+            if (h.lane == lane)
+                scratch_.push_back(h.color);
+        }
+        std::sort(scratch_.begin(), scratch_.end());
+        std::uint32_t c = 64;
+        for (const std::uint32_t seen : scratch_) {
+            if (seen > c)
+                break;
+            if (seen == c)
+                ++c;
+        }
+        return c;
+    }
+
+  private:
+    struct High {
+        std::uint32_t lane;
+        std::uint32_t color;
+    };
+    LaneBuf<std::uint64_t> low_;
+    LaneBuf<High> high_;
+    LaneBuf<std::uint32_t> scratch_;
+};
+
 class GcWorkload : public GraphWorkloadBase
 {
   public:
     explicit GcWorkload(std::string variant)
-        : variant_(std::move(variant))
+        : variant_(std::move(variant)), ttc_(variant_ == "TTC")
     {
     }
 
@@ -50,7 +107,7 @@ class GcWorkload : public GraphWorkloadBase
         d_color_.fill(kInf);
         d_tentative_.fill(kInf);
         stamp_.assign(v, 0);
-        if (variant_ == "TTC") {
+        if (ttc_) {
             // Topological order: vertices in BFS-traversal order from
             // the high-degree source (unreached vertices appended in id
             // order), as a topological-thread-centric kernel would
@@ -132,14 +189,14 @@ class GcWorkload : public GraphWorkloadBase
     VertexId
     ownedVertex(std::uint32_t tid) const
     {
-        return variant_ == "TTC" ? d_order_[tid] : tid;
+        return ttc_ ? d_order_[tid] : tid;
     }
 
     /** The extra load address for the TTC indirection, if any. */
     void
     appendOwnerLoads(std::uint32_t tid, LaneVec *a) const
     {
-        if (variant_ == "TTC")
+        if (ttc_)
             a->push_back(d_order_.addr(tid));
     }
 
@@ -147,7 +204,7 @@ class GcWorkload : public GraphWorkloadBase
     assignWarp(WarpCtx ctx, GcWorkload *self, std::uint32_t round)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        LaneBuf<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint32_t tid = ctx.globalThread(lane);
@@ -162,7 +219,7 @@ class GcWorkload : public GraphWorkloadBase
             co_return;
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<VertexId> active;
+        LaneBuf<VertexId> active;
         for (VertexId v : owned) {
             if (self->d_color_[v] == kInf)
                 active.push_back(v);
@@ -170,7 +227,6 @@ class GcWorkload : public GraphWorkloadBase
         if (active.empty())
             co_return;
 
-        a = {};
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
@@ -178,16 +234,18 @@ class GcWorkload : public GraphWorkloadBase
         co_yield WarpOp::load(std::move(a));
 
         // Divergent lockstep neighbour scan gathering used colors.
-        std::vector<std::uint64_t> pos, end;
-        std::vector<std::unordered_set<std::uint32_t>> used(
-            active.size());
+        LaneBuf<std::uint64_t> pos, end;
+        UsedColors used;
+        used.reset(active.size());
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
         }
+        LaneBuf<std::size_t> who;
+        LaneBuf<VertexId> nbrs;
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            who.clear();
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -199,26 +257,24 @@ class GcWorkload : public GraphWorkloadBase
             co_yield WarpOp::load(std::move(ea));
 
             LaneVec ca;
-            std::vector<std::pair<std::size_t, VertexId>> nbrs;
+            nbrs.clear();
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
-                nbrs.emplace_back(i, nb);
+                nbrs.push_back(nb);
                 ca.push_back(self->d_color_.addr(nb));
             }
             co_yield WarpOp::load(std::move(ca));
-            for (const auto &[i, nb] : nbrs) {
-                if (self->d_color_[nb] != kInf)
-                    used[i].insert(self->d_color_[nb]);
+            for (std::size_t k = 0; k < who.size(); ++k) {
+                const std::uint32_t c = self->d_color_[nbrs[k]];
+                if (c != kInf)
+                    used.insert(who[k], c);
             }
         }
 
         LaneVec sa;
         for (std::size_t i = 0; i < active.size(); ++i) {
-            std::uint32_t c = 0;
-            while (used[i].count(c))
-                ++c;
-            self->d_tentative_[active[i]] = c;
+            self->d_tentative_[active[i]] = used.smallestUnused(i);
             // Round stamp (bookkeeping the hardware would keep in the
             // tentative word itself): lets the resolve phase decide
             // from round-start state, independent of warp order.
@@ -232,7 +288,7 @@ class GcWorkload : public GraphWorkloadBase
     resolveWarp(WarpCtx ctx, GcWorkload *self, std::uint32_t round)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        LaneBuf<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const std::uint32_t tid = ctx.globalThread(lane);
@@ -248,7 +304,7 @@ class GcWorkload : public GraphWorkloadBase
             co_return;
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<VertexId> active;
+        LaneBuf<VertexId> active;
         for (VertexId v : owned) {
             if (self->d_color_[v] == kInf)
                 active.push_back(v);
@@ -256,22 +312,24 @@ class GcWorkload : public GraphWorkloadBase
         if (active.empty())
             co_return;
 
-        a = {};
         for (VertexId v : active) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
         }
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<std::uint64_t> pos, end;
-        std::vector<bool> loses(active.size(), false);
+        LaneBuf<std::uint64_t> pos, end;
+        LaneBuf<bool> loses;
+        loses.assign(active.size(), false);
         for (VertexId v : active) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
         }
+        LaneBuf<std::size_t> who;
+        LaneBuf<VertexId> nbrs;
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            who.clear();
             for (std::size_t i = 0; i < active.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -283,16 +341,18 @@ class GcWorkload : public GraphWorkloadBase
             co_yield WarpOp::load(std::move(ea));
 
             LaneVec ta;
-            std::vector<std::pair<std::size_t, VertexId>> nbrs;
+            nbrs.clear();
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];
-                nbrs.emplace_back(i, nb);
+                nbrs.push_back(nb);
                 ta.push_back(self->d_color_.addr(nb));
                 ta.push_back(self->d_tentative_.addr(nb));
             }
             co_yield WarpOp::load(std::move(ta));
-            for (const auto &[i, nb] : nbrs) {
+            for (std::size_t k = 0; k < who.size(); ++k) {
+                const std::size_t i = who[k];
+                const VertexId nb = nbrs[k];
                 const VertexId v = active[i];
                 // Conflict iff the neighbour also speculated in this
                 // round (fresh stamp) with the same color and outranks
@@ -322,6 +382,7 @@ class GcWorkload : public GraphWorkloadBase
 
   private:
     std::string variant_;
+    bool ttc_; //!< topological order through d_order_
     DeviceArray<std::uint32_t> d_color_;
     DeviceArray<std::uint32_t> d_tentative_;
     DeviceArray<VertexId> d_order_;

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -95,7 +94,7 @@ class KcoreWorkload : public GraphWorkloadBase
     peelWarp(WarpCtx ctx, KcoreWorkload *self, std::uint32_t k)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        LaneBuf<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const VertexId v = ctx.globalThread(lane);
@@ -109,7 +108,7 @@ class KcoreWorkload : public GraphWorkloadBase
             co_return;
         co_yield WarpOp::load(std::move(a));
 
-        std::vector<VertexId> removing;
+        LaneBuf<VertexId> removing;
         for (VertexId v : owned) {
             if (self->d_core_[v] == kInf && self->d_degree_[v] <= k)
                 removing.push_back(v);
@@ -126,7 +125,6 @@ class KcoreWorkload : public GraphWorkloadBase
         }
         co_yield WarpOp::store(std::move(sa));
 
-        a = {};
         for (VertexId v : removing) {
             a.push_back(self->d_row_.addr(v));
             a.push_back(self->d_row_.addr(v + 1));
@@ -134,14 +132,16 @@ class KcoreWorkload : public GraphWorkloadBase
         co_yield WarpOp::load(std::move(a));
 
         // Lockstep divergent walk decrementing neighbour degrees.
-        std::vector<std::uint64_t> pos, end;
+        LaneBuf<std::uint64_t> pos, end;
         for (VertexId v : removing) {
             pos.push_back(self->graph_->rowOffsets()[v]);
             end.push_back(self->graph_->rowOffsets()[v + 1]);
         }
+        LaneBuf<std::size_t> who;
+        LaneBuf<VertexId> nbrs;
         while (true) {
             LaneVec ea;
-            std::vector<std::size_t> who;
+            who.clear();
             for (std::size_t i = 0; i < removing.size(); ++i) {
                 if (pos[i] < end[i]) {
                     ea.push_back(self->d_col_.addr(pos[i]));
@@ -153,7 +153,7 @@ class KcoreWorkload : public GraphWorkloadBase
             co_yield WarpOp::load(std::move(ea));
 
             LaneVec da;
-            std::vector<VertexId> nbrs;
+            nbrs.clear();
             for (std::size_t i : who) {
                 const VertexId nb = self->d_col_[pos[i]];
                 ++pos[i];

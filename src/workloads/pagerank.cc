@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <vector>
 
 #include "src/graph/reference_algorithms.h"
 #include "src/sim/log.h"
@@ -89,7 +88,7 @@ class PageRankWorkload : public GraphWorkloadBase
     contribWarp(WarpCtx ctx, PageRankWorkload *self)
     {
         const VertexId v_count = self->graph_->numVertices();
-        std::vector<VertexId> owned;
+        LaneBuf<VertexId> owned;
         LaneVec a;
         for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane) {
             const VertexId v = ctx.globalThread(lane);

@@ -167,9 +167,10 @@ class RegularWorkload : public Workload
         const std::size_t per_thread =
             (tile + ctx.threads_per_block - 1) / ctx.threads_per_block;
 
+        LaneBuf<std::size_t> idxs;
         for (std::size_t step_i = 0; step_i < per_thread; ++step_i) {
             LaneVec la;
-            std::vector<std::size_t> idxs;
+            idxs.clear();
             for (std::uint32_t lane = 0; lane < ctx.laneCount();
                  ++lane) {
                 const std::size_t local =

@@ -124,6 +124,39 @@ TEST_F(SmTest, MemoryOpFaultsAndResumes)
     EXPECT_FALSE(recorder_.stalled.empty());
 }
 
+TEST(SmLineSize, CoalescesToTheConfiguredL1Line)
+{
+    // A 32-lane unit-stride op of 8-byte words covers 256 bytes: two
+    // 128-byte lines, but four lines of a 64-byte L1.
+    for (const std::uint32_t line : {64u, 128u}) {
+        MemConfig mem;
+        mem.l1.line_bytes = line;
+        EventQueue events;
+        GpuMemoryManager manager(UvmConfig{}, /*unlimited=*/0);
+        MemoryHierarchy hierarchy(mem, 1, kPage, manager.pageTable());
+        UvmRuntime runtime(UvmConfig{}, events, manager, hierarchy);
+        runtime.registerAllocation(0, 16 * kPage);
+        Recorder recorder;
+        Sm sm(0, GpuConfig{}, events, hierarchy, runtime, &recorder);
+
+        KernelInfo k;
+        k.name = "unit-stride";
+        k.num_blocks = 1;
+        k.threads_per_block = 32;
+        k.regs_per_thread = 16;
+        k.make_program = [](WarpCtx ctx) -> WarpProgram {
+            LaneVec a;
+            for (std::uint32_t lane = 0; lane < ctx.laneCount(); ++lane)
+                a.push_back(0x20000 + 8 * lane);
+            co_yield WarpOp::load(std::move(a));
+        };
+        sm.addBlock(&k, 0, true);
+        events.run();
+        ASSERT_EQ(recorder.finished.size(), 1u);
+        EXPECT_EQ(sm.coalescer().transactions(), 256u / line) << line;
+    }
+}
+
 TEST_F(SmTest, BarrierJoinsAllWarps)
 {
     // Warp 0 computes long, warp 1 short; both must meet at the
