@@ -18,10 +18,10 @@
  * GpuUvmSystem, and instrument the sites that care — no constructor or
  * setter churn anywhere else.
  *
- * The hot classes additionally template their event-path methods on an
- * ObserverMode (src/check/observer_mode.h) so the per-site null checks
- * compile away entirely in the modes that cannot observe them; SimHooks
- * remains the single aggregate those specializations read from.
+ * The hot path (SM issue loop, memory hierarchy, fault buffer, UVM
+ * runtime) uses the same null checks. Compiling one copy of it per
+ * observer set was tried and measured no faster, so every run, traced
+ * or not, executes the one path the unit tests exercise.
  */
 
 #ifndef BAUVM_CHECK_SIM_HOOKS_H_

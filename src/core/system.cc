@@ -21,33 +21,40 @@ GpuUvmSystem::GpuUvmSystem(const SimConfig &config)
                  : nullptr),
       hooks_{trace_.get(), audit_.get(), &events_},
       manager_(config.uvm, /*capacity: set after build*/ 0, hooks_),
-      engine_(makeEngine(config_, events_, manager_, hooks_))
+      hierarchy_(config_.mem, config_.gpu.num_sms, config_.uvm.page_bytes,
+                 manager_.pageTable(), hooks_),
+      runtime_(config_.uvm, events_, manager_, hierarchy_, hooks_),
+      gpu_(config_, events_, hierarchy_, runtime_, hooks_)
 {
     if (config_.etc.enabled) {
         etc_ = std::make_unique<EtcFramework>(
-            config_.etc, EtcAppClass::Irregular, manager_,
-            engine_->hierarchy(), engine_->runtime(),
-            engine_->gpu().dispatcher(), config_.gpu.num_sms);
-        engine_->runtime().setBatchEndCallback(
+            config_.etc, EtcAppClass::Irregular, manager_, hierarchy_,
+            runtime_, gpu_.dispatcher(), config_.gpu.num_sms);
+        runtime_.setBatchEndCallback(
             [this](const BatchRecord &) {
                 etc_->onBatchEnd(events_.now());
             });
     }
 }
 
+void
+GpuUvmSystem::clearTenants()
+{
+    runtime_.clearAdviceCallbacks();
+    runtime_.setTenantHierarchies({});
+    tenant_gpus_.clear();
+    tenant_hierarchies_.clear();
+}
+
 RunResult
 GpuUvmSystem::run(Workload &workload, WorkloadScale scale)
 {
-    UvmRuntimeBase &runtime = engine_->runtime();
-    MemoryHierarchyBase &hierarchy = engine_->hierarchy();
-    Gpu &gpu = engine_->gpu();
-
     workload.build(scale, config_.seed);
     if (audit_)
         audit_->setContext(workload.name());
 
     for (const auto &range : workload.allocator().ranges())
-        runtime.registerAllocation(range.base, range.bytes);
+        runtime_.registerAllocation(range.base, range.bytes);
 
     const std::uint64_t footprint_pages =
         workload.allocator().footprintPages();
@@ -92,7 +99,7 @@ GpuUvmSystem::run(Workload &workload, WorkloadScale scale)
     const auto wall_begin = std::chrono::steady_clock::now();
     KernelInfo kernel;
     while (workload.nextKernel(&kernel)) {
-        gpu.runKernel(kernel);
+        gpu_.runKernel(kernel);
         ++r.kernels;
     }
     r.cycles = events_.now() - begin;
@@ -106,26 +113,26 @@ GpuUvmSystem::run(Workload &workload, WorkloadScale scale)
                                  r.host_wall_s
                            : 0.0;
 
-    r.instructions = gpu.totalIssuedInstructions();
-    r.batches = runtime.batches();
-    r.avg_batch_pages = runtime.averageBatchPages();
-    r.avg_batch_time = runtime.averageProcessingTime();
-    r.avg_handling_time = runtime.averageHandlingTime();
-    r.demand_pages = runtime.demandFaultPages();
-    r.prefetched_pages = runtime.prefetchedPages();
-    r.batch_records = runtime.batchRecords();
+    r.instructions = gpu_.totalIssuedInstructions();
+    r.batches = runtime_.batches();
+    r.avg_batch_pages = runtime_.averageBatchPages();
+    r.avg_batch_time = runtime_.averageProcessingTime();
+    r.avg_handling_time = runtime_.averageHandlingTime();
+    r.demand_pages = runtime_.demandFaultPages();
+    r.prefetched_pages = runtime_.prefetchedPages();
+    r.batch_records = runtime_.batchRecords();
     r.migrations = manager_.migrations();
     r.evictions = manager_.evictions();
     r.premature_evictions = manager_.prematureEvictions();
     r.premature_rate = manager_.prematureEvictionRate();
-    r.context_switches = gpu.vtc().contextSwitches();
-    r.context_switch_cycles = gpu.vtc().switchCycles();
-    r.pcie_h2d_bytes = runtime.pcie().bytesMoved(PcieDir::HostToDevice);
-    r.pcie_d2h_bytes = runtime.pcie().bytesMoved(PcieDir::DeviceToHost);
-    r.translations = hierarchy.accesses();
-    r.tlb_hit_rate = hierarchy.tlbHitRate();
+    r.context_switches = gpu_.vtc().contextSwitches();
+    r.context_switch_cycles = gpu_.vtc().switchCycles();
+    r.pcie_h2d_bytes = runtime_.pcie().bytesMoved(PcieDir::HostToDevice);
+    r.pcie_d2h_bytes = runtime_.pcie().bytesMoved(PcieDir::DeviceToHost);
+    r.translations = hierarchy_.accesses();
+    r.tlb_hit_rate = hierarchy_.tlbHitRate();
     r.faults_per_kcycle =
-        r.cycles ? 1000.0 * static_cast<double>(hierarchy.faults()) /
+        r.cycles ? 1000.0 * static_cast<double>(hierarchy_.faults()) /
                        static_cast<double>(r.cycles)
                  : 0.0;
     if (audit_) {
@@ -165,8 +172,6 @@ struct TenantRun {
 RunResult
 GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
 {
-    UvmRuntimeBase &runtime = engine_->runtime();
-
     if (specs.empty())
         fatal("GpuUvmSystem: empty tenant mix");
     if (config_.etc.enabled)
@@ -190,7 +195,7 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
         config_.uvm.root_chunk_pages);
     tenant_dir_ = std::make_unique<TenantDirectory>(config_.mt.policy);
     tenant_workloads_.clear();
-    engine_->clearTenants();
+    clearTenants();
 
     std::vector<TenantContext> contexts(n);
     PageNum next_page = 0;
@@ -212,7 +217,7 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
         ctx.footprint_pages = workload->allocator().footprintPages();
         total_footprint_pages += ctx.footprint_pages;
         for (const auto &range : workload->allocator().ranges())
-            runtime.registerAllocation(range.base, range.bytes);
+            runtime_.registerAllocation(range.base, range.bytes);
         tenant_workloads_.push_back(std::move(workload));
     }
 
@@ -244,7 +249,7 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
 
     // --- Wire tenancy through the stack.
     manager_.setTenantDirectory(tenant_dir_.get());
-    runtime.setTenantDirectory(tenant_dir_.get());
+    runtime_.setTenantDirectory(tenant_dir_.get());
     if (audit_) {
         audit_->setTenantDirectory(tenant_dir_.get());
         audit_->setContext(tenantMixLabel(specs));
@@ -252,19 +257,26 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
 
     // --- Partition the SMs: tenant i gets a contiguous share, its own
     // GPU front end and cache/TLB hierarchy, all on the shared event
-    // queue, runtime and memory manager. The default gpu_'s advice
-    // sink is dropped; each tenant GPU registers its own.
-    runtime.clearAdviceCallbacks();
+    // queue, runtime and memory manager. clearTenants() dropped the
+    // default gpu_'s advice sink; each tenant GPU registers its own,
+    // and eviction shootdowns route to the owner's hierarchy.
     const std::uint32_t base_sms = config_.gpu.num_sms / n;
     const std::uint32_t extra_sms = config_.gpu.num_sms % n;
     std::uint32_t track_base = 0;
+    std::vector<MemoryHierarchy *> routes;
     for (std::uint32_t i = 0; i < n; ++i) {
         SimConfig tenant_config = config_;
         tenant_config.gpu.num_sms = base_sms + (i < extra_sms ? 1 : 0);
-        engine_->addTenant(tenant_config, page, track_base);
+        tenant_hierarchies_.push_back(std::make_unique<MemoryHierarchy>(
+            tenant_config.mem, tenant_config.gpu.num_sms, page,
+            manager_.pageTable(), hooks_));
+        routes.push_back(tenant_hierarchies_.back().get());
+        tenant_gpus_.push_back(std::make_unique<Gpu>(
+            tenant_config, events_, *tenant_hierarchies_.back(), runtime_,
+            hooks_, track_base));
         track_base += tenant_config.gpu.num_sms;
     }
-    engine_->wireTenantRouting();
+    runtime_.setTenantHierarchies(std::move(routes));
 
     // --- Run every tenant's kernel chain on the shared queue. Each
     // tenant launches its next kernel from a zero-delay event (never
@@ -299,7 +311,7 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
     const auto wall_begin = std::chrono::steady_clock::now();
     for (std::uint32_t i = 0; i < n; ++i) {
         runs[i].workload = tenant_workloads_[i].get();
-        runs[i].gpu = &engine_->tenantGpu(i);
+        runs[i].gpu = tenant_gpus_[i].get();
         launch_next(i);
     }
     events_.run();
@@ -323,37 +335,37 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
                            : 0.0;
 
     for (std::uint32_t i = 0; i < n; ++i)
-        r.instructions += engine_->tenantGpu(i).totalIssuedInstructions();
-    r.batches = runtime.batches();
-    r.avg_batch_pages = runtime.averageBatchPages();
-    r.avg_batch_time = runtime.averageProcessingTime();
-    r.avg_handling_time = runtime.averageHandlingTime();
-    r.demand_pages = runtime.demandFaultPages();
-    r.prefetched_pages = runtime.prefetchedPages();
-    r.batch_records = runtime.batchRecords();
+        r.instructions += tenant_gpus_[i]->totalIssuedInstructions();
+    r.batches = runtime_.batches();
+    r.avg_batch_pages = runtime_.averageBatchPages();
+    r.avg_batch_time = runtime_.averageProcessingTime();
+    r.avg_handling_time = runtime_.averageHandlingTime();
+    r.demand_pages = runtime_.demandFaultPages();
+    r.prefetched_pages = runtime_.prefetchedPages();
+    r.batch_records = runtime_.batchRecords();
     r.migrations = manager_.migrations();
     r.evictions = manager_.evictions();
     r.premature_evictions = manager_.prematureEvictions();
     r.premature_rate = manager_.prematureEvictionRate();
     for (std::uint32_t i = 0; i < n; ++i) {
         r.context_switches +=
-            engine_->tenantGpu(i).vtc().contextSwitches();
+            tenant_gpus_[i]->vtc().contextSwitches();
         r.context_switch_cycles +=
-            engine_->tenantGpu(i).vtc().switchCycles();
+            tenant_gpus_[i]->vtc().switchCycles();
     }
-    r.pcie_h2d_bytes = runtime.pcie().bytesMoved(PcieDir::HostToDevice);
-    r.pcie_d2h_bytes = runtime.pcie().bytesMoved(PcieDir::DeviceToHost);
+    r.pcie_h2d_bytes = runtime_.pcie().bytesMoved(PcieDir::HostToDevice);
+    r.pcie_d2h_bytes = runtime_.pcie().bytesMoved(PcieDir::DeviceToHost);
     std::uint64_t hierarchy_faults = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
-        r.translations += engine_->tenantHierarchy(i).accesses();
-        hierarchy_faults += engine_->tenantHierarchy(i).faults();
+        r.translations += tenant_hierarchies_[i]->accesses();
+        hierarchy_faults += tenant_hierarchies_[i]->faults();
     }
     {
         double hits = 0.0;
         for (std::uint32_t i = 0; i < n; ++i) {
-            hits += engine_->tenantHierarchy(i).tlbHitRate() *
+            hits += tenant_hierarchies_[i]->tlbHitRate() *
                     static_cast<double>(
-                        engine_->tenantHierarchy(i).accesses());
+                        tenant_hierarchies_[i]->accesses());
         }
         r.tlb_hit_rate = r.translations
                              ? hits / static_cast<double>(
@@ -375,10 +387,10 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
         t.cycles = runs[i].done_cycle - begin;
         t.kernels = runs[i].kernels;
         t.instructions =
-            engine_->tenantGpu(i).totalIssuedInstructions();
+            tenant_gpus_[i]->totalIssuedInstructions();
         t.footprint_bytes = tenant_workloads_[i]->footprintBytes();
         t.quota_pages = contexts[i].quota_pages;
-        t.demand_pages = runtime.demandPagesOf(id);
+        t.demand_pages = runtime_.demandPagesOf(id);
         t.evictions_caused = manager_.evictionsCausedBy(id);
         t.evictions_suffered = manager_.evictionsSufferedBy(id);
         t.peak_resident_pages = manager_.peakCommittedFramesOf(id);

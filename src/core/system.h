@@ -15,7 +15,6 @@
 
 #include "src/check/model_auditor.h"
 #include "src/check/sim_hooks.h"
-#include "src/core/engine.h"
 #include "src/core/tenant.h"
 #include "src/etc/etc_framework.h"
 #include "src/gpu/gpu.h"
@@ -128,16 +127,12 @@ class GpuUvmSystem
         return tenant_workloads_;
     }
 
-    // Component access for tests and custom experiments. Hierarchy and
-    // runtime come back as base references: the system instantiated
-    // the observer-specialized variants behind the engine seam, and
-    // everything a caller reads or tweaks after construction lives on
-    // the mode-independent bases.
+    // Component access for tests and custom experiments.
     EventQueue &events() { return events_; }
     GpuMemoryManager &memoryManager() { return manager_; }
-    MemoryHierarchyBase &hierarchy() { return engine_->hierarchy(); }
-    UvmRuntimeBase &runtime() { return engine_->runtime(); }
-    Gpu &gpu() { return engine_->gpu(); }
+    MemoryHierarchy &hierarchy() { return hierarchy_; }
+    UvmRuntime &runtime() { return runtime_; }
+    Gpu &gpu() { return gpu_; }
     const SimConfig &config() const { return config_; }
 
     /** The run's trace sink, or nullptr when config.trace.enabled is
@@ -149,24 +144,32 @@ class GpuUvmSystem
     ModelAuditor *audit() { return audit_.get(); }
 
   private:
+    /**
+     * Destroys the tenant GPUs and hierarchies of a previous
+     * run(specs) call, together with the runtime's eviction routes
+     * and advice sinks that point into them.
+     */
+    void clearTenants();
+
     SimConfig config_;
     EventQueue events_;
     // Observers are built first so hooks_ can be handed to every
-    // component at construction (components keep it by value). The
-    // engine then instantiates the hierarchy/runtime/GPU bundle
-    // specialized for exactly the observers that exist — the one place
-    // an ObserverMode is chosen at runtime.
+    // component at construction (components keep it by value).
     std::unique_ptr<TraceSink> trace_;
     std::unique_ptr<ModelAuditor> audit_;
     SimHooks hooks_;
     GpuMemoryManager manager_;
-    std::unique_ptr<EngineBase> engine_;
+    MemoryHierarchy hierarchy_;
+    UvmRuntime runtime_;
+    Gpu gpu_;
     std::unique_ptr<EtcFramework> etc_;
 
-    // Multi-tenant state (populated by run(specs) only). Tenant GPUs
-    // and hierarchies live inside the engine (they must share its
-    // observer mode); the directory maps every page to its owner.
+    // Multi-tenant state (populated by run(specs) only): one hierarchy
+    // and GPU per tenant, in TenantId order; the directory maps every
+    // page to its owner.
     std::unique_ptr<TenantDirectory> tenant_dir_;
+    std::vector<std::unique_ptr<MemoryHierarchy>> tenant_hierarchies_;
+    std::vector<std::unique_ptr<Gpu>> tenant_gpus_;
     std::vector<std::unique_ptr<Workload>> tenant_workloads_;
 };
 

@@ -9,7 +9,7 @@ namespace bauvm
 
 EtcFramework::EtcFramework(const EtcConfig &config, EtcAppClass app_class,
                            GpuMemoryManager &manager,
-                           MemoryHierarchyBase &hierarchy, UvmRuntimeBase &runtime,
+                           MemoryHierarchy &hierarchy, UvmRuntime &runtime,
                            BlockDispatcher &dispatcher,
                            std::uint32_t num_sms)
     : config_(config), app_class_(app_class), manager_(manager),

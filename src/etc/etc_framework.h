@@ -44,8 +44,8 @@ class EtcFramework
 {
   public:
     EtcFramework(const EtcConfig &config, EtcAppClass app_class,
-                 GpuMemoryManager &manager, MemoryHierarchyBase &hierarchy,
-                 UvmRuntimeBase &runtime, BlockDispatcher &dispatcher,
+                 GpuMemoryManager &manager, MemoryHierarchy &hierarchy,
+                 UvmRuntime &runtime, BlockDispatcher &dispatcher,
                  std::uint32_t num_sms);
 
     /**
@@ -67,8 +67,8 @@ class EtcFramework
     EtcConfig config_;
     EtcAppClass app_class_;
     GpuMemoryManager &manager_;
-    MemoryHierarchyBase &hierarchy_;
-    UvmRuntimeBase &runtime_;
+    MemoryHierarchy &hierarchy_;
+    UvmRuntime &runtime_;
     BlockDispatcher &dispatcher_;
     std::uint32_t num_sms_;
 

@@ -6,7 +6,7 @@ namespace bauvm
 {
 
 BlockDispatcher::BlockDispatcher(const GpuConfig &config,
-                                 std::vector<std::unique_ptr<SmBase>> &sms,
+                                 std::vector<std::unique_ptr<Sm>> &sms,
                                  VirtualThreadController &vtc)
     : config_(config), sms_(sms), vtc_(vtc),
       sm_enabled_(sms.size(), true)
@@ -76,7 +76,7 @@ BlockDispatcher::topUpExtras()
 void
 BlockDispatcher::refillSm(std::uint32_t sm_id)
 {
-    SmBase &sm = *sms_[sm_id];
+    Sm &sm = *sms_[sm_id];
     if (!sm_enabled_[sm_id])
         return;
 

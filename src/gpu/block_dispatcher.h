@@ -30,7 +30,7 @@ class BlockDispatcher
 {
   public:
     BlockDispatcher(const GpuConfig &config,
-                    std::vector<std::unique_ptr<SmBase>> &sms,
+                    std::vector<std::unique_ptr<Sm>> &sms,
                     VirtualThreadController &vtc);
 
     /**
@@ -58,7 +58,7 @@ class BlockDispatcher
     void syncSmCount();
 
     GpuConfig config_;
-    std::vector<std::unique_ptr<SmBase>> &sms_;
+    std::vector<std::unique_ptr<Sm>> &sms_;
     VirtualThreadController &vtc_;
     const KernelInfo *kernel_ = nullptr;
     std::function<void()> on_done_;

@@ -5,17 +5,16 @@
 namespace bauvm
 {
 
-template <ObserverMode M>
 Gpu::Gpu(const SimConfig &config, EventQueue &events,
-         MemoryHierarchyT<M> &hierarchy, UvmRuntimeT<M> &runtime,
+         MemoryHierarchy &hierarchy, UvmRuntime &runtime,
          const SimHooks &hooks, std::uint32_t sm_track_base)
     : config_(config), events_(events), vtc_(config.to, sms_, hooks),
       dispatcher_(config.gpu, sms_, vtc_)
 {
     for (std::uint32_t i = 0; i < config.gpu.num_sms; ++i) {
-        sms_.push_back(std::make_unique<SmT<M>>(i, config.gpu, events,
-                                                hierarchy, runtime,
-                                                this, hooks));
+        sms_.push_back(std::make_unique<Sm>(i, config.gpu, events,
+                                             hierarchy, runtime, this,
+                                             hooks));
         if (sm_track_base != 0)
             sms_.back()->setTraceTrack(traceTrackSm(sm_track_base + i));
         sms_.back()->setSwitchOnMemoryStall(
@@ -25,27 +24,6 @@ Gpu::Gpu(const SimConfig &config, EventQueue &events,
     runtime.setAdviceCallback(
         [this](OversubAdvice advice) { vtc_.onAdvice(advice); });
 }
-
-template Gpu::Gpu(const SimConfig &, EventQueue &,
-                  MemoryHierarchyT<ObserverMode::Dynamic> &,
-                  UvmRuntimeT<ObserverMode::Dynamic> &, const SimHooks &,
-                  std::uint32_t);
-template Gpu::Gpu(const SimConfig &, EventQueue &,
-                  MemoryHierarchyT<ObserverMode::None> &,
-                  UvmRuntimeT<ObserverMode::None> &, const SimHooks &,
-                  std::uint32_t);
-template Gpu::Gpu(const SimConfig &, EventQueue &,
-                  MemoryHierarchyT<ObserverMode::Trace> &,
-                  UvmRuntimeT<ObserverMode::Trace> &, const SimHooks &,
-                  std::uint32_t);
-template Gpu::Gpu(const SimConfig &, EventQueue &,
-                  MemoryHierarchyT<ObserverMode::Audit> &,
-                  UvmRuntimeT<ObserverMode::Audit> &, const SimHooks &,
-                  std::uint32_t);
-template Gpu::Gpu(const SimConfig &, EventQueue &,
-                  MemoryHierarchyT<ObserverMode::Both> &,
-                  UvmRuntimeT<ObserverMode::Both> &, const SimHooks &,
-                  std::uint32_t);
 
 Cycle
 Gpu::runKernel(const KernelInfo &kernel)

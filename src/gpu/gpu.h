@@ -23,14 +23,7 @@
 namespace bauvm
 {
 
-/**
- * The simulated GPU device.
- *
- * The device itself is untemplated — only its SMs carry the observer
- * mode. The templated constructor builds SmT<M> instances matching the
- * hierarchy/runtime specialization it is handed; everything after
- * construction runs through SmBase.
- */
+/** The simulated GPU device. */
 class Gpu : public SmListener
 {
   public:
@@ -38,9 +31,8 @@ class Gpu : public SmListener
      *  @param sm_track_base first trace track for this GPU's SMs;
      *  multi-tenant runs give each tenant GPU a disjoint range while
      *  SM ids stay GPU-local (0 .. num_sms-1). */
-    template <ObserverMode M>
     Gpu(const SimConfig &config, EventQueue &events,
-        MemoryHierarchyT<M> &hierarchy, UvmRuntimeT<M> &runtime,
+        MemoryHierarchy &hierarchy, UvmRuntime &runtime,
         const SimHooks &hooks = {}, std::uint32_t sm_track_base = 0);
     ~Gpu() override = default;
 
@@ -64,7 +56,7 @@ class Gpu : public SmListener
 
     VirtualThreadController &vtc() { return vtc_; }
     BlockDispatcher &dispatcher() { return dispatcher_; }
-    const SmBase &sm(std::uint32_t i) const { return *sms_[i]; }
+    const Sm &sm(std::uint32_t i) const { return *sms_[i]; }
     std::uint32_t numSms() const
     {
         return static_cast<std::uint32_t>(sms_.size());
@@ -81,32 +73,11 @@ class Gpu : public SmListener
   private:
     SimConfig config_;
     EventQueue &events_;
-    std::vector<std::unique_ptr<SmBase>> sms_;
+    std::vector<std::unique_ptr<Sm>> sms_;
     VirtualThreadController vtc_;
     BlockDispatcher dispatcher_;
     bool kernel_done_ = false;
 };
-
-extern template Gpu::Gpu(const SimConfig &, EventQueue &,
-                         MemoryHierarchyT<ObserverMode::Dynamic> &,
-                         UvmRuntimeT<ObserverMode::Dynamic> &,
-                         const SimHooks &, std::uint32_t);
-extern template Gpu::Gpu(const SimConfig &, EventQueue &,
-                         MemoryHierarchyT<ObserverMode::None> &,
-                         UvmRuntimeT<ObserverMode::None> &,
-                         const SimHooks &, std::uint32_t);
-extern template Gpu::Gpu(const SimConfig &, EventQueue &,
-                         MemoryHierarchyT<ObserverMode::Trace> &,
-                         UvmRuntimeT<ObserverMode::Trace> &,
-                         const SimHooks &, std::uint32_t);
-extern template Gpu::Gpu(const SimConfig &, EventQueue &,
-                         MemoryHierarchyT<ObserverMode::Audit> &,
-                         UvmRuntimeT<ObserverMode::Audit> &,
-                         const SimHooks &, std::uint32_t);
-extern template Gpu::Gpu(const SimConfig &, EventQueue &,
-                         MemoryHierarchyT<ObserverMode::Both> &,
-                         UvmRuntimeT<ObserverMode::Both> &,
-                         const SimHooks &, std::uint32_t);
 
 } // namespace bauvm
 

@@ -7,17 +7,18 @@
 namespace bauvm
 {
 
-SmBase::SmBase(std::uint32_t id, const GpuConfig &config,
-               EventQueue &events, SmListener *listener,
-               const SimHooks &hooks, std::uint32_t line_bytes)
+Sm::Sm(std::uint32_t id, const GpuConfig &config, EventQueue &events,
+       MemoryHierarchy &hierarchy, UvmRuntime &runtime,
+       SmListener *listener, const SimHooks &hooks)
     : id_(id), track_(traceTrackSm(id)), config_(config),
-      events_(events), listener_(listener), coalescer_(line_bytes),
+      events_(events), hierarchy_(hierarchy), runtime_(runtime),
+      listener_(listener), coalescer_(hierarchy.l1LineBytes()),
       hooks_(hooks)
 {
 }
 
 std::uint32_t
-SmBase::addBlock(const KernelInfo *kernel, std::uint32_t block_id,
+Sm::addBlock(const KernelInfo *kernel, std::uint32_t block_id,
                  bool active)
 {
     // Recycle a retired slot if one exists.
@@ -70,7 +71,7 @@ SmBase::addBlock(const KernelInfo *kernel, std::uint32_t block_id,
 }
 
 void
-SmBase::activateBlock(std::uint32_t slot, Cycle delay)
+Sm::activateBlock(std::uint32_t slot, Cycle delay)
 {
     Block &b = blocks_[slot];
     if (b.active || b.activating || b.finished)
@@ -98,7 +99,7 @@ SmBase::activateBlock(std::uint32_t slot, Cycle delay)
 }
 
 void
-SmBase::deactivateBlock(std::uint32_t slot)
+Sm::deactivateBlock(std::uint32_t slot)
 {
     Block &b = blocks_[slot];
     if (!b.active)
@@ -113,7 +114,7 @@ SmBase::deactivateBlock(std::uint32_t slot)
 }
 
 std::size_t
-SmBase::residentBlocks() const
+Sm::residentBlocks() const
 {
     std::size_t n = 0;
     for (const auto &b : blocks_)
@@ -122,7 +123,7 @@ SmBase::residentBlocks() const
 }
 
 std::size_t
-SmBase::activeBlocks() const
+Sm::activeBlocks() const
 {
     std::size_t n = 0;
     for (const auto &b : blocks_)
@@ -132,25 +133,25 @@ SmBase::activeBlocks() const
 }
 
 bool
-SmBase::blockActive(std::uint32_t slot) const
+Sm::blockActive(std::uint32_t slot) const
 {
     return blocks_[slot].active;
 }
 
 bool
-SmBase::blockFinished(std::uint32_t slot) const
+Sm::blockFinished(std::uint32_t slot) const
 {
     return blocks_[slot].finished;
 }
 
 bool
-SmBase::blockStarted(std::uint32_t slot) const
+Sm::blockStarted(std::uint32_t slot) const
 {
     return blocks_[slot].started;
 }
 
 bool
-SmBase::switchInCandidate(std::uint32_t slot) const
+Sm::switchInCandidate(std::uint32_t slot) const
 {
     const Block &b = blocks_[slot];
     if (!b.in_use || b.active || b.activating || b.finished)
@@ -163,7 +164,7 @@ SmBase::switchInCandidate(std::uint32_t slot) const
 }
 
 bool
-SmBase::blockFullyStalled(std::uint32_t slot) const
+Sm::blockFullyStalled(std::uint32_t slot) const
 {
     const Block &b = blocks_[slot];
     if (!b.in_use || b.finished || b.liveWarps() == 0)
@@ -187,7 +188,7 @@ SmBase::blockFullyStalled(std::uint32_t slot) const
 }
 
 int
-SmBase::firstInactiveBlock(bool runnable_only) const
+Sm::firstInactiveBlock(bool runnable_only) const
 {
     for (std::uint32_t i = 0; i < blocks_.size(); ++i) {
         const Block &b = blocks_[i];
@@ -199,7 +200,7 @@ SmBase::firstInactiveBlock(bool runnable_only) const
 }
 
 int
-SmBase::firstFullyStalledActiveBlock() const
+Sm::firstFullyStalledActiveBlock() const
 {
     for (std::uint32_t i = 0; i < blocks_.size(); ++i) {
         const Block &b = blocks_[i];
@@ -210,7 +211,7 @@ SmBase::firstFullyStalledActiveBlock() const
 }
 
 void
-SmBase::enqueueReady(std::uint32_t slot, std::uint32_t warp)
+Sm::enqueueReady(std::uint32_t slot, std::uint32_t warp)
 {
     blocks_[slot].warps[warp].st = WarpStatus::Ready;
     ready_queue_.emplace_back(slot, warp);
@@ -218,7 +219,7 @@ SmBase::enqueueReady(std::uint32_t slot, std::uint32_t warp)
 }
 
 void
-SmBase::schedulePump()
+Sm::schedulePump()
 {
     if (pump_scheduled_)
         return;
@@ -231,7 +232,7 @@ SmBase::schedulePump()
 }
 
 void
-SmBase::traceOccupancy()
+Sm::traceOccupancy()
 {
     if (!hooks_.trace)
         return;
@@ -242,7 +243,7 @@ SmBase::traceOccupancy()
 }
 
 void
-SmBase::checkBlockStalled(std::uint32_t slot)
+Sm::checkBlockStalled(std::uint32_t slot)
 {
     Block &b = blocks_[slot];
     if (!b.active || b.finished || !listener_)
@@ -251,18 +252,8 @@ SmBase::checkBlockStalled(std::uint32_t slot)
         listener_->onBlockStalled(id_, slot);
 }
 
-template <ObserverMode M>
-SmT<M>::SmT(std::uint32_t id, const GpuConfig &config, EventQueue &events,
-            MemoryHierarchyT<M> &hierarchy, UvmRuntimeT<M> &runtime,
-            SmListener *listener, const SimHooks &hooks)
-    : SmBase(id, config, events, listener, hooks, hierarchy.l1LineBytes()),
-      hierarchy_(hierarchy), runtime_(runtime)
-{
-}
-
-template <ObserverMode M>
 void
-SmT<M>::pump()
+Sm::pump()
 {
     // processOp() may enqueue (and so reallocate) mid-loop: index,
     // never hold a reference into the queue.
@@ -284,9 +275,8 @@ SmT<M>::pump()
     ready_head_ = 0;
 }
 
-template <ObserverMode M>
 void
-SmT<M>::processOp(std::uint32_t slot, std::uint32_t warp, Cycle issue)
+Sm::processOp(std::uint32_t slot, std::uint32_t warp, Cycle issue)
 {
     Block &b = blocks_[slot];
     WarpState &ws = b.warps[warp];
@@ -337,9 +327,8 @@ SmT<M>::processOp(std::uint32_t slot, std::uint32_t warp, Cycle issue)
     }
 }
 
-template <ObserverMode M>
 void
-SmT<M>::execMemoryOp(std::uint32_t slot, std::uint32_t warp,
+Sm::execMemoryOp(std::uint32_t slot, std::uint32_t warp,
                      const WarpOp &op, Cycle issue)
 {
     Block &b = blocks_[slot];
@@ -389,11 +378,9 @@ SmT<M>::execMemoryOp(std::uint32_t slot, std::uint32_t warp,
                id_, warp, b.block_id, fault_page_scratch_.size(),
                static_cast<unsigned long long>(issue));
     for (PageNum vpn : fault_page_scratch_) {
-        if constexpr (observesTrace(M)) {
-            if (hooks_.trace) {
-                hooks_.trace->instant(TraceEventType::PageFault,
-                                      track_, issue, vpn, warp);
-            }
+        if (hooks_.trace) {
+            hooks_.trace->instant(TraceEventType::PageFault,
+                                  track_, issue, vpn, warp);
         }
         runtime_.onPageFault(vpn, [this, slot, warp](Cycle) {
             onFaultResolved(slot, warp);
@@ -402,9 +389,8 @@ SmT<M>::execMemoryOp(std::uint32_t slot, std::uint32_t warp,
     checkBlockStalled(slot);
 }
 
-template <ObserverMode M>
 void
-SmT<M>::onOpComplete(std::uint32_t slot, std::uint32_t warp)
+Sm::onOpComplete(std::uint32_t slot, std::uint32_t warp)
 {
     Block &b = blocks_[slot];
     WarpState &ws = b.warps[warp];
@@ -419,9 +405,8 @@ SmT<M>::onOpComplete(std::uint32_t slot, std::uint32_t warp)
         listener_->onInactiveWarpReady(id_, slot);
 }
 
-template <ObserverMode M>
 void
-SmT<M>::onFaultResolved(std::uint32_t slot, std::uint32_t warp)
+Sm::onFaultResolved(std::uint32_t slot, std::uint32_t warp)
 {
     Block &b = blocks_[slot];
     WarpState &ws = b.warps[warp];
@@ -449,9 +434,8 @@ SmT<M>::onFaultResolved(std::uint32_t slot, std::uint32_t warp)
         listener_->onInactiveWarpReady(id_, slot);
 }
 
-template <ObserverMode M>
 void
-SmT<M>::finishWarp(std::uint32_t slot, std::uint32_t warp)
+Sm::finishWarp(std::uint32_t slot, std::uint32_t warp)
 {
     Block &b = blocks_[slot];
     WarpState &ws = b.warps[warp];
@@ -461,12 +445,10 @@ SmT<M>::finishWarp(std::uint32_t slot, std::uint32_t warp)
     if (b.liveWarps() == 0) {
         b.finished = true;
         b.active = false;
-        if constexpr (observesTrace(M)) {
-            if (hooks_.trace) {
-                hooks_.trace->instant(TraceEventType::BlockFinish,
-                                      track_, events_.now(),
-                                      b.block_id, slot);
-            }
+        if (hooks_.trace) {
+            hooks_.trace->instant(TraceEventType::BlockFinish,
+                                  track_, events_.now(),
+                                  b.block_id, slot);
         }
         traceOccupancy();
         if (listener_)
@@ -476,9 +458,8 @@ SmT<M>::finishWarp(std::uint32_t slot, std::uint32_t warp)
     maybeReleaseBarrier(slot);
 }
 
-template <ObserverMode M>
 void
-SmT<M>::maybeReleaseBarrier(std::uint32_t slot)
+Sm::maybeReleaseBarrier(std::uint32_t slot)
 {
     Block &b = blocks_[slot];
     if (b.barrier_waiting == 0 || b.barrier_waiting < b.liveWarps())
@@ -494,11 +475,5 @@ SmT<M>::maybeReleaseBarrier(std::uint32_t slot)
         }
     }
 }
-
-template class SmT<ObserverMode::Dynamic>;
-template class SmT<ObserverMode::None>;
-template class SmT<ObserverMode::Trace>;
-template class SmT<ObserverMode::Audit>;
-template class SmT<ObserverMode::Both>;
 
 } // namespace bauvm

@@ -10,15 +10,9 @@
  * is suspended on faults, the SM notifies its listener (the Virtual
  * Thread controller), which may context-switch the block out.
  *
- * The class splits along the hot/cold line for observer specialization
- * (src/check/observer_mode.h): SmBase holds the block/warp state, the
- * scheduling queue and the cold control surface the VTC and dispatcher
- * drive; SmT<M> adds the per-instruction issue/execute/complete loop
- * with the observer branches and the typed hierarchy/runtime references
- * compiled for mode M. The only virtual on the hot path is pump(),
- * invoked once per scheduled pump event and amortized over the whole
- * ready queue — the construction-time seam the Gpu dispatches through.
- * Sm aliases the Dynamic specialization.
+ * The class has no virtual functions: the issue loop calls the memory
+ * hierarchy and UVM runtime directly (MemoryHierarchy::access inlines
+ * into it), and its trace sites are null checks on the SimHooks copy.
  */
 
 #ifndef BAUVM_GPU_SM_H_
@@ -27,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/check/observer_mode.h"
 #include "src/check/sim_hooks.h"
 #include "src/gpu/coalescer.h"
 #include "src/gpu/warp_program.h"
@@ -55,15 +48,15 @@ class SmListener
                                      std::uint32_t slot) = 0;
 };
 
-/**
- * State and cold control surface of one streaming multiprocessor
- * (mode-independent). The VTC, the block dispatcher and statistics
- * readers hold SmBase references/pointers.
- */
-class SmBase
+/** One streaming multiprocessor. */
+class Sm
 {
   public:
-    virtual ~SmBase() = default;
+    /** @param hooks observers: faults, dispatches, context switches
+     *  and occupancy samples land on this SM's own trace track. */
+    Sm(std::uint32_t id, const GpuConfig &config, EventQueue &events,
+       MemoryHierarchy &hierarchy, UvmRuntime &runtime,
+       SmListener *listener, const SimHooks &hooks = {});
 
     /**
      * Makes a grid block resident on this SM.
@@ -141,7 +134,7 @@ class SmBase
     /** Pages this SM ever touched (for working-set experiments). */
     std::uint64_t pageFaultsRaised() const { return faults_raised_; }
 
-  protected:
+  private:
     enum class WarpStatus {
         Ready,       //!< runnable (queued when its block is active)
         WaitOp,      //!< an issued operation is completing
@@ -182,18 +175,16 @@ class SmBase
         }
     };
 
-    /** @param line_bytes the L1 line size transactions coalesce to. */
-    SmBase(std::uint32_t id, const GpuConfig &config, EventQueue &events,
-           SmListener *listener, const SimHooks &hooks,
-           std::uint32_t line_bytes);
-
-    /**
-     * Drains the ready queue, issuing one instruction per cycle. The
-     * single virtual seam into the specialized hot loop: called from
-     * the one scheduled pump event, never per instruction.
-     */
-    virtual void pump() = 0;
-
+    /** Drains the ready queue, issuing one instruction per cycle;
+     *  called from the one scheduled pump event. */
+    void pump();
+    void processOp(std::uint32_t slot, std::uint32_t warp, Cycle issue);
+    void execMemoryOp(std::uint32_t slot, std::uint32_t warp,
+                      const WarpOp &op, Cycle issue);
+    void onOpComplete(std::uint32_t slot, std::uint32_t warp);
+    void onFaultResolved(std::uint32_t slot, std::uint32_t warp);
+    void finishWarp(std::uint32_t slot, std::uint32_t warp);
+    void maybeReleaseBarrier(std::uint32_t slot);
     void enqueueReady(std::uint32_t slot, std::uint32_t warp);
     void schedulePump();
     void checkBlockStalled(std::uint32_t slot);
@@ -204,6 +195,8 @@ class SmBase
     TraceTrack track_;
     GpuConfig config_;
     EventQueue &events_;
+    MemoryHierarchy &hierarchy_;
+    UvmRuntime &runtime_;
     SmListener *listener_;
     Coalescer coalescer_;
     SimHooks hooks_;
@@ -223,40 +216,6 @@ class SmBase
     /** Persistent scratch: distinct faulting pages of that op. */
     std::vector<PageNum> fault_page_scratch_;
 };
-
-/** One streaming multiprocessor (hot loop compiled for mode @p M). */
-template <ObserverMode M>
-class SmT final : public SmBase
-{
-  public:
-    /** @param hooks observers: faults, dispatches, context switches
-     *  and occupancy samples land on this SM's own trace track. */
-    SmT(std::uint32_t id, const GpuConfig &config, EventQueue &events,
-        MemoryHierarchyT<M> &hierarchy, UvmRuntimeT<M> &runtime,
-        SmListener *listener, const SimHooks &hooks = {});
-
-  private:
-    void pump() override;
-    void processOp(std::uint32_t slot, std::uint32_t warp, Cycle issue);
-    void execMemoryOp(std::uint32_t slot, std::uint32_t warp,
-                      const WarpOp &op, Cycle issue);
-    void onOpComplete(std::uint32_t slot, std::uint32_t warp);
-    void onFaultResolved(std::uint32_t slot, std::uint32_t warp);
-    void finishWarp(std::uint32_t slot, std::uint32_t warp);
-    void maybeReleaseBarrier(std::uint32_t slot);
-
-    MemoryHierarchyT<M> &hierarchy_;
-    UvmRuntimeT<M> &runtime_;
-};
-
-extern template class SmT<ObserverMode::Dynamic>;
-extern template class SmT<ObserverMode::None>;
-extern template class SmT<ObserverMode::Trace>;
-extern template class SmT<ObserverMode::Audit>;
-extern template class SmT<ObserverMode::Both>;
-
-/** Historical name: the runtime-dispatched (Dynamic) specialization. */
-using Sm = SmT<ObserverMode::Dynamic>;
 
 } // namespace bauvm
 

@@ -6,7 +6,7 @@ namespace bauvm
 {
 
 VirtualThreadController::VirtualThreadController(
-    const ToConfig &config, std::vector<std::unique_ptr<SmBase>> &sms,
+    const ToConfig &config, std::vector<std::unique_ptr<Sm>> &sms,
     const SimHooks &hooks)
     : config_(config), sms_(sms), hooks_(hooks),
       allowed_extra_(config.enabled ? config.initial_extra_blocks : 0)
@@ -31,7 +31,7 @@ VirtualThreadController::oneWayCost() const
 }
 
 void
-VirtualThreadController::doSwitch(SmBase &sm, std::uint32_t out_slot,
+VirtualThreadController::doSwitch(Sm &sm, std::uint32_t out_slot,
                                   std::uint32_t in_slot)
 {
     // Save the outgoing context (it always has live registers: the block
@@ -55,7 +55,7 @@ VirtualThreadController::onBlockStalled(std::uint32_t sm_id,
 {
     if (!config_.enabled || allowed_extra_ == 0)
         return;
-    SmBase &sm = *sms_[sm_id];
+    Sm &sm = *sms_[sm_id];
     if (!sm.blockActive(slot) || !sm.blockFullyStalled(slot))
         return;
     const int in = sm.firstInactiveBlock(/*runnable_only=*/true);
@@ -70,7 +70,7 @@ VirtualThreadController::onInactiveWarpReady(std::uint32_t sm_id,
 {
     if (!config_.enabled || allowed_extra_ == 0)
         return;
-    SmBase &sm = *sms_[sm_id];
+    Sm &sm = *sms_[sm_id];
     if (!sm.switchInCandidate(slot))
         return;
     const int out = sm.firstFullyStalledActiveBlock();

@@ -45,7 +45,7 @@ class VirtualThreadController
     /** @param hooks observers: oversubscription-degree changes emit
      *  counter samples stamped with the hook clock's current cycle. */
     VirtualThreadController(const ToConfig &config,
-                            std::vector<std::unique_ptr<SmBase>> &sms,
+                            std::vector<std::unique_ptr<Sm>> &sms,
                             const SimHooks &hooks = {});
 
     /** Installs the kernel whose context size prices the switches. */
@@ -84,10 +84,10 @@ class VirtualThreadController
     std::uint64_t growEvents() const { return grows_; }
 
   private:
-    void doSwitch(SmBase &sm, std::uint32_t out_slot, std::uint32_t in_slot);
+    void doSwitch(Sm &sm, std::uint32_t out_slot, std::uint32_t in_slot);
 
     ToConfig config_;
-    std::vector<std::unique_ptr<SmBase>> &sms_;
+    std::vector<std::unique_ptr<Sm>> &sms_;
     SimHooks hooks_;
     const KernelInfo *kernel_ = nullptr;
     std::function<void()> top_up_;

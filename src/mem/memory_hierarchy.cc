@@ -9,11 +9,11 @@
 namespace bauvm
 {
 
-MemoryHierarchyBase::MemoryHierarchyBase(const MemConfig &config,
-                                         std::uint32_t num_sms,
-                                         std::uint64_t page_bytes,
-                                         const PageTable &page_table,
-                                         const SimHooks &hooks)
+MemoryHierarchy::MemoryHierarchy(const MemConfig &config,
+                                 std::uint32_t num_sms,
+                                 std::uint64_t page_bytes,
+                                 const PageTable &page_table,
+                                 const SimHooks &hooks)
     : hooks_(hooks), config_(config), page_bytes_(page_bytes),
       page_table_(page_table),
       l2_tlb_(std::make_unique<Tlb>(config.l2_tlb, "l2tlb")),
@@ -39,7 +39,7 @@ MemoryHierarchyBase::MemoryHierarchyBase(const MemConfig &config,
 }
 
 void
-MemoryHierarchyBase::invalidatePage(PageNum vpn)
+MemoryHierarchy::invalidatePage(PageNum vpn)
 {
     for (auto &tlb : l1_tlbs_)
         tlb->invalidate(vpn);
@@ -47,11 +47,5 @@ MemoryHierarchyBase::invalidatePage(PageNum vpn)
     if (hooks_.audit)
         hooks_.audit->onTranslationInvalidate(vpn);
 }
-
-template class MemoryHierarchyT<ObserverMode::Dynamic>;
-template class MemoryHierarchyT<ObserverMode::None>;
-template class MemoryHierarchyT<ObserverMode::Trace>;
-template class MemoryHierarchyT<ObserverMode::Audit>;
-template class MemoryHierarchyT<ObserverMode::Both>;
 
 } // namespace bauvm

@@ -7,13 +7,9 @@
  * transaction. It returns either a completion cycle or a page-fault
  * indication (the UVM runtime owns fault handling).
  *
- * Split along the hot/cold line for observer specialization (see
- * src/check/observer_mode.h): MemoryHierarchyBase owns all state plus
- * the cold entry points (shootdowns, queries); MemoryHierarchyT<M>
- * adds the hot access/translate pair with the observer branches
- * compiled for mode M. The un-suffixed MemoryHierarchy alias is the
- * Dynamic specialization, which behaves exactly like the historical
- * class.
+ * The hot access/translate pair is defined in this header so the
+ * per-access stack inlines into the SM's issue loop; its auditor sites
+ * sit behind one null check each on the SimHooks copy.
  */
 
 #ifndef BAUVM_MEM_MEMORY_HIERARCHY_H_
@@ -24,7 +20,6 @@
 #include <vector>
 
 #include "src/check/model_auditor.h"
-#include "src/check/observer_mode.h"
 #include "src/check/sim_hooks.h"
 #include "src/mem/cache.h"
 #include "src/mem/completion_slots.h"
@@ -46,14 +41,9 @@ struct MemResult {
                         //!< the cycle at which the fault was detected
 };
 
-/**
- * State and cold paths of the GPU memory system (mode-independent).
- *
- * Consumers that never touch the hot path (the UVM runtime's eviction
- * shootdowns, the ETC framework, statistics readers) hold a reference
- * of this type so one compiled function serves every specialization.
- */
-class MemoryHierarchyBase
+/** Timing and (presence-only) functional model of the GPU memory
+ *  system. */
+class MemoryHierarchy
 {
   public:
     /**
@@ -66,10 +56,19 @@ class MemoryHierarchyBase
      *                    hit, TLB fill, shootdown and walk outcome
      *                    against its shadow residency.
      */
-    MemoryHierarchyBase(const MemConfig &config, std::uint32_t num_sms,
-                        std::uint64_t page_bytes,
-                        const PageTable &page_table,
-                        const SimHooks &hooks = {});
+    MemoryHierarchy(const MemConfig &config, std::uint32_t num_sms,
+                    std::uint64_t page_bytes, const PageTable &page_table,
+                    const SimHooks &hooks = {});
+
+    /**
+     * Performs one line-granular transaction for SM @p sm.
+     *
+     * Translation walks L1 TLB -> L2 TLB -> page-table walker; if the
+     * page is not resident the result is a fault stamped at walk
+     * completion. Otherwise the data access proceeds L1 -> L2 -> DRAM.
+     */
+    MemResult access(std::uint32_t sm, VAddr vaddr, bool write,
+                     Cycle start);
 
     /**
      * Invalidate all TLB entries for @p vpn (eviction shootdown).
@@ -111,10 +110,10 @@ class MemoryHierarchyBase
     /** Cycles a transaction waited because the SM's MSHRs were full. */
     std::uint64_t mshrStallCycles() const { return mshr_stall_cycles_; }
 
-  protected:
-    // No virtuals: the hot path binds statically in MemoryHierarchyT<M>
-    // and nothing deletes through the base.
-    ~MemoryHierarchyBase() = default;
+  private:
+    /** Translates @p vpn. Returns {fault?, cycle translation resolved}. */
+    std::pair<bool, Cycle> translate(std::uint32_t sm, PageNum vpn,
+                                     Cycle start);
 
     /** Line key folding the page version in for lazy invalidation. */
     std::uint64_t
@@ -164,57 +163,24 @@ class MemoryHierarchyBase
     std::uint64_t mshr_stall_cycles_ = 0;
 };
 
-/**
- * Timing and (presence-only) functional model of the GPU memory system,
- * with the hot path's observer branches compiled for mode @p M.
- */
-template <ObserverMode M>
-class MemoryHierarchyT final : public MemoryHierarchyBase
-{
-  public:
-    using MemoryHierarchyBase::MemoryHierarchyBase;
-
-    /**
-     * Performs one line-granular transaction for SM @p sm.
-     *
-     * Translation walks L1 TLB -> L2 TLB -> page-table walker; if the
-     * page is not resident the result is a fault stamped at walk
-     * completion. Otherwise the data access proceeds L1 -> L2 -> DRAM.
-     *
-     * Defined in the header (with translate) so the SM's issue loop
-     * inlines the whole per-access stack; the explicit instantiations
-     * in memory_hierarchy.cc still provide out-of-line symbols.
-     */
-    MemResult access(std::uint32_t sm, VAddr vaddr, bool write,
-                     Cycle start);
-
-  private:
-    /** Translates @p vpn. Returns {fault?, cycle translation resolved}. */
-    std::pair<bool, Cycle> translate(std::uint32_t sm, PageNum vpn,
-                                     Cycle start);
-};
-
-template <ObserverMode M>
-inline std::pair<bool, Cycle>
-MemoryHierarchyT<M>::translate(std::uint32_t sm, PageNum vpn, Cycle start)
+// Forced inline: with its auditor calls compiled in, GCC's heuristics
+// would otherwise call translate out of line from the SM's issue loop.
+[[gnu::always_inline]] inline std::pair<bool, Cycle>
+MemoryHierarchy::translate(std::uint32_t sm, PageNum vpn, Cycle start)
 {
     Tlb &l1 = *l1_tlbs_[sm];
     Cycle t = start + l1.hitLatency();
     if (l1.lookup(vpn)) {
-        if constexpr (observesAudit(M)) {
-            if (hooks_.audit)
-                hooks_.audit->onTranslationHit(vpn);
-        }
+        if (hooks_.audit)
+            hooks_.audit->onTranslationHit(vpn);
         return {false, t};
     }
 
     t += l2_tlb_->hitLatency();
     if (l2_tlb_->lookup(vpn)) {
-        if constexpr (observesAudit(M)) {
-            if (hooks_.audit) {
-                hooks_.audit->onTranslationHit(vpn);
-                hooks_.audit->onTranslationInsert(vpn);
-            }
+        if (hooks_.audit) {
+            hooks_.audit->onTranslationHit(vpn);
+            hooks_.audit->onTranslationInsert(vpn);
         }
         l1.fill(vpn);
         return {false, t};
@@ -223,27 +189,22 @@ MemoryHierarchyT<M>::translate(std::uint32_t sm, PageNum vpn, Cycle start)
     ++walks_;
     const Cycle walk_done = walker_.walk(vpn, t);
     const bool fault = !page_table_.isResident(vpn);
-    if constexpr (observesAudit(M)) {
-        if (hooks_.audit)
-            hooks_.audit->onWalkResolved(vpn, walk_done, fault);
-    }
+    if (hooks_.audit)
+        hooks_.audit->onWalkResolved(vpn, walk_done, fault);
     if (fault)
         return {true, walk_done};
-    if constexpr (observesAudit(M)) {
-        if (hooks_.audit) {
-            hooks_.audit->onTranslationInsert(vpn); // L2 TLB fill
-            hooks_.audit->onTranslationInsert(vpn); // L1 TLB fill
-        }
+    if (hooks_.audit) {
+        hooks_.audit->onTranslationInsert(vpn); // L2 TLB fill
+        hooks_.audit->onTranslationInsert(vpn); // L1 TLB fill
     }
     l2_tlb_->fill(vpn);
     l1.fill(vpn);
     return {false, walk_done};
 }
 
-template <ObserverMode M>
 inline MemResult
-MemoryHierarchyT<M>::access(std::uint32_t sm, VAddr vaddr, bool write,
-                            Cycle start)
+MemoryHierarchy::access(std::uint32_t sm, VAddr vaddr, bool write,
+                        Cycle start)
 {
     if (sm >= l1_tlbs_.size())
         panic("MemoryHierarchy: SM index %u out of range", sm);
@@ -281,14 +242,9 @@ MemoryHierarchyT<M>::access(std::uint32_t sm, VAddr vaddr, bool write,
     return MemResult{false, 0, t};
 }
 
-extern template class MemoryHierarchyT<ObserverMode::Dynamic>;
-extern template class MemoryHierarchyT<ObserverMode::None>;
-extern template class MemoryHierarchyT<ObserverMode::Trace>;
-extern template class MemoryHierarchyT<ObserverMode::Audit>;
-extern template class MemoryHierarchyT<ObserverMode::Both>;
-
-/** Historical name: the runtime-dispatched (Dynamic) specialization. */
-using MemoryHierarchy = MemoryHierarchyT<ObserverMode::Dynamic>;
+/** The benchmark package (perfbench/) still names the pre-collapse
+ *  base type. */
+using MemoryHierarchyBase = MemoryHierarchy;
 
 } // namespace bauvm
 

@@ -6,28 +6,24 @@
 namespace bauvm
 {
 
-FaultBufferBase::FaultBufferBase(std::uint32_t capacity,
-                                 PageMetaTable &meta,
-                                 const SimHooks &hooks)
+FaultBuffer::FaultBuffer(std::uint32_t capacity, PageMetaTable &meta,
+                         const SimHooks &hooks)
     : hooks_(hooks), capacity_(capacity), meta_(meta)
 {
     if (capacity == 0)
         fatal("FaultBuffer: capacity must be positive");
 }
 
-template <ObserverMode M>
 void
-FaultBufferT<M>::insert(PageNum vpn, Cycle now, TenantId tenant)
+FaultBuffer::insert(PageNum vpn, Cycle now, TenantId tenant)
 {
     ++total_faults_;
     PageMeta &m = meta_.ensure(vpn);
     if (m.fault_slot != PageMeta::kNoIndex) {
         ++entries_.duplicates[m.fault_slot];
-        if constexpr (observesAudit(M)) {
-            if (hooks_.audit) {
-                hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
-                                              overflowSize());
-            }
+        if (hooks_.audit) {
+            hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
+                                          overflowSize());
         }
         return;
     }
@@ -37,54 +33,41 @@ FaultBufferT<M>::insert(PageNum vpn, Cycle now, TenantId tenant)
         for (std::size_t i = overflow_head_; i < overflow_.size(); ++i) {
             if (overflow_[i].vpn == vpn) {
                 ++overflow_[i].duplicates;
-                if constexpr (observesAudit(M)) {
-                    if (hooks_.audit) {
-                        hooks_.audit->onFaultBuffered(
-                            vpn, now, entries_.size(), overflowSize());
-                    }
+                if (hooks_.audit) {
+                    hooks_.audit->onFaultBuffered(
+                        vpn, now, entries_.size(), overflowSize());
                 }
                 return;
             }
         }
         overflow_.push_back(FaultRecord{vpn, now, 1, tenant});
-        if constexpr (observesTrace(M)) {
-            if (hooks_.trace) {
-                hooks_.trace->counter(
-                    TraceEventType::FaultBufferDepth, kTraceTrackRuntime,
-                    now, entries_.size(),
-                    static_cast<std::uint32_t>(overflowSize()));
-            }
+        if (hooks_.trace) {
+            hooks_.trace->counter(
+                TraceEventType::FaultBufferDepth, kTraceTrackRuntime,
+                now, entries_.size(),
+                static_cast<std::uint32_t>(overflowSize()));
         }
-        if constexpr (observesAudit(M)) {
-            if (hooks_.audit) {
-                hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
-                                              overflowSize());
-            }
+        if (hooks_.audit) {
+            hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
+                                          overflowSize());
         }
         return;
     }
     m.fault_slot = static_cast<std::uint32_t>(entries_.size());
     entries_.push(vpn, now, 1, tenant);
-    if constexpr (observesTrace(M)) {
-        if (hooks_.trace) {
-            hooks_.trace->counter(TraceEventType::FaultBufferDepth,
-                                  kTraceTrackRuntime, now,
-                                  entries_.size(),
-                                  static_cast<std::uint32_t>(
-                                      overflowSize()));
-        }
+    if (hooks_.trace) {
+        hooks_.trace->counter(
+            TraceEventType::FaultBufferDepth, kTraceTrackRuntime, now,
+            entries_.size(), static_cast<std::uint32_t>(overflowSize()));
     }
-    if constexpr (observesAudit(M)) {
-        if (hooks_.audit) {
-            hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
-                                          overflowSize());
-        }
+    if (hooks_.audit) {
+        hooks_.audit->onFaultBuffered(vpn, now, entries_.size(),
+                                      overflowSize());
     }
 }
 
-template <ObserverMode M>
 void
-FaultBufferT<M>::drainInto(FaultBatch &out)
+FaultBuffer::drainInto(FaultBatch &out)
 {
     out.clear();
     // entries_ keeps out's warmed array capacities.
@@ -107,17 +90,14 @@ FaultBufferT<M>::drainInto(FaultBatch &out)
         overflow_.clear();
         overflow_head_ = 0;
     }
-    if constexpr (observesAudit(M)) {
-        if (hooks_.audit) {
-            hooks_.audit->onFaultDrained(out.size(), entries_.size(),
-                                         overflowSize());
-        }
+    if (hooks_.audit) {
+        hooks_.audit->onFaultDrained(out.size(), entries_.size(),
+                                     overflowSize());
     }
 }
 
-template <ObserverMode M>
 void
-FaultBufferT<M>::drainInto(std::vector<FaultRecord> &out)
+FaultBuffer::drainInto(std::vector<FaultRecord> &out)
 {
     FaultBatch batch;
     drainInto(batch);
@@ -129,11 +109,5 @@ FaultBufferT<M>::drainInto(std::vector<FaultRecord> &out)
                                   batch.tenants[i]});
     }
 }
-
-template class FaultBufferT<ObserverMode::Dynamic>;
-template class FaultBufferT<ObserverMode::None>;
-template class FaultBufferT<ObserverMode::Trace>;
-template class FaultBufferT<ObserverMode::Audit>;
-template class FaultBufferT<ObserverMode::Both>;
 
 } // namespace bauvm

@@ -20,11 +20,6 @@
  * the arrays with a caller-provided batch — in steady state (no
  * overflow) inserting and draining faults performs no heap allocation
  * at all.
- *
- * Like the other hot-path classes, the buffer splits into a
- * mode-independent base and FaultBufferT<M> carrying the specialized
- * insert/drain (src/check/observer_mode.h); FaultBuffer aliases the
- * Dynamic specialization.
  */
 
 #ifndef BAUVM_UVM_FAULT_BUFFER_H_
@@ -33,7 +28,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/check/observer_mode.h"
 #include "src/check/sim_hooks.h"
 #include "src/mem/page_meta.h"
 #include "src/sim/types.h"
@@ -86,8 +80,8 @@ struct FaultBatch {
     }
 };
 
-/** State and queries of the bounded fault buffer (mode-independent). */
-class FaultBufferBase
+/** Bounded buffer of outstanding (not yet batched) page faults. */
+class FaultBuffer
 {
   public:
     /**
@@ -98,52 +92,8 @@ class FaultBufferBase
      * @param hooks    observers (inserts emit occupancy counter
      *                 samples; the auditor replays the accounting).
      */
-    FaultBufferBase(std::uint32_t capacity, PageMetaTable &meta,
-                    const SimHooks &hooks = {});
-
-    /** Distinct-page entries currently buffered. */
-    std::size_t size() const { return entries_.size(); }
-
-    bool empty() const { return entries_.empty() && overflowSize() == 0; }
-
-    std::uint32_t capacity() const { return capacity_; }
-
-    /** Total faults that arrived while the buffer was full. */
-    std::uint64_t overflows() const { return overflows_; }
-
-    /** Total insert() calls (including duplicates and overflows). */
-    std::uint64_t totalFaults() const { return total_faults_; }
-
-  protected:
-    ~FaultBufferBase() = default;
-
-    std::size_t overflowSize() const
-    {
-        return overflow_.size() - overflow_head_;
-    }
-
-    SimHooks hooks_;
-    std::uint32_t capacity_;
-    PageMetaTable &meta_;
-    FaultBatch entries_; //!< insertion-ordered SoA entries
-    /**
-     * Overflow FIFO: live entries are [overflow_head_, size()). Popping
-     * advances the head; storage is reclaimed once the queue empties
-     * (drain compacts it), so sustained overflow does not grow it
-     * unboundedly. Overflow is the rare path, so it stays AoS.
-     */
-    std::vector<FaultRecord> overflow_;
-    std::size_t overflow_head_ = 0;
-    std::uint64_t overflows_ = 0;
-    std::uint64_t total_faults_ = 0;
-};
-
-/** Bounded buffer of outstanding (not yet batched) page faults. */
-template <ObserverMode M>
-class FaultBufferT final : public FaultBufferBase
-{
-  public:
-    using FaultBufferBase::FaultBufferBase;
+    FaultBuffer(std::uint32_t capacity, PageMetaTable &meta,
+                const SimHooks &hooks = {});
 
     /**
      * Records a fault on @p vpn at cycle @p now.
@@ -174,16 +124,41 @@ class FaultBufferT final : public FaultBufferBase
         drainInto(out);
         return out;
     }
+
+    /** Distinct-page entries currently buffered. */
+    std::size_t size() const { return entries_.size(); }
+
+    bool empty() const { return entries_.empty() && overflowSize() == 0; }
+
+    std::uint32_t capacity() const { return capacity_; }
+
+    /** Total faults that arrived while the buffer was full. */
+    std::uint64_t overflows() const { return overflows_; }
+
+    /** Total insert() calls (including duplicates and overflows). */
+    std::uint64_t totalFaults() const { return total_faults_; }
+
+  private:
+    std::size_t overflowSize() const
+    {
+        return overflow_.size() - overflow_head_;
+    }
+
+    SimHooks hooks_;
+    std::uint32_t capacity_;
+    PageMetaTable &meta_;
+    FaultBatch entries_; //!< insertion-ordered SoA entries
+    /**
+     * Overflow FIFO: live entries are [overflow_head_, size()). Popping
+     * advances the head; storage is reclaimed once the queue empties
+     * (drain compacts it), so sustained overflow does not grow it
+     * unboundedly. Overflow is the rare path, so it stays AoS.
+     */
+    std::vector<FaultRecord> overflow_;
+    std::size_t overflow_head_ = 0;
+    std::uint64_t overflows_ = 0;
+    std::uint64_t total_faults_ = 0;
 };
-
-extern template class FaultBufferT<ObserverMode::Dynamic>;
-extern template class FaultBufferT<ObserverMode::None>;
-extern template class FaultBufferT<ObserverMode::Trace>;
-extern template class FaultBufferT<ObserverMode::Audit>;
-extern template class FaultBufferT<ObserverMode::Both>;
-
-/** Historical name: the runtime-dispatched (Dynamic) specialization. */
-using FaultBuffer = FaultBufferT<ObserverMode::Dynamic>;
 
 } // namespace bauvm
 

@@ -9,13 +9,12 @@
 namespace bauvm
 {
 
-UvmRuntimeBase::UvmRuntimeBase(const UvmConfig &config,
-                               EventQueue &events,
-                               GpuMemoryManager &manager,
-                               MemoryHierarchyBase &hierarchy,
-                               const SimHooks &hooks)
+UvmRuntime::UvmRuntime(const UvmConfig &config, EventQueue &events,
+                       GpuMemoryManager &manager,
+                       MemoryHierarchy &hierarchy, const SimHooks &hooks)
     : hooks_(hooks), config_(config), events_(events), manager_(manager),
       hierarchy_(hierarchy), meta_(manager.pageTable().meta()),
+      fault_buffer_(config.fault_buffer_entries, meta_, hooks),
       pcie_(config, hooks),
       pcie_compression_(config.pcie_compression_ratio),
       prefetcher_(
@@ -31,14 +30,14 @@ UvmRuntimeBase::UvmRuntimeBase(const UvmConfig &config,
 }
 
 void
-UvmRuntimeBase::setTenantDirectory(const TenantDirectory *dir)
+UvmRuntime::setTenantDirectory(const TenantDirectory *dir)
 {
     dir_ = dir;
     demand_by_.assign(dir ? dir->size() : 0, 0);
 }
 
 void
-UvmRuntimeBase::registerAllocation(VAddr base, std::uint64_t bytes)
+UvmRuntime::registerAllocation(VAddr base, std::uint64_t bytes)
 {
     const PageNum first = base / config_.page_bytes;
     const PageNum last = (base + bytes - 1) / config_.page_bytes;
@@ -47,7 +46,7 @@ UvmRuntimeBase::registerAllocation(VAddr base, std::uint64_t bytes)
 }
 
 void
-UvmRuntimeBase::appendWaiter(PageNum vpn, WakeFn waiter)
+UvmRuntime::appendWaiter(PageNum vpn, WakeFn waiter)
 {
     std::uint32_t idx;
     if (waiter_free_ != PageMeta::kNoIndex) {
@@ -70,7 +69,7 @@ UvmRuntimeBase::appendWaiter(PageNum vpn, WakeFn waiter)
 }
 
 void
-UvmRuntimeBase::wakeWaiters(PageNum vpn, Cycle now)
+UvmRuntime::wakeWaiters(PageNum vpn, Cycle now)
 {
     const PageMeta *m = meta_.find(vpn);
     if (m == nullptr || m->waiter_head == PageMeta::kNoIndex)
@@ -94,7 +93,7 @@ UvmRuntimeBase::wakeWaiters(PageNum vpn, Cycle now)
 }
 
 void
-UvmRuntimeBase::radixSortAscending(std::vector<PageNum> &keys)
+UvmRuntime::radixSortAscending(std::vector<PageNum> &keys)
 {
     const std::size_t n = keys.size();
     if (n < 2)
@@ -127,14 +126,14 @@ UvmRuntimeBase::radixSortAscending(std::vector<PageNum> &keys)
 }
 
 void
-UvmRuntimeBase::enableProactiveEviction(double target)
+UvmRuntime::enableProactiveEviction(double target)
 {
     proactive_eviction_ = true;
     proactive_target_ = target;
 }
 
 double
-UvmRuntimeBase::averageBatchPages() const
+UvmRuntime::averageBatchPages() const
 {
     if (records_.empty())
         return 0.0;
@@ -145,7 +144,7 @@ UvmRuntimeBase::averageBatchPages() const
 }
 
 double
-UvmRuntimeBase::averageProcessingTime() const
+UvmRuntime::averageProcessingTime() const
 {
     if (records_.empty())
         return 0.0;
@@ -156,7 +155,7 @@ UvmRuntimeBase::averageProcessingTime() const
 }
 
 double
-UvmRuntimeBase::averageHandlingTime() const
+UvmRuntime::averageHandlingTime() const
 {
     if (records_.empty())
         return 0.0;
@@ -166,20 +165,8 @@ UvmRuntimeBase::averageHandlingTime() const
     return sum / static_cast<double>(records_.size());
 }
 
-template <ObserverMode M>
-UvmRuntimeT<M>::UvmRuntimeT(const UvmConfig &config, EventQueue &events,
-                            GpuMemoryManager &manager,
-                            MemoryHierarchyBase &hierarchy,
-                            const SimHooks &hooks)
-    : UvmRuntimeBase(config, events, manager, hierarchy, hooks),
-      fault_buffer_store_(config.fault_buffer_entries, meta_, hooks)
-{
-    fault_buffer_ = &fault_buffer_store_;
-}
-
-template <ObserverMode M>
 void
-UvmRuntimeT<M>::onPageFault(PageNum vpn, WakeFn waiter)
+UvmRuntime::onPageFault(PageNum vpn, WakeFn waiter)
 {
     const Cycle now = events_.now();
     if (manager_.isResident(vpn)) {
@@ -193,28 +180,23 @@ UvmRuntimeT<M>::onPageFault(PageNum vpn, WakeFn waiter)
         // Already queued in the active batch; the waiter joins it.
         return;
     }
-    fault_buffer_store_.insert(vpn, now, tenantFor(vpn));
+    fault_buffer_.insert(vpn, now, tenantFor(vpn));
     if (state_ == State::Idle) {
         state_ = State::InterruptPending;
-        if constexpr (observesAudit(M)) {
-            if (hooks_.audit)
-                hooks_.audit->onInterruptRaised(now);
-        }
+        if (hooks_.audit)
+            hooks_.audit->onInterruptRaised(now);
         events_.scheduleAfter(interrupt_cycles_, [this] { batchBegin(); });
     }
 }
 
-template <ObserverMode M>
 void
-UvmRuntimeT<M>::batchBegin()
+UvmRuntime::batchBegin()
 {
     // Chained: entered straight from batchEnd() with no interrupt
     // round trip (state still BatchActive at the call).
-    if constexpr (observesAudit(M)) {
-        if (hooks_.audit) {
-            hooks_.audit->onBatchBegin(events_.now(),
-                                       state_ == State::BatchActive);
-        }
+    if (hooks_.audit) {
+        hooks_.audit->onBatchBegin(events_.now(),
+                                   state_ == State::BatchActive);
     }
     state_ = State::BatchActive;
     current_ = BatchRecord{};
@@ -228,14 +210,12 @@ UvmRuntimeT<M>::batchBegin()
     // so the first migration never waits on an eviction.
     if (config_.unobtrusive_eviction && !config_.ideal_eviction &&
         manager_.atCapacity() && evictions_in_flight_ == 0) {
-        if constexpr (observesAudit(M)) {
-            if (hooks_.audit)
-                hooks_.audit->onPreemptiveEviction(events_.now());
-        }
+        if (hooks_.audit)
+            hooks_.audit->onPreemptiveEviction(events_.now());
         launchEviction(events_.now());
     }
 
-    fault_buffer_store_.drainInto(drained_batch_);
+    fault_buffer_.drainInto(drained_batch_);
     demand_.clear();
     // SoA preprocessing: residency scan over the vpn array (waking
     // already-resident pages in drain order, exactly as the AoS loop
@@ -281,13 +261,11 @@ UvmRuntimeT<M>::batchBegin()
         handling_cycles_ +
         usToCycles(config_.fault_handling_per_page_us) *
             current_.fault_pages;
-    if constexpr (observesTrace(M)) {
-        if (hooks_.trace) {
-            hooks_.trace->interval(TraceEventType::FaultHandling,
-                                   kTraceTrackRuntime, current_.begin,
-                                   current_.begin + handling,
-                                   current_.fault_pages);
-        }
+    if (hooks_.trace) {
+        hooks_.trace->interval(TraceEventType::FaultHandling,
+                               kTraceTrackRuntime, current_.begin,
+                               current_.begin + handling,
+                               current_.fault_pages);
     }
     BAUVM_DLOG("UvmRuntime: batch %llu begins at cycle %llu: %u demand "
                "+ %u prefetch pages (%u duplicate faults)",
@@ -298,9 +276,8 @@ UvmRuntimeT<M>::batchBegin()
     events_.scheduleAfter(handling, [this] { pumpMigrations(); });
 }
 
-template <ObserverMode M>
 bool
-UvmRuntimeT<M>::launchEviction(Cycle earliest, TenantId cause)
+UvmRuntime::launchEviction(Cycle earliest, TenantId cause)
 {
     PageNum victim;
     if (!manager_.beginEvictionFor(cause, &victim, events_.now()))
@@ -317,26 +294,21 @@ UvmRuntimeT<M>::launchEviction(Cycle earliest, TenantId cause)
     Cycle begin = 0;
     const Cycle done = pcie_.transfer(PcieDir::DeviceToHost, bytes,
                                       earliest, &begin);
-    if constexpr (observesTrace(M)) {
-        if (hooks_.trace) {
-            hooks_.trace->interval(TraceEventType::Eviction,
-                                   kTraceTrackPcieD2h, begin, done,
-                                   victim,
-                                   static_cast<std::uint32_t>(bytes));
-        }
+    if (hooks_.trace) {
+        hooks_.trace->interval(TraceEventType::Eviction,
+                               kTraceTrackPcieD2h, begin, done,
+                               victim,
+                               static_cast<std::uint32_t>(bytes));
     }
-    if constexpr (observesAudit(M)) {
-        if (hooks_.audit)
-            hooks_.audit->onEvictionTransfer(victim, begin, done, bytes);
-    }
+    if (hooks_.audit)
+        hooks_.audit->onEvictionTransfer(victim, begin, done, bytes);
     events_.scheduleAt(done,
                        [this, victim] { onEvictionComplete(victim); });
     return true;
 }
 
-template <ObserverMode M>
 void
-UvmRuntimeT<M>::scheduleMigration(PageNum vpn)
+UvmRuntime::scheduleMigration(PageNum vpn)
 {
     manager_.reserveFrame(tenantFor(vpn));
     const std::uint64_t bytes = pcie_compression_.compressedBytes(
@@ -344,18 +316,14 @@ UvmRuntimeT<M>::scheduleMigration(PageNum vpn)
     Cycle start = 0;
     const Cycle done = pcie_.transfer(PcieDir::HostToDevice, bytes,
                                       events_.now(), &start);
-    if constexpr (observesTrace(M)) {
-        if (hooks_.trace) {
-            hooks_.trace->interval(TraceEventType::Migration,
-                                   kTraceTrackPcieH2d, start, done, vpn,
-                                   static_cast<std::uint32_t>(bytes));
-        }
+    if (hooks_.trace) {
+        hooks_.trace->interval(TraceEventType::Migration,
+                               kTraceTrackPcieH2d, start, done, vpn,
+                               static_cast<std::uint32_t>(bytes));
     }
-    if constexpr (observesAudit(M)) {
-        if (hooks_.audit) {
-            hooks_.audit->onMigrationScheduled(vpn, events_.now(),
-                                               start, done, bytes);
-        }
+    if (hooks_.audit) {
+        hooks_.audit->onMigrationScheduled(vpn, events_.now(),
+                                           start, done, bytes);
     }
     if (!first_transfer_seen_) {
         first_transfer_seen_ = true;
@@ -366,9 +334,8 @@ UvmRuntimeT<M>::scheduleMigration(PageNum vpn)
     events_.scheduleAt(done, [this, vpn] { onPageArrived(vpn); });
 }
 
-template <ObserverMode M>
 void
-UvmRuntimeT<M>::pumpMigrations()
+UvmRuntime::pumpMigrations()
 {
     while (mig_idx_ < migration_queue_.size()) {
         // The head page's owner also pays for any eviction its
@@ -420,9 +387,8 @@ UvmRuntimeT<M>::pumpMigrations()
     }
 }
 
-template <ObserverMode M>
 void
-UvmRuntimeT<M>::onEvictionComplete(PageNum vpn)
+UvmRuntime::onEvictionComplete(PageNum vpn)
 {
     manager_.completeEviction(vpn);
     --evictions_in_flight_;
@@ -432,9 +398,8 @@ UvmRuntimeT<M>::onEvictionComplete(PageNum vpn)
         maybeProactiveEvict();
 }
 
-template <ObserverMode M>
 void
-UvmRuntimeT<M>::onPageArrived(PageNum vpn)
+UvmRuntime::onPageArrived(PageNum vpn)
 {
     const Cycle now = events_.now();
     manager_.commitPage(vpn, now);
@@ -445,9 +410,8 @@ UvmRuntimeT<M>::onPageArrived(PageNum vpn)
     pumpMigrations();
 }
 
-template <ObserverMode M>
 void
-UvmRuntimeT<M>::batchEnd()
+UvmRuntime::batchEnd()
 {
     current_.end = events_.now();
     if (!first_transfer_seen_) {
@@ -455,19 +419,15 @@ UvmRuntimeT<M>::batchEnd()
         // handling still consumed runtime time.
         current_.first_transfer = current_.end;
     }
-    if constexpr (observesTrace(M)) {
-        if (hooks_.trace) {
-            hooks_.trace->interval(TraceEventType::BatchWindow,
-                                   kTraceTrackRuntime, current_.begin,
-                                   current_.end, current_.fault_pages,
-                                   current_.prefetch_pages);
-        }
+    if (hooks_.trace) {
+        hooks_.trace->interval(TraceEventType::BatchWindow,
+                               kTraceTrackRuntime, current_.begin,
+                               current_.end, current_.fault_pages,
+                               current_.prefetch_pages);
     }
-    if constexpr (observesAudit(M)) {
-        if (hooks_.audit) {
-            hooks_.audit->onBatchEnd(current_.end, current_.fault_pages,
-                                     current_.prefetch_pages);
-        }
+    if (hooks_.audit) {
+        hooks_.audit->onBatchEnd(current_.end, current_.fault_pages,
+                                 current_.prefetch_pages);
     }
     BAUVM_DLOG("UvmRuntime: batch %llu ends at cycle %llu "
                "(handling %llu, processing %llu cycles)",
@@ -487,7 +447,7 @@ UvmRuntimeT<M>::batchEnd()
     if (batch_end_cb_)
         batch_end_cb_(records_.back());
 
-    if (!fault_buffer_store_.empty()) {
+    if (!fault_buffer_.empty()) {
         // Waiting faults are handled immediately, skipping the
         // interrupt round trip (the driver's optimization).
         batchBegin();
@@ -497,9 +457,8 @@ UvmRuntimeT<M>::batchEnd()
     maybeProactiveEvict();
 }
 
-template <ObserverMode M>
 void
-UvmRuntimeT<M>::maybeProactiveEvict()
+UvmRuntime::maybeProactiveEvict()
 {
     if (!proactive_eviction_ || manager_.unlimited() ||
         state_ != State::Idle) {
@@ -514,11 +473,5 @@ UvmRuntimeT<M>::maybeProactiveEvict()
         launchEviction(events_.now());
     }
 }
-
-template class UvmRuntimeT<ObserverMode::Dynamic>;
-template class UvmRuntimeT<ObserverMode::None>;
-template class UvmRuntimeT<ObserverMode::Trace>;
-template class UvmRuntimeT<ObserverMode::Audit>;
-template class UvmRuntimeT<ObserverMode::Both>;
 
 } // namespace bauvm

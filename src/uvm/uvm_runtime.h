@@ -35,13 +35,9 @@
  * space instead of std::sort — same ascending order, no comparator
  * calls.
  *
- * The class splits along the hot/cold line for observer specialization
- * (src/check/observer_mode.h): UvmRuntimeBase owns all state, wiring
- * and queries; UvmRuntimeT<M> adds the fault intake / batch / migration
- * / eviction path compiled for observer mode M. UvmRuntime aliases the
- * Dynamic specialization. The PCIe link and prefetcher sub-components
- * keep their runtime-checked hooks: they fire per transfer / per batch,
- * not per fault, so they stay off the specialized hot loop.
+ * Observers (trace sink, model auditor) are reached through one
+ * SimHooks copy shared with the fault buffer, PCIe link and
+ * prefetcher; every emission site is a null check on it.
  */
 
 #ifndef BAUVM_UVM_UVM_RUNTIME_H_
@@ -51,7 +47,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/check/observer_mode.h"
 #include "src/check/sim_hooks.h"
 #include "src/mem/memory_hierarchy.h"
 #include "src/mem/page_meta.h"
@@ -90,14 +85,8 @@ struct BatchRecord {
     }
 };
 
-/**
- * State, wiring and queries of the UVM runtime (mode-independent).
- *
- * Everything that is not on the per-fault critical path lives here so
- * the system, the ETC framework and statistics readers can hold one
- * UvmRuntimeBase reference regardless of the compiled observer mode.
- */
-class UvmRuntimeBase
+/** The UVM runtime: fault intake, batching, migration, eviction. */
+class UvmRuntime
 {
   public:
     /**
@@ -111,6 +100,27 @@ class UvmRuntimeBase
     using AdviceFn = std::function<void(OversubAdvice)>;
     /** Callback fired after every batch completes (ETC epochs hook). */
     using BatchEndFn = std::function<void(const BatchRecord &)>;
+
+    /**
+     * @param hooks observers for the runtime and its sub-components
+     *              (fault buffer, PCIe link, prefetcher): batches,
+     *              fault handling, migrations and evictions all emit
+     *              timeline events and feed the model auditor. Must
+     *              not change simulated timing either way.
+     */
+    UvmRuntime(const UvmConfig &config, EventQueue &events,
+               GpuMemoryManager &manager, MemoryHierarchy &hierarchy,
+               const SimHooks &hooks = {});
+
+    /**
+     * Reports a page fault on @p vpn detected at the current cycle;
+     * @p waiter is invoked when the page becomes resident.
+     *
+     * Safe to call for a page that is already in flight (the waiter
+     * simply joins that page's list) or already resident (the waiter is
+     * woken immediately).
+     */
+    void onPageFault(PageNum vpn, WakeFn waiter);
 
     /**
      * Registers @p bytes at @p base as a valid UVM allocation
@@ -131,10 +141,9 @@ class UvmRuntimeBase
      * invalidate the TLBs that could actually cache the page (tenant
      * VA slices are disjoint, so only the owner's hierarchy can).
      * Indexed by TenantId; unrouted pages fall back to the hierarchy
-     * passed at construction.
+     * passed at construction. An empty list drops every route.
      */
-    void
-    setTenantHierarchies(std::vector<MemoryHierarchyBase *> hierarchies)
+    void setTenantHierarchies(std::vector<MemoryHierarchy *> hierarchies)
     {
         tenant_hierarchies_ = std::move(hierarchies);
     }
@@ -174,7 +183,7 @@ class UvmRuntimeBase
         return records_;
     }
 
-    const FaultBufferBase &faultBuffer() const { return *fault_buffer_; }
+    const FaultBuffer &faultBuffer() const { return fault_buffer_; }
     PcieLink &pcie() { return pcie_; }
     const PcieLink &pcie() const { return pcie_; }
 
@@ -192,7 +201,7 @@ class UvmRuntimeBase
     /** Average GPU-runtime fault handling time in cycles. */
     double averageHandlingTime() const;
 
-  protected:
+  private:
     enum class State { Idle, InterruptPending, BatchActive };
 
     /** One pooled waiter callback, linked off PageMeta::waiter_head. */
@@ -201,10 +210,16 @@ class UvmRuntimeBase
         std::uint32_t next = PageMeta::kNoIndex;
     };
 
-    UvmRuntimeBase(const UvmConfig &config, EventQueue &events,
-                   GpuMemoryManager &manager,
-                   MemoryHierarchyBase &hierarchy, const SimHooks &hooks);
-    ~UvmRuntimeBase() = default;
+    void batchBegin();
+    void pumpMigrations();
+    void scheduleMigration(PageNum vpn);
+    /** Launches one eviction; @p earliest constrains the D2H start and
+     *  @p cause attributes it (the tenant that needs the frame). */
+    bool launchEviction(Cycle earliest, TenantId cause = kNoTenant);
+    void onEvictionComplete(PageNum vpn);
+    void onPageArrived(PageNum vpn);
+    void batchEnd();
+    void maybeProactiveEvict();
 
     /** Appends @p waiter to @p vpn's intrusive FIFO waiter list. */
     void appendWaiter(PageNum vpn, WakeFn waiter);
@@ -228,7 +243,7 @@ class UvmRuntimeBase
 
     /** Hierarchy whose TLBs may cache @p vpn (see
      *  setTenantHierarchies). */
-    MemoryHierarchyBase &hierarchyFor(PageNum vpn)
+    MemoryHierarchy &hierarchyFor(PageNum vpn)
     {
         const TenantId owner = tenantFor(vpn);
         if (owner == kNoTenant ||
@@ -242,13 +257,12 @@ class UvmRuntimeBase
     UvmConfig config_;
     EventQueue &events_;
     GpuMemoryManager &manager_;
-    MemoryHierarchyBase &hierarchy_;
+    MemoryHierarchy &hierarchy_;
     const TenantDirectory *dir_ = nullptr;
-    std::vector<MemoryHierarchyBase *> tenant_hierarchies_;
+    std::vector<MemoryHierarchy *> tenant_hierarchies_;
     std::vector<std::uint64_t> demand_by_; //!< per-tenant demand pages
     PageMetaTable &meta_; //!< shared dense page metadata
-    /** The derived class's FaultBufferT<M>, for mode-blind queries. */
-    FaultBufferBase *fault_buffer_ = nullptr;
+    FaultBuffer fault_buffer_;
     PcieLink pcie_;
     CompressionModel pcie_compression_;
     TreePrefetcher prefetcher_;
@@ -282,57 +296,6 @@ class UvmRuntimeBase
     bool proactive_eviction_ = false;
     double proactive_target_ = 0.95;
 };
-
-/** The UVM runtime: fault intake, batching, migration, eviction. */
-template <ObserverMode M>
-class UvmRuntimeT final : public UvmRuntimeBase
-{
-  public:
-    /**
-     * @param hooks observers for the runtime and its sub-components
-     *              (fault buffer, PCIe link, prefetcher): batches,
-     *              fault handling, migrations and evictions all emit
-     *              timeline events and feed the model auditor. Must
-     *              not change simulated timing either way.
-     */
-    UvmRuntimeT(const UvmConfig &config, EventQueue &events,
-                GpuMemoryManager &manager,
-                MemoryHierarchyBase &hierarchy,
-                const SimHooks &hooks = {});
-
-    /**
-     * Reports a page fault on @p vpn detected at the current cycle;
-     * @p waiter is invoked when the page becomes resident.
-     *
-     * Safe to call for a page that is already in flight (the waiter
-     * simply joins that page's list) or already resident (the waiter is
-     * woken immediately).
-     */
-    void onPageFault(PageNum vpn, WakeFn waiter);
-
-  private:
-    void batchBegin();
-    void pumpMigrations();
-    void scheduleMigration(PageNum vpn);
-    /** Launches one eviction; @p earliest constrains the D2H start and
-     *  @p cause attributes it (the tenant that needs the frame). */
-    bool launchEviction(Cycle earliest, TenantId cause = kNoTenant);
-    void onEvictionComplete(PageNum vpn);
-    void onPageArrived(PageNum vpn);
-    void batchEnd();
-    void maybeProactiveEvict();
-
-    FaultBufferT<M> fault_buffer_store_;
-};
-
-extern template class UvmRuntimeT<ObserverMode::Dynamic>;
-extern template class UvmRuntimeT<ObserverMode::None>;
-extern template class UvmRuntimeT<ObserverMode::Trace>;
-extern template class UvmRuntimeT<ObserverMode::Audit>;
-extern template class UvmRuntimeT<ObserverMode::Both>;
-
-/** Historical name: the runtime-dispatched (Dynamic) specialization. */
-using UvmRuntime = UvmRuntimeT<ObserverMode::Dynamic>;
 
 } // namespace bauvm
 

@@ -577,26 +577,70 @@ TEST(SystemAudit, AuditorIsOwnedWhenEnabled)
     EXPECT_THROW(system.audit()->onEvictionBegin(1, 0, 0), SimAbort);
 }
 
+/**
+ * Observers never change the simulation: every observer set — none,
+ * trace, audit, both — runs one single-tenant and one two-tenant cell
+ * to the same event order. The golden digests pin that order, so a
+ * change that moves all four rows together still fails here.
+ */
 TEST(SystemAudit, AuditingDoesNotPerturbSimulatedResults)
 {
-    auto runOnce = [](bool audited) {
-        SimConfig config = applyPolicy(paperConfig(0.5), Policy::ToUe);
-        config.check.enabled = audited;
-        auto workload = WorkloadRegistry::instance().create("BFS-TWC");
-        GpuUvmSystem system(config);
-        return system.run(*workload, WorkloadScale::Tiny);
+    struct Cell {
+        const char *name;
+        std::vector<TenantSpec> tenants; //!< empty: single BFS-TWC
+        std::uint64_t digest;
+        Cycle cycles;
+        std::uint64_t events;
     };
-    const RunResult off = runOnce(false);
-    const RunResult on = runOnce(true);
-    EXPECT_EQ(off.cycles, on.cycles);
-    EXPECT_EQ(off.sim_events, on.sim_events);
-    EXPECT_EQ(off.batches, on.batches);
-    EXPECT_EQ(off.migrations, on.migrations);
-    EXPECT_EQ(off.evictions, on.evictions);
-    EXPECT_EQ(off.instructions, on.instructions);
-    EXPECT_EQ(off.context_switches, on.context_switches);
-    EXPECT_EQ(off.pcie_h2d_bytes, on.pcie_h2d_bytes);
-    EXPECT_EQ(off.pcie_d2h_bytes, on.pcie_d2h_bytes);
+    const Cell cells[] = {
+        {"BFS-TWC", {}, 0x5b9fb3ab8aece239ull, 814391, 44154},
+        {"BFS-HYB+PR",
+         {{"BFS-HYB", 0.5, WorkloadScale::Tiny},
+          {"PR", 0.5, WorkloadScale::Tiny}},
+         0xe724c7a4e292f988ull, 707553, 129784},
+    };
+    const struct {
+        const char *name;
+        bool trace, audit;
+    } observers[] = {{"none", false, false},
+                     {"trace", true, false},
+                     {"audit", false, true},
+                     {"trace+audit", true, true}};
+
+    for (const Cell &cell : cells) {
+        std::vector<RunResult> rows;
+        for (const auto &obs : observers) {
+            SCOPED_TRACE(std::string(cell.name) + " / " + obs.name);
+            SimConfig config =
+                applyPolicy(paperConfig(0.5), Policy::ToUe);
+            config.trace.enabled = obs.trace;
+            config.check.enabled = obs.audit;
+            GpuUvmSystem system(config);
+            if (cell.tenants.empty()) {
+                auto workload =
+                    WorkloadRegistry::instance().create(cell.name);
+                rows.push_back(system.run(*workload, WorkloadScale::Tiny));
+            } else {
+                rows.push_back(system.run(cell.tenants));
+            }
+            EXPECT_EQ(system.trace() != nullptr, obs.trace);
+            EXPECT_EQ(system.audit() != nullptr, obs.audit);
+
+            const RunResult &r = rows.back();
+            EXPECT_EQ(r.event_order_digest, cell.digest)
+                << std::hex << r.event_order_digest;
+            EXPECT_EQ(r.cycles, cell.cycles);
+            EXPECT_EQ(r.sim_events, cell.events);
+            const RunResult &none = rows.front();
+            EXPECT_EQ(none.batches, r.batches);
+            EXPECT_EQ(none.migrations, r.migrations);
+            EXPECT_EQ(none.evictions, r.evictions);
+            EXPECT_EQ(none.instructions, r.instructions);
+            EXPECT_EQ(none.context_switches, r.context_switches);
+            EXPECT_EQ(none.pcie_h2d_bytes, r.pcie_h2d_bytes);
+            EXPECT_EQ(none.pcie_d2h_bytes, r.pcie_d2h_bytes);
+        }
+    }
 }
 
 // ---- bench plumbing ------------------------------------------------

@@ -79,11 +79,10 @@ namespace
  * schedules the next fault one cycle later (the SM replay shape)
  * until the round's budget is spent.
  */
-template <typename Runtime>
 class FaultLoop
 {
   public:
-    FaultLoop(Runtime &rt, EventQueue &q) : rt_(rt), q_(q) {}
+    FaultLoop(UvmRuntime &rt, EventQueue &q) : rt_(rt), q_(q) {}
 
     /** Runs one round of @p faults faults; returns waiters woken. */
     std::uint64_t
@@ -117,7 +116,7 @@ class FaultLoop
         });
     }
 
-    Runtime &rt_;
+    UvmRuntime &rt_;
     EventQueue &q_;
     std::uint64_t budget_ = 0;
     std::uint64_t issued_ = 0;
@@ -128,14 +127,13 @@ class FaultLoop
  * One independent fault-loop stack — the per-unit state an intra-cell
  * worker thread owns. Warm-up mirrors the single-threaded test.
  */
-template <ObserverMode M>
 struct LoopStack {
     UvmConfig config;
     EventQueue events;
     GpuMemoryManager manager;
-    MemoryHierarchyT<M> hierarchy;
-    UvmRuntimeT<M> runtime;
-    FaultLoop<UvmRuntimeT<M>> loop;
+    MemoryHierarchy hierarchy;
+    UvmRuntime runtime;
+    FaultLoop loop;
 
     LoopStack()
         : config(makeConfig()), manager(config, /*capacity_pages=*/8),
@@ -181,7 +179,7 @@ TEST(MemAlloc, SteadyStateFaultPathIsAllocationFree)
     UvmRuntime runtime(config, events, manager, hierarchy);
     runtime.registerAllocation(0, 64 * config.page_bytes);
 
-    FaultLoop<UvmRuntime> loop(runtime, events);
+    FaultLoop loop(runtime, events);
     const std::uint64_t kFaults = 512;
 
     // Warm-up: grow the metadata table, waiter slab, batch scratch and
@@ -217,22 +215,22 @@ TEST(MemAlloc, SteadyStateFaultPathIsAllocationFree)
 }
 
 /**
- * The observer-specialized {None} variant — the one a hookless sweep
- * cell actually instantiates — must stay allocation-free in steady
- * state even when two intra-cell worker threads drive independent
- * stacks concurrently (the --cell-threads shape). The global
- * operator-new hook counts allocations process-wide, so a single
- * stray allocation on either worker fails the test.
+ * The hookless path — what an untraced, unaudited sweep cell runs —
+ * must stay allocation-free in steady state even when two intra-cell
+ * worker threads drive independent stacks concurrently (the
+ * --cell-threads shape). The global operator-new hook counts
+ * allocations process-wide, so a single stray allocation on either
+ * worker fails the test.
  */
-TEST(MemAlloc, SpecializedNonePathIsAllocationFreeOnTwoThreads)
+TEST(MemAlloc, HooklessPathIsAllocationFreeOnTwoThreads)
 {
     constexpr std::uint64_t kFaults = 512;
-    LoopStack<ObserverMode::None> stacks[2];
+    LoopStack stacks[2];
     stacks[0].warmUp(kFaults);
     stacks[1].warmUp(kFaults);
 
     const std::uint64_t fallbacks_before =
-        UvmRuntimeBase::WakeFn::heapFallbacks();
+        UvmRuntime::WakeFn::heapFallbacks();
     std::atomic<int> ready{0};
     std::atomic<bool> go{false};
     std::atomic<std::uint64_t> woken[2] = {{0}, {0}};
@@ -261,9 +259,8 @@ TEST(MemAlloc, SpecializedNonePathIsAllocationFreeOnTwoThreads)
             << "worker " << u << " must run under pressure";
     }
     EXPECT_EQ(g_allocs.load(), 0u)
-        << "specialized {None} steady state must not allocate on "
-           "either worker";
-    EXPECT_EQ(UvmRuntimeBase::WakeFn::heapFallbacks(), fallbacks_before);
+        << "hookless steady state must not allocate on either worker";
+    EXPECT_EQ(UvmRuntime::WakeFn::heapFallbacks(), fallbacks_before);
 }
 
 } // namespace

@@ -156,6 +156,7 @@ TEST(TraceSystem, TracingDoesNotPerturbSimulatedResults)
 
     ASSERT_NE(sink, nullptr);
     EXPECT_GT(sink->totalEvents(), 0u);
+    EXPECT_EQ(off.event_order_digest, on.event_order_digest);
     EXPECT_EQ(off.cycles, on.cycles);
     EXPECT_EQ(off.sim_events, on.sim_events);
     EXPECT_EQ(off.batches, on.batches);

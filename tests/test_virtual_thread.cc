@@ -33,7 +33,7 @@ TEST(VirtualThread, OneWayCostFollowsContextSize)
     config.enabled = true;
     config.ctx_switch_bytes_per_cycle = 128;
     config.block_state_bytes = 5 * 1024;
-    std::vector<std::unique_ptr<SmBase>> sms;
+    std::vector<std::unique_ptr<Sm>> sms;
     VirtualThreadController vtc(config, sms);
     const KernelInfo k = graphishKernel();
     vtc.setKernel(&k);
@@ -46,7 +46,7 @@ TEST(VirtualThread, IdealSwitchCostsNothing)
     ToConfig config;
     config.enabled = true;
     config.ideal_ctx_switch = true;
-    std::vector<std::unique_ptr<SmBase>> sms;
+    std::vector<std::unique_ptr<Sm>> sms;
     VirtualThreadController vtc(config, sms);
     const KernelInfo k = graphishKernel();
     vtc.setKernel(&k);
@@ -56,7 +56,7 @@ TEST(VirtualThread, IdealSwitchCostsNothing)
 TEST(VirtualThread, DisabledStartsWithZeroExtra)
 {
     ToConfig config; // enabled = false
-    std::vector<std::unique_ptr<SmBase>> sms;
+    std::vector<std::unique_ptr<Sm>> sms;
     VirtualThreadController vtc(config, sms);
     EXPECT_EQ(vtc.allowedExtra(), 0u);
     EXPECT_FALSE(vtc.enabled());
@@ -67,7 +67,7 @@ TEST(VirtualThread, ThrottleAdviceShrinksDegree)
     ToConfig config;
     config.enabled = true;
     config.initial_extra_blocks = 2;
-    std::vector<std::unique_ptr<SmBase>> sms;
+    std::vector<std::unique_ptr<Sm>> sms;
     VirtualThreadController vtc(config, sms);
     EXPECT_EQ(vtc.allowedExtra(), 2u);
     vtc.onAdvice(OversubAdvice::Throttle);
@@ -84,7 +84,7 @@ TEST(VirtualThread, GrowthRequiresSustainedHealth)
     config.enabled = true;
     config.initial_extra_blocks = 1;
     config.max_extra_blocks = 3;
-    std::vector<std::unique_ptr<SmBase>> sms;
+    std::vector<std::unique_ptr<Sm>> sms;
     VirtualThreadController vtc(config, sms);
     // A single healthy window must not grow the degree.
     vtc.onAdvice(OversubAdvice::Grow);
@@ -101,7 +101,7 @@ TEST(VirtualThread, ThrottleResetsGrowStreak)
     config.enabled = true;
     config.initial_extra_blocks = 0;
     config.max_extra_blocks = 3;
-    std::vector<std::unique_ptr<SmBase>> sms;
+    std::vector<std::unique_ptr<Sm>> sms;
     VirtualThreadController vtc(config, sms);
     for (int i = 0; i < 7; ++i)
         vtc.onAdvice(OversubAdvice::Grow);
