@@ -5,7 +5,7 @@
  *
  * Reads a bauvm.sweep-request/1 document (file or stdin), submits it
  * over the daemon's Unix socket, streams per-cell progress to stderr,
- * and writes the merged bauvm.sweep/1.2 document exactly as the
+ * and writes the merged bauvm.sweep/1.4 document exactly as the
  * daemon produced it.
  *
  * --local runs the same request serially in-process instead — no

@@ -77,7 +77,7 @@ struct RunResult {
     // every dispatched event's (when, seq) pair into one value, so two
     // runs agree on it iff they executed the same events in the same
     // order — the byte-identity oracle the --cell-threads differential
-    // tests compare. Deterministic, but kept out of sweep JSON.
+    // tests compare. Deterministic; exported since bauvm.sweep/1.4.
     std::uint64_t event_order_digest = 0;
     std::uint64_t sim_events = 0;
     double host_wall_s = 0.0;
@@ -87,6 +87,46 @@ struct RunResult {
     // admitted tenant, in TenantId order. Empty for single-tenant runs.
     std::vector<TenantResult> tenants;
 };
+template <FieldsOf<RunResult> S, class F>
+constexpr void
+forEachField(S &r, F &&f)
+{
+    // workload and seed are the cell's own "workload"/"seed" in the
+    // JSON; parseCellOutcome() copies them back from there.
+    f("workload", r.workload, kNoFlags);
+    f("seed", r.seed, kNoFlags);
+    f("cycles", r.cycles, kExported);
+    f("kernels", r.kernels, kExported);
+    f("instructions", r.instructions, kExported);
+    f("footprint_bytes", r.footprint_bytes, kExported);
+    f("capacity_pages", r.capacity_pages, kExported);
+    f("batches", r.batches, kExported);
+    f("avg_batch_pages", r.avg_batch_pages, kExported);
+    f("avg_batch_time", r.avg_batch_time, kExported);
+    f("avg_handling_time", r.avg_handling_time, kExported);
+    f("demand_pages", r.demand_pages, kExported);
+    f("prefetched_pages", r.prefetched_pages, kExported);
+    // Result-cache entries only, as a sibling of "result"
+    // (writeCellJson with_batch_records).
+    f("batch_records", r.batch_records, kNoFlags);
+    f("migrations", r.migrations, kExported);
+    f("evictions", r.evictions, kExported);
+    f("premature_evictions", r.premature_evictions, kExported);
+    f("premature_rate", r.premature_rate, kExported);
+    f("context_switches", r.context_switches, kExported);
+    f("context_switch_cycles", r.context_switch_cycles, kExported);
+    f("pcie_h2d_bytes", r.pcie_h2d_bytes, kExported);
+    f("pcie_d2h_bytes", r.pcie_d2h_bytes, kExported);
+    f("translations", r.translations, kExported);
+    f("tlb_hit_rate", r.tlb_hit_rate, kExported);
+    f("faults_per_kcycle", r.faults_per_kcycle, kExported);
+    f("event_order_digest", r.event_order_digest, kExported);
+    f("sim_events", r.sim_events, kExported);
+    f("host_wall_s", r.host_wall_s, kExported);
+    f("events_per_sec", r.events_per_sec, kExported);
+    f("tenants", r.tenants, kExported);
+}
+BAUVM_FIELD_TABLE_COMPLETE(RunResult);
 
 /** A fully wired simulated system executing one workload. */
 class GpuUvmSystem

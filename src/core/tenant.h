@@ -68,6 +68,26 @@ struct TenantResult {
      *  context; 0 when no solo reference was run. */
     double slowdown = 0.0;
 };
+template <FieldsOf<TenantResult> S, class F>
+constexpr void
+forEachField(S &t, F &&f)
+{
+    f("id", t.id, kExported);
+    f("workload", t.workload, kExported);
+    f("seed", t.seed, kExported);
+    f("cycles", t.cycles, kExported);
+    f("kernels", t.kernels, kExported);
+    f("instructions", t.instructions, kExported);
+    f("footprint_bytes", t.footprint_bytes, kExported);
+    f("quota_pages", t.quota_pages, kExported);
+    f("demand_pages", t.demand_pages, kExported);
+    f("evictions_caused", t.evictions_caused, kExported);
+    f("evictions_suffered", t.evictions_suffered, kExported);
+    f("peak_resident_pages", t.peak_resident_pages, kExported);
+    f("avg_lifetime_cycles", t.avg_lifetime_cycles, kExported);
+    f("slowdown", t.slowdown, kExported);
+}
+BAUVM_FIELD_TABLE_COMPLETE(TenantResult);
 
 /**
  * Per-tenant seed, decorrelated from the base seed and from the other

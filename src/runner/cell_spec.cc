@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <memory>
 
 #include "src/core/experiment.h"
@@ -35,147 +37,35 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-struct Knob {
-    const char *key;
-    void (*set)(SimConfig &, double);
-};
-
-std::uint64_t
-asU64(double v)
-{
-    return static_cast<std::uint64_t>(v);
-}
-
-std::uint32_t
-asU32(double v)
-{
-    return static_cast<std::uint32_t>(v);
-}
-
-bool
-asBool(double v)
-{
-    return v != 0.0;
-}
-
 /**
- * The declarative knob registry. Every key a sweep request may carry
- * in a variant's "overrides" maps onto exactly one SimConfig field.
- * Kept sorted by key for knownOverrideKeys().
+ * Stores @p value in the knob @p field if its type can hold it:
+ * integers integral in [0, max], bools 0 or 1, doubles any. A new
+ * scoped-enum knob fails to compile here until it gets its max.
+ * @return "" on success, else why not.
  */
-const Knob kKnobs[] = {
-    {"etc.capacity_compression",
-     [](SimConfig &c, double v) { c.etc.capacity_compression = asBool(v); }},
-    {"etc.compression_latency",
-     [](SimConfig &c, double v) { c.etc.compression_latency = asU64(v); }},
-    {"etc.compression_ratio",
-     [](SimConfig &c, double v) { c.etc.compression_ratio = v; }},
-    {"etc.enabled",
-     [](SimConfig &c, double v) { c.etc.enabled = asBool(v); }},
-    {"etc.epoch_cycles",
-     [](SimConfig &c, double v) { c.etc.epoch_cycles = asU64(v); }},
-    {"etc.memory_aware_throttling",
-     [](SimConfig &c, double v) {
-         c.etc.memory_aware_throttling = asBool(v);
-     }},
-    {"gpu.issue_width",
-     [](SimConfig &c, double v) { c.gpu.issue_width = asU32(v); }},
-    {"gpu.max_blocks_per_sm",
-     [](SimConfig &c, double v) { c.gpu.max_blocks_per_sm = asU32(v); }},
-    {"gpu.max_threads_per_sm",
-     [](SimConfig &c, double v) { c.gpu.max_threads_per_sm = asU32(v); }},
-    {"gpu.mem_op_overhead_cycles",
-     [](SimConfig &c, double v) {
-         c.gpu.mem_op_overhead_cycles = asU64(v);
-     }},
-    {"gpu.num_sms",
-     [](SimConfig &c, double v) { c.gpu.num_sms = asU32(v); }},
-    {"mem.dram_bytes_per_cycle",
-     [](SimConfig &c, double v) {
-         c.mem.dram_bytes_per_cycle = asU32(v);
-     }},
-    {"mem.dram_latency",
-     [](SimConfig &c, double v) { c.mem.dram_latency = asU64(v); }},
-    {"mem.mshrs_per_sm",
-     [](SimConfig &c, double v) { c.mem.mshrs_per_sm = asU32(v); }},
-    {"mem.walker_threads",
-     [](SimConfig &c, double v) { c.mem.walker_threads = asU32(v); }},
-    {"memory_ratio",
-     [](SimConfig &c, double v) { c.memory_ratio = v; }},
-    {"mt.policy",
-     [](SimConfig &c, double v) {
-         if (v < 0.0 || v > 2.0)
-             fatal("mt.policy override must be 0 (free-for-all), "
-                   "1 (strict) or 2 (proportional)");
-         c.mt.policy = static_cast<SharePolicy>(asU32(v));
-     }},
-    {"to.ctx_switch_bytes_per_cycle",
-     [](SimConfig &c, double v) {
-         c.to.ctx_switch_bytes_per_cycle = asU32(v);
-     }},
-    {"to.enabled",
-     [](SimConfig &c, double v) { c.to.enabled = asBool(v); }},
-    {"to.ideal_ctx_switch",
-     [](SimConfig &c, double v) { c.to.ideal_ctx_switch = asBool(v); }},
-    {"to.initial_extra_blocks",
-     [](SimConfig &c, double v) {
-         c.to.initial_extra_blocks = asU32(v);
-     }},
-    {"to.max_extra_blocks",
-     [](SimConfig &c, double v) { c.to.max_extra_blocks = asU32(v); }},
-    {"to.switch_on_memory_stall",
-     [](SimConfig &c, double v) {
-         c.to.switch_on_memory_stall = asBool(v);
-     }},
-    {"uvm.fault_buffer_entries",
-     [](SimConfig &c, double v) {
-         c.uvm.fault_buffer_entries = asU32(v);
-     }},
-    {"uvm.fault_handling_per_page_us",
-     [](SimConfig &c, double v) {
-         c.uvm.fault_handling_per_page_us = v;
-     }},
-    {"uvm.fault_handling_us",
-     [](SimConfig &c, double v) { c.uvm.fault_handling_us = v; }},
-    {"uvm.ideal_eviction",
-     [](SimConfig &c, double v) { c.uvm.ideal_eviction = asBool(v); }},
-    {"uvm.interrupt_latency_us",
-     [](SimConfig &c, double v) { c.uvm.interrupt_latency_us = v; }},
-    {"uvm.lifetime_drop_threshold",
-     [](SimConfig &c, double v) {
-         c.uvm.lifetime_drop_threshold = v;
-     }},
-    {"uvm.lifetime_window_cycles",
-     [](SimConfig &c, double v) {
-         c.uvm.lifetime_window_cycles = asU64(v);
-     }},
-    {"uvm.pcie_compression_ratio",
-     [](SimConfig &c, double v) { c.uvm.pcie_compression_ratio = v; }},
-    {"uvm.pcie_d2h_gbps",
-     [](SimConfig &c, double v) { c.uvm.pcie_d2h_gbps = v; }},
-    {"uvm.pcie_gbps",
-     [](SimConfig &c, double v) { c.uvm.pcie_gbps = v; }},
-    {"uvm.prefetch_density",
-     [](SimConfig &c, double v) { c.uvm.prefetch_density = v; }},
-    {"uvm.prefetch_enabled",
-     [](SimConfig &c, double v) {
-         c.uvm.prefetch_enabled = asBool(v);
-     }},
-    {"uvm.preload",
-     [](SimConfig &c, double v) { c.uvm.preload = asBool(v); }},
-    {"uvm.root_chunk_pages",
-     [](SimConfig &c, double v) { c.uvm.root_chunk_pages = asU32(v); }},
-    {"uvm.sequential_prefetch_pages",
-     [](SimConfig &c, double v) {
-         c.uvm.sequential_prefetch_pages = asU32(v);
-     }},
-    {"uvm.unobtrusive_eviction",
-     [](SimConfig &c, double v) {
-         c.uvm.unobtrusive_eviction = asBool(v);
-     }},
-    {"uvm.va_block_bytes",
-     [](SimConfig &c, double v) { c.uvm.va_block_bytes = asU64(v); }},
-};
+template <class T>
+std::string
+setKnob(T &field, double value)
+{
+    if constexpr (std::is_floating_point_v<T>) {
+        field = value;
+        return "";
+    } else {
+        std::uint64_t max;
+        if constexpr (std::is_same_v<T, SharePolicy>)
+            max = static_cast<std::uint64_t>(SharePolicy::Proportional);
+        else
+            max = std::numeric_limits<T>::max();
+        // max + 1 rounds to 2^64 for 64-bit fields: still an exact
+        // exclusive bound, so the cast below stays defined.
+        if (!(value >= 0.0 && value < static_cast<double>(max) + 1.0 &&
+              value == std::floor(value)))
+            return "must be an integer in [0, " + std::to_string(max) +
+                   "]";
+        field = static_cast<T>(static_cast<std::uint64_t>(value));
+        return "";
+    }
+}
 
 /** splitmix64 finalizer (same constants as job.cc). */
 std::uint64_t
@@ -187,82 +77,45 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+template <class T>
 void
-appendKv(std::string &out, const char *key, std::uint64_t v)
+appendKv(std::string &out, const std::string &key, const T &v)
 {
     out += key;
     out += '=';
-    out += std::to_string(v);
+    out += fieldText(v);
     out += ';';
-}
-
-void
-appendKv(std::string &out, const char *key, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += key;
-    out += '=';
-    out += buf;
-    out += ';';
-}
-
-void
-appendKv(std::string &out, const char *key, bool v)
-{
-    out += key;
-    out += '=';
-    out += v ? '1' : '0';
-    out += ';';
-}
-
-void
-appendCache(std::string &out, const char *prefix, const CacheConfig &c)
-{
-    std::string k(prefix);
-    appendKv(out, (k + ".size_bytes").c_str(), c.size_bytes);
-    appendKv(out, (k + ".associativity").c_str(),
-             static_cast<std::uint64_t>(c.associativity));
-    appendKv(out, (k + ".line_bytes").c_str(),
-             static_cast<std::uint64_t>(c.line_bytes));
-    appendKv(out, (k + ".hit_latency").c_str(),
-             static_cast<std::uint64_t>(c.hit_latency));
-}
-
-void
-appendTlb(std::string &out, const char *prefix, const TlbConfig &c)
-{
-    std::string k(prefix);
-    appendKv(out, (k + ".entries").c_str(),
-             static_cast<std::uint64_t>(c.entries));
-    appendKv(out, (k + ".associativity").c_str(),
-             static_cast<std::uint64_t>(c.associativity));
-    appendKv(out, (k + ".hit_latency").c_str(),
-             static_cast<std::uint64_t>(c.hit_latency));
 }
 
 } // namespace
 
 bool
 applyConfigOverride(SimConfig &config, const std::string &key,
-                    double value)
+                    double value, std::string *error)
 {
-    for (const Knob &k : kKnobs) {
-        if (key == k.key) {
-            k.set(config, value);
-            return true;
-        }
-    }
-    return false;
+    std::string why = "unknown override key";
+    forEachLeaf(config, [&](const std::string &name, auto &field,
+                            unsigned flags) {
+        if ((flags & kKnob) && name == key)
+            why = setKnob(field, value);
+    });
+    if (!why.empty() && error)
+        *error = "override '" + key + "' = " + fieldText(value) + ": " +
+                 why;
+    return why.empty();
 }
 
 std::vector<std::string>
 knownOverrideKeys()
 {
     std::vector<std::string> keys;
-    keys.reserve(std::size(kKnobs));
-    for (const Knob &k : kKnobs)
-        keys.push_back(k.key);
+    const SimConfig defaults;
+    forEachLeaf(defaults, [&](const std::string &name, const auto &,
+                              unsigned flags) {
+        if (flags & kKnob)
+            keys.push_back(name);
+    });
+    std::sort(keys.begin(), keys.end());
     return keys;
 }
 
@@ -273,9 +126,9 @@ cellConfig(const CellSpec &spec)
         spec.ratio, deriveWorkloadSeed(spec.base_seed, spec.workload));
     config = applyPolicy(config, spec.policy);
     for (const ConfigOverride &o : spec.overrides) {
-        if (!applyConfigOverride(config, o.key, o.value))
-            fatal("cellConfig: unknown config override '%s'",
-                  o.key.c_str());
+        std::string error;
+        if (!applyConfigOverride(config, o.key, o.value, &error))
+            fatal("cellConfig: %s", error.c_str());
     }
     config.check.enabled = spec.audit;
     return config;
@@ -293,107 +146,11 @@ canonicalConfigString(const SimConfig &c)
 {
     std::string out;
     out.reserve(1400);
-
-    appendKv(out, "gpu.num_sms",
-             static_cast<std::uint64_t>(c.gpu.num_sms));
-    appendKv(out, "gpu.max_threads_per_sm",
-             static_cast<std::uint64_t>(c.gpu.max_threads_per_sm));
-    appendKv(out, "gpu.max_blocks_per_sm",
-             static_cast<std::uint64_t>(c.gpu.max_blocks_per_sm));
-    appendKv(out, "gpu.regfile_bytes_per_sm",
-             c.gpu.regfile_bytes_per_sm);
-    appendKv(out, "gpu.warp_size",
-             static_cast<std::uint64_t>(c.gpu.warp_size));
-    appendKv(out, "gpu.issue_width",
-             static_cast<std::uint64_t>(c.gpu.issue_width));
-    appendKv(out, "gpu.mem_op_overhead_cycles",
-             static_cast<std::uint64_t>(c.gpu.mem_op_overhead_cycles));
-
-    appendCache(out, "mem.l1", c.mem.l1);
-    appendCache(out, "mem.l2", c.mem.l2);
-    appendTlb(out, "mem.l1_tlb", c.mem.l1_tlb);
-    appendTlb(out, "mem.l2_tlb", c.mem.l2_tlb);
-    appendKv(out, "mem.dram_latency",
-             static_cast<std::uint64_t>(c.mem.dram_latency));
-    appendKv(out, "mem.atomic_latency",
-             static_cast<std::uint64_t>(c.mem.atomic_latency));
-    appendKv(out, "mem.dram_bytes_per_cycle",
-             static_cast<std::uint64_t>(c.mem.dram_bytes_per_cycle));
-    appendKv(out, "mem.mshrs_per_sm",
-             static_cast<std::uint64_t>(c.mem.mshrs_per_sm));
-    appendKv(out, "mem.walker_threads",
-             static_cast<std::uint64_t>(c.mem.walker_threads));
-    appendKv(out, "mem.page_table_levels",
-             static_cast<std::uint64_t>(c.mem.page_table_levels));
-    appendKv(out, "mem.walk_cache_entries",
-             static_cast<std::uint64_t>(c.mem.walk_cache_entries));
-    appendKv(out, "mem.walk_cache_latency",
-             static_cast<std::uint64_t>(c.mem.walk_cache_latency));
-
-    appendKv(out, "uvm.page_bytes", c.uvm.page_bytes);
-    appendKv(out, "uvm.fault_buffer_entries",
-             static_cast<std::uint64_t>(c.uvm.fault_buffer_entries));
-    appendKv(out, "uvm.preload", c.uvm.preload);
-    appendKv(out, "uvm.fault_handling_us", c.uvm.fault_handling_us);
-    appendKv(out, "uvm.fault_handling_per_page_us",
-             c.uvm.fault_handling_per_page_us);
-    appendKv(out, "uvm.interrupt_latency_us",
-             c.uvm.interrupt_latency_us);
-    appendKv(out, "uvm.pcie_gbps", c.uvm.pcie_gbps);
-    appendKv(out, "uvm.pcie_d2h_gbps", c.uvm.pcie_d2h_gbps);
-    appendKv(out, "uvm.prefetch_enabled", c.uvm.prefetch_enabled);
-    appendKv(out, "uvm.va_block_bytes", c.uvm.va_block_bytes);
-    appendKv(out, "uvm.prefetch_density", c.uvm.prefetch_density);
-    appendKv(out, "uvm.sequential_prefetch_pages",
-             static_cast<std::uint64_t>(
-                 c.uvm.sequential_prefetch_pages));
-    appendKv(out, "uvm.unobtrusive_eviction",
-             c.uvm.unobtrusive_eviction);
-    appendKv(out, "uvm.ideal_eviction", c.uvm.ideal_eviction);
-    appendKv(out, "uvm.pcie_compression_ratio",
-             c.uvm.pcie_compression_ratio);
-    appendKv(out, "uvm.root_chunk_pages",
-             static_cast<std::uint64_t>(c.uvm.root_chunk_pages));
-    appendKv(out, "uvm.lifetime_window_cycles",
-             static_cast<std::uint64_t>(c.uvm.lifetime_window_cycles));
-    appendKv(out, "uvm.lifetime_drop_threshold",
-             c.uvm.lifetime_drop_threshold);
-
-    appendKv(out, "to.enabled", c.to.enabled);
-    appendKv(out, "to.initial_extra_blocks",
-             static_cast<std::uint64_t>(c.to.initial_extra_blocks));
-    appendKv(out, "to.max_extra_blocks",
-             static_cast<std::uint64_t>(c.to.max_extra_blocks));
-    appendKv(out, "to.ctx_switch_bytes_per_cycle",
-             static_cast<std::uint64_t>(
-                 c.to.ctx_switch_bytes_per_cycle));
-    appendKv(out, "to.block_state_bytes", c.to.block_state_bytes);
-    appendKv(out, "to.ideal_ctx_switch", c.to.ideal_ctx_switch);
-    appendKv(out, "to.switch_on_memory_stall",
-             c.to.switch_on_memory_stall);
-
-    appendKv(out, "etc.enabled", c.etc.enabled);
-    appendKv(out, "etc.proactive_eviction", c.etc.proactive_eviction);
-    appendKv(out, "etc.memory_aware_throttling",
-             c.etc.memory_aware_throttling);
-    appendKv(out, "etc.capacity_compression",
-             c.etc.capacity_compression);
-    appendKv(out, "etc.compression_ratio", c.etc.compression_ratio);
-    appendKv(out, "etc.compression_latency",
-             static_cast<std::uint64_t>(c.etc.compression_latency));
-    appendKv(out, "etc.epoch_cycles",
-             static_cast<std::uint64_t>(c.etc.epoch_cycles));
-
-    // trace.enabled is deliberately excluded: tracing is proven
-    // non-perturbing (CI byte-compares traced vs untraced stdout), so
-    // a traced run may share cached results with an untraced one.
-    // trace.buffer_records likewise only sizes the observer ring.
-    appendKv(out, "check.enabled", c.check.enabled);
-
-    appendKv(out, "mt.policy",
-             static_cast<std::uint64_t>(c.mt.policy));
-    appendKv(out, "memory_ratio", c.memory_ratio);
-    appendKv(out, "seed", c.seed);
+    forEachLeaf(c, [&](const std::string &name, const auto &field,
+                       unsigned flags) {
+        if (flags & kKeyed)
+            appendKv(out, name, field);
+    });
     return out;
 }
 
@@ -419,8 +176,7 @@ cellKey(const std::string &workload, WorkloadScale scale,
     key += scaleName(scale);
     key += '|';
     appendKv(key, "stream.threshold_edges", gs.stream_threshold_edges);
-    appendKv(key, "stream.edges_per_block",
-             static_cast<std::uint64_t>(gs.edges_per_block));
+    appendKv(key, "stream.edges_per_block", gs.edges_per_block);
     appendKv(key, "stream.scratch_bytes", gs.scratch_bytes);
     key += '|';
     for (const TenantSpec &t : tenants) {

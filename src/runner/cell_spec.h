@@ -11,9 +11,9 @@
  * content-addressed result cache.
  *
  * Content addressing: cellKey() canonicalizes the *final* SimConfig —
- * every field, in a fixed order, doubles at full precision — together
- * with the workload name, scale and the producing git revision, and
- * digestHex() folds that key into a 128-bit hex digest. Keying on the
+ * every kKeyed field (sim/field_table.h), doubles at full precision —
+ * together with the workload name, scale and the producing git
+ * revision, and digestHex() folds that key into a 128-bit hex digest. Keying on the
  * final config (not on how it was reached) means a cell produced via a
  * policy preset, a named variant mutation, or a declarative override
  * dedupes identically, and any config change invalidates the address.
@@ -52,13 +52,15 @@ struct ConfigOverride {
 };
 
 /**
- * Applies a registered override to @p config. @return false when the
- * key is unknown (the config is untouched).
+ * Sets the SimConfig leaf flagged kKnob under the dotted name @p key.
+ * @return false, with the reason in @p error and the config untouched,
+ * on an unknown key or a value the leaf's type cannot hold (integers
+ * and enums take integral values in [0, max], bools 0 or 1).
  */
 bool applyConfigOverride(SimConfig &config, const std::string &key,
-                         double value);
+                         double value, std::string *error = nullptr);
 
-/** All registered override keys, sorted, for diagnostics/usage. */
+/** Every kKnob leaf's dotted key, sorted, for diagnostics/usage. */
 std::vector<std::string> knownOverrideKeys();
 
 /** The declarative, serializable description of one sweep cell. */
@@ -80,8 +82,8 @@ struct CellSpec {
 
 /**
  * Builds the final SimConfig for @p spec: paperConfig(ratio, derived
- * workload seed) + applyPolicy + overrides (fatal() on an unknown
- * key) + audit flag.
+ * workload seed) + applyPolicy + overrides (fatal() on one that
+ * applyConfigOverride rejects) + audit flag.
  */
 SimConfig cellConfig(const CellSpec &spec);
 
@@ -89,8 +91,8 @@ SimConfig cellConfig(const CellSpec &spec);
 std::uint64_t cellJobSeed(const CellSpec &spec);
 
 /**
- * Canonical, order-fixed serialization of every SimConfig field.
- * Doubles print with %.17g so the string round-trips exactly.
+ * "dotted.name=value;" for every kKeyed SimConfig leaf, in declaration
+ * order. Doubles print with %.17g so the string round-trips exactly.
  */
 std::string canonicalConfigString(const SimConfig &config);
 

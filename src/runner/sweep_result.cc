@@ -33,62 +33,38 @@ SweepResult::find(const std::string &workload, Policy policy,
 namespace
 {
 
+/**
+ * Writes every kExported field of @p s as a member of the open
+ * object. Vectors of tabled structs become arrays of objects and are
+ * left out when empty, so single-tenant cells carry no "tenants".
+ */
+template <class S>
 void
-writeRunResult(JsonWriter &w, const RunResult &r)
+writeFields(JsonWriter &w, const S &s)
 {
-    w.beginObject("result");
-    w.field("cycles", static_cast<std::uint64_t>(r.cycles));
-    w.field("kernels", r.kernels);
-    w.field("instructions", r.instructions);
-    w.field("footprint_bytes", r.footprint_bytes);
-    w.field("capacity_pages", r.capacity_pages);
-    w.field("batches", r.batches);
-    w.field("avg_batch_pages", r.avg_batch_pages);
-    w.field("avg_batch_time", r.avg_batch_time);
-    w.field("avg_handling_time", r.avg_handling_time);
-    w.field("demand_pages", r.demand_pages);
-    w.field("prefetched_pages", r.prefetched_pages);
-    w.field("migrations", r.migrations);
-    w.field("evictions", r.evictions);
-    w.field("premature_evictions", r.premature_evictions);
-    w.field("premature_rate", r.premature_rate);
-    w.field("context_switches", r.context_switches);
-    w.field("context_switch_cycles", r.context_switch_cycles);
-    w.field("pcie_h2d_bytes", r.pcie_h2d_bytes);
-    w.field("pcie_d2h_bytes", r.pcie_d2h_bytes);
-    // Memory data path (added in schema minor /1.1; deterministic).
-    w.field("translations", r.translations);
-    w.field("tlb_hit_rate", r.tlb_hit_rate);
-    w.field("faults_per_kcycle", r.faults_per_kcycle);
-    // Multi-tenant cells (added in schema minor /1.3; deterministic).
-    if (!r.tenants.empty()) {
-        w.beginArray("tenants");
-        for (const TenantResult &t : r.tenants) {
-            w.beginObject();
-            w.field("id", static_cast<std::uint64_t>(t.id));
-            w.field("workload", t.workload);
-            w.field("seed", t.seed);
-            w.field("cycles", static_cast<std::uint64_t>(t.cycles));
-            w.field("kernels", t.kernels);
-            w.field("instructions", t.instructions);
-            w.field("footprint_bytes", t.footprint_bytes);
-            w.field("quota_pages", t.quota_pages);
-            w.field("demand_pages", t.demand_pages);
-            w.field("evictions_caused", t.evictions_caused);
-            w.field("evictions_suffered", t.evictions_suffered);
-            w.field("peak_resident_pages", t.peak_resident_pages);
-            w.field("avg_lifetime_cycles", t.avg_lifetime_cycles);
-            w.field("slowdown", t.slowdown);
-            w.endObject();
+    forEachField(s, [&w](const char *name, const auto &v,
+                         unsigned flags) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        if (!(flags & kExported))
+            return;
+        if constexpr (kIsVector<T>) {
+            if (v.empty())
+                return;
+            w.beginArray(name);
+            for (const auto &element : v) {
+                w.beginObject();
+                writeFields(w, element);
+                w.endObject();
+            }
+            w.endArray();
+        } else if constexpr (std::is_same_v<T, std::string> ||
+                             std::is_same_v<T, bool> ||
+                             std::is_floating_point_v<T>) {
+            w.field(name, v);
+        } else {
+            w.field(name, static_cast<std::uint64_t>(v));
         }
-        w.endArray();
-    }
-    // Simulator self-measurement (host_wall_s / events_per_sec are
-    // nondeterministic; consumers must not diff them across runs).
-    w.field("sim_events", r.sim_events);
-    w.field("host_wall_s", r.host_wall_s);
-    w.field("events_per_sec", r.events_per_sec);
-    w.endObject();
+    });
 }
 
 } // namespace
@@ -112,21 +88,20 @@ writeCellJson(JsonWriter &w, const CellOutcome &c,
     w.field("hostname", c.hostname);
     w.field("cached", c.from_cache);
     if (c.ok) {
-        writeRunResult(w, c.result);
+        w.beginObject("result");
+        writeFields(w, c.result);
+        w.endObject();
         if (with_batch_records) {
-            // All seven BatchRecord fields, positionally, so a cached
-            // cell replays Figs 3/12-16 without loss.
+            // One positional row per batch, in table order, so a
+            // cached cell replays Figs 3/12-16 without loss.
             w.beginArray("batch_records");
             for (const BatchRecord &b : c.result.batch_records) {
                 w.beginArray();
-                w.value(static_cast<std::uint64_t>(b.begin));
-                w.value(static_cast<std::uint64_t>(b.first_transfer));
-                w.value(static_cast<std::uint64_t>(b.end));
-                w.value(static_cast<std::uint64_t>(b.fault_pages));
-                w.value(static_cast<std::uint64_t>(b.prefetch_pages));
-                w.value(
-                    static_cast<std::uint64_t>(b.duplicate_faults));
-                w.value(b.migrated_bytes);
+                forEachField(b, [&w](const char *, const auto &v,
+                                     unsigned flags) {
+                    if (flags & kExported)
+                        w.value(static_cast<std::uint64_t>(v));
+                });
                 w.endArray();
             }
             w.endArray();

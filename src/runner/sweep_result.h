@@ -4,9 +4,9 @@
  * sweep-level metadata, exportable as schema-versioned JSON alongside
  * the Table/CSV output the bench binaries already print.
  *
- * JSON schema "bauvm.sweep/1.3":
+ * JSON schema "bauvm.sweep/1.4":
  * {
- *   "schema": "bauvm.sweep/1.3",
+ *   "schema": "bauvm.sweep/1.4",
  *   "bench": "<bench name>",
  *   "base_seed": u64, "scale": "tiny|small|medium|large",
  *   "ratio": f64, "jobs": u64, "elapsed_s": f64,
@@ -16,7 +16,7 @@
  *       "ok": bool, "timed_out": bool, "error": str, "wall_s": f64,
  *       "digest": str, "worker_pid": u64, "hostname": str,
  *       "cached": bool,
- *       "result": { <RunResult scalar fields> }   // present iff ok
+ *       "result": { <RunResult's kExported fields> } // iff ok
  *     }, ...
  *   ]
  * }
@@ -32,6 +32,8 @@
  * plus "worker_pid", "hostname" and "cached", which record *where* a
  * result came from and are excluded from determinism comparisons
  * alongside the wall-clock fields (see ci/check_sweep_equiv.py).
+ * Minor /1.3 adds "result.tenants" and /1.4 the deterministic
+ * "result.event_order_digest".
  * Cells appear in deterministic matrix order (variant-major, then
  * workload, then policy), never in completion order.
  */
@@ -54,9 +56,10 @@ class JsonWriter;
 /**
  * Serializes one cell outcome as a JSON object (the element shape of
  * the "cells" array above). With @p with_batch_records, the per-batch
- * records are appended as "batch_records": [[begin, end, pages], ...]
- * — used by the on-disk result cache so a replayed cell keeps the
- * data Figs 12-16 derive from; the sweep export itself omits them.
+ * records are appended as "batch_records": [[<BatchRecord's seven
+ * fields in table order>], ...] — used by the on-disk result cache so
+ * a replayed cell keeps the data Figs 3/12-16 derive from; the sweep
+ * export itself omits them.
  */
 void writeCellJson(JsonWriter &w, const CellOutcome &cell,
                    bool with_batch_records = false);
@@ -66,7 +69,7 @@ struct SweepResult {
      * Major bumped whenever the JSON layout changes incompatibly;
      * minor bumped for additive fields within the same major.
      */
-    static constexpr const char *kSchema = "bauvm.sweep/1.3";
+    static constexpr const char *kSchema = "bauvm.sweep/1.4";
 
     std::string bench;          //!< producing binary, e.g. "fig11_speedup"
     std::uint64_t base_seed = 0;

@@ -17,7 +17,64 @@ failParse(std::string *error, const std::string &what)
     return false;
 }
 
+/**
+ * Reads every kExported field of @p s from the object @p v; absent
+ * members keep their defaults, so older producers still parse.
+ * Vectors of tabled structs are read from arrays of objects.
+ */
+template <class S>
+bool
+parseFields(const JsonValue &v, S &s, std::string *error)
+{
+    bool ok = true;
+    forEachField(s, [&](const char *name, auto &field, unsigned flags) {
+        using T = std::remove_cvref_t<decltype(field)>;
+        const JsonValue *j = v.find(name);
+        if (!ok || !(flags & kExported) || !j)
+            return;
+        if constexpr (kIsVector<T>) {
+            ok = j->isArray() ||
+                 failParse(error, std::string("cell outcome: ") + name +
+                                      " is not an array");
+            field.resize(j->size());
+            for (std::size_t i = 0; ok && i < j->size(); ++i)
+                ok = parseFields(j->at(i), field[i], error);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            field = j->asString();
+        } else if constexpr (std::is_same_v<T, bool>) {
+            field = j->asBool();
+        } else if constexpr (std::is_floating_point_v<T>) {
+            field = j->asDouble();
+        } else {
+            field = static_cast<T>(j->asU64());
+        }
+    });
+    return ok;
+}
+
 } // namespace
+
+bool
+parseConfigOverrides(const JsonValue &v,
+                     std::vector<ConfigOverride> *out,
+                     std::string *error)
+{
+    if (!v.isArray())
+        return failParse(error, "overrides is not an array");
+    SimConfig probe; // validate without running anything
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        ConfigOverride o{v.at(i).getString("key"), 0.0};
+        const JsonValue *value = v.at(i).find("value");
+        if (!value || !value->isNumber())
+            return failParse(error, "override '" + o.key +
+                                        "': value is not a number");
+        o.value = value->asDouble();
+        if (!applyConfigOverride(probe, o.key, o.value, error))
+            return false;
+        out->push_back(std::move(o));
+    }
+    return true;
+}
 
 bool
 policyFromNameSafe(const std::string &name, Policy *out)
@@ -102,23 +159,10 @@ parseCellSpec(const JsonValue &v, CellSpec *out, std::string *error)
     out->ratio = v.getDouble("ratio", 0.5);
     out->base_seed = v.getU64("seed", 1);
     out->audit = v.getBool("audit", false);
-    if (const JsonValue *overrides = v.find("overrides")) {
-        if (!overrides->isArray())
-            return failParse(error,
-                             "cell spec: overrides is not an array");
-        SimConfig probe; // validate keys without running anything
-        for (std::size_t i = 0; i < overrides->size(); ++i) {
-            const JsonValue &o = overrides->at(i);
-            ConfigOverride co;
-            co.key = o.getString("key");
-            co.value = o.getDouble("value");
-            if (!applyConfigOverride(probe, co.key, co.value))
-                return failParse(error,
-                                 "cell spec: unknown override key '" +
-                                     co.key + "'");
-            out->overrides.push_back(std::move(co));
-        }
-    }
+    std::string why;
+    if (const JsonValue *overrides = v.find("overrides"))
+        if (!parseConfigOverrides(*overrides, &out->overrides, &why))
+            return failParse(error, "cell spec: " + why);
     if (const JsonValue *tenants = v.find("tenants")) {
         if (!tenants->isArray())
             return failParse(error,
@@ -177,58 +221,8 @@ parseCellOutcome(const JsonValue &v, CellOutcome *out,
     RunResult &res = out->result;
     res.workload = out->workload;
     res.seed = out->seed;
-    res.cycles = r->getU64("cycles");
-    res.kernels = r->getU64("kernels");
-    res.instructions = r->getU64("instructions");
-    res.footprint_bytes = r->getU64("footprint_bytes");
-    res.capacity_pages = r->getU64("capacity_pages");
-    res.batches = r->getU64("batches");
-    res.avg_batch_pages = r->getDouble("avg_batch_pages");
-    res.avg_batch_time = r->getDouble("avg_batch_time");
-    res.avg_handling_time = r->getDouble("avg_handling_time");
-    res.demand_pages = r->getU64("demand_pages");
-    res.prefetched_pages = r->getU64("prefetched_pages");
-    res.migrations = r->getU64("migrations");
-    res.evictions = r->getU64("evictions");
-    res.premature_evictions = r->getU64("premature_evictions");
-    res.premature_rate = r->getDouble("premature_rate");
-    res.context_switches = r->getU64("context_switches");
-    res.context_switch_cycles = r->getU64("context_switch_cycles");
-    res.pcie_h2d_bytes = r->getU64("pcie_h2d_bytes");
-    res.pcie_d2h_bytes = r->getU64("pcie_d2h_bytes");
-    res.translations = r->getU64("translations");
-    res.tlb_hit_rate = r->getDouble("tlb_hit_rate");
-    res.faults_per_kcycle = r->getDouble("faults_per_kcycle");
-    res.sim_events = r->getU64("sim_events");
-    res.host_wall_s = r->getDouble("host_wall_s");
-    res.events_per_sec = r->getDouble("events_per_sec");
-
-    if (const JsonValue *tenants = r->find("tenants")) {
-        if (!tenants->isArray())
-            return failParse(
-                error, "cell outcome: tenants is not an array");
-        res.tenants.reserve(tenants->size());
-        for (std::size_t i = 0; i < tenants->size(); ++i) {
-            const JsonValue &t = tenants->at(i);
-            TenantResult tr;
-            tr.id = static_cast<TenantId>(t.getU64("id"));
-            tr.workload = t.getString("workload");
-            tr.seed = t.getU64("seed");
-            tr.cycles = t.getU64("cycles");
-            tr.kernels = t.getU64("kernels");
-            tr.instructions = t.getU64("instructions");
-            tr.footprint_bytes = t.getU64("footprint_bytes");
-            tr.quota_pages = t.getU64("quota_pages");
-            tr.demand_pages = t.getU64("demand_pages");
-            tr.evictions_caused = t.getU64("evictions_caused");
-            tr.evictions_suffered = t.getU64("evictions_suffered");
-            tr.peak_resident_pages = t.getU64("peak_resident_pages");
-            tr.avg_lifetime_cycles =
-                t.getDouble("avg_lifetime_cycles");
-            tr.slowdown = t.getDouble("slowdown");
-            res.tenants.push_back(std::move(tr));
-        }
-    }
+    if (!parseFields(*r, res, error))
+        return false;
 
     // writeCellJson emits batch_records as a sibling of "result" on
     // the cell object (not inside it) — read it from there, or every
@@ -237,24 +231,24 @@ parseCellOutcome(const JsonValue &v, CellOutcome *out,
         if (!records->isArray())
             return failParse(
                 error, "cell outcome: batch_records is not an array");
-        res.batch_records.reserve(records->size());
+        res.batch_records.resize(records->size());
         for (std::size_t i = 0; i < records->size(); ++i) {
-            const JsonValue &b = records->at(i);
-            if (!b.isArray() || b.size() != 7)
+            // One positional row per batch, in table order.
+            const JsonValue &row = records->at(i);
+            std::size_t column = 0;
+            forEachField(res.batch_records[i], [&](const char *,
+                                                   auto &field,
+                                                   unsigned flags) {
+                using T = std::remove_cvref_t<decltype(field)>;
+                if (!(flags & kExported))
+                    return;
+                if (row.isArray() && column < row.size())
+                    field = static_cast<T>(row.at(column).asU64());
+                ++column;
+            });
+            if (!row.isArray() || column != row.size())
                 return failParse(error,
                                  "cell outcome: malformed batch record");
-            BatchRecord rec;
-            rec.begin = b.at(0).asU64();
-            rec.first_transfer = b.at(1).asU64();
-            rec.end = b.at(2).asU64();
-            rec.fault_pages =
-                static_cast<std::uint32_t>(b.at(3).asU64());
-            rec.prefetch_pages =
-                static_cast<std::uint32_t>(b.at(4).asU64());
-            rec.duplicate_faults =
-                static_cast<std::uint32_t>(b.at(5).asU64());
-            rec.migrated_bytes = b.at(6).asU64();
-            res.batch_records.push_back(rec);
         }
     }
     return true;

@@ -29,10 +29,17 @@ namespace bauvm
 /** Serializes @p spec as one JSON object into @p w. */
 void writeCellSpec(JsonWriter &w, const CellSpec &spec);
 
+/** Parses an "overrides" array, [{"key": str, "value": number}, ...];
+ *  @return false with the reason in @p error unless
+ *  applyConfigOverride() takes every entry. */
+bool parseConfigOverrides(const JsonValue &v,
+                          std::vector<ConfigOverride> *out,
+                          std::string *error);
+
 /**
  * Parses the writeCellSpec() shape. @return false (with a reason in
  * @p error) on a missing/invalid required field, an unknown policy or
- * scale name, or an unregistered override key.
+ * scale name, or an override parseConfigOverrides() rejects.
  */
 bool parseCellSpec(const JsonValue &v, CellSpec *out,
                    std::string *error);

@@ -6,7 +6,7 @@
  * Protocol (client side of sweep_service.h): connect, write the
  * bauvm.sweep-request/1 document, shutdown(SHUT_WR) to mark its end,
  * then read NDJSON events until the daemon closes the socket. The
- * final "done" event embeds the merged bauvm.sweep/1.2 document,
+ * final "done" event embeds the merged bauvm.sweep/1.4 document,
  * which submitSweep() hands back as the exact bytes the daemon sent —
  * suitable for writing to a --json file and diffing against a serial
  * run.

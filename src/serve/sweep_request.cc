@@ -55,28 +55,6 @@ expandWorkloadEntry(const std::string &entry,
     return true;
 }
 
-bool
-parseOverrides(const JsonValue &v, std::vector<ConfigOverride> *out,
-               std::string *error)
-{
-    if (!v.isArray())
-        return failParse(error,
-                         "sweep request: overrides is not an array");
-    SimConfig probe; // validate keys without running anything
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        const JsonValue &o = v.at(i);
-        ConfigOverride co;
-        co.key = o.getString("key");
-        co.value = o.getDouble("value");
-        if (!applyConfigOverride(probe, co.key, co.value))
-            return failParse(error,
-                             "sweep request: unknown override key '" +
-                                 co.key + "'");
-        out->push_back(std::move(co));
-    }
-    return true;
-}
-
 } // namespace
 
 bool
@@ -139,10 +117,10 @@ parseSweepRequest(const JsonValue &v, SweepRequest *out,
                            "objects");
             RequestVariant var;
             var.label = entry.getString("label");
-            if (const JsonValue *ov = entry.find("overrides")) {
-                if (!parseOverrides(*ov, &var.overrides, error))
-                    return false;
-            }
+            std::string why;
+            if (const JsonValue *ov = entry.find("overrides"))
+                if (!parseConfigOverrides(*ov, &var.overrides, &why))
+                    return failParse(error, "sweep request: " + why);
             out->variants.push_back(std::move(var));
         }
     } else {
@@ -212,60 +190,6 @@ parseSweepRequest(const JsonValue &v, SweepRequest *out,
     if (out->flush_cells == 0)
         out->flush_cells = 1;
     return true;
-}
-
-void
-writeSweepRequest(JsonWriter &w, const SweepRequest &req)
-{
-    w.beginObject();
-    w.field("schema", SweepRequest::kSchema);
-    w.field("bench", req.bench);
-    w.beginArray("workloads");
-    for (const std::string &name : req.workloads)
-        w.value(name);
-    w.endArray();
-    w.beginArray("policies");
-    for (Policy p : req.policies)
-        w.value(policyName(p));
-    w.endArray();
-    w.beginArray("variants");
-    for (const RequestVariant &var : req.variants) {
-        w.beginObject();
-        w.field("label", var.label);
-        w.beginArray("overrides");
-        for (const ConfigOverride &o : var.overrides) {
-            w.beginObject();
-            w.field("key", o.key);
-            w.field("value", o.value);
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-    w.field("scale", scaleName(req.scale));
-    w.field("ratio", req.ratio);
-    w.field("seed", req.seed);
-    w.field("audit", req.audit);
-    if (!req.tenants.empty()) {
-        w.beginArray("tenants");
-        for (const TenantSpec &t : req.tenants) {
-            w.beginObject();
-            w.field("workload", t.workload);
-            w.field("quota", t.quota);
-            w.endObject();
-        }
-        w.endArray();
-        w.field("share_policy", sharePolicyName(req.share_policy));
-    }
-    w.field("timeout_s", req.timeout_s);
-    w.field("hard_timeout_s", req.hard_timeout_s);
-    w.field("jobs", static_cast<std::uint64_t>(req.jobs));
-    w.field("chunk_cells",
-            static_cast<std::uint64_t>(req.chunk_cells));
-    w.field("flush_cells",
-            static_cast<std::uint64_t>(req.flush_cells));
-    w.endObject();
 }
 
 std::vector<CellSpec>

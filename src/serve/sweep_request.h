@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "src/runner/cell_spec.h"
-#include "src/runner/json_writer.h"
 #include "src/runner/sweep_result.h"
 #include "src/serve/json.h"
 
@@ -95,9 +94,6 @@ struct SweepRequest {
  */
 bool parseSweepRequest(const JsonValue &v, SweepRequest *out,
                        std::string *error);
-
-/** Serializes @p req in the shape parseSweepRequest() accepts. */
-void writeSweepRequest(JsonWriter &w, const SweepRequest &req);
 
 /**
  * Lowers @p req to its flat cell list, variant-major -> workload ->

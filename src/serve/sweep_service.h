@@ -12,7 +12,7 @@
  *   {"op":"cell","index":N,"workload":...,"policy":...,"variant":...,
  *    "ok":B,"timed_out":B,"cached":B,"digest":"...",
  *    "done":D,"total":T}
- *   {"op":"done","sweep":<compact bauvm.sweep/1.2 document>}
+ *   {"op":"done","sweep":<compact bauvm.sweep/1.4 document>}
  *   {"op":"error","message":"..."}
  *
  * Scheduling: each request's cells queue in deterministic matrix

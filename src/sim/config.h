@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "src/sim/field_table.h"
 #include "src/sim/types.h"
 
 namespace bauvm
@@ -25,6 +26,16 @@ struct CacheConfig {
     std::uint32_t line_bytes = 128;
     Cycle hit_latency = 28; //!< cycles from access to data on a hit
 };
+template <FieldsOf<CacheConfig> S, class F>
+constexpr void
+forEachField(S &c, F &&f)
+{
+    f("size_bytes", c.size_bytes, kKeyed);
+    f("associativity", c.associativity, kKeyed);
+    f("line_bytes", c.line_bytes, kKeyed);
+    f("hit_latency", c.hit_latency, kKeyed);
+}
+BAUVM_FIELD_TABLE_COMPLETE(CacheConfig);
 
 /** Geometry of one TLB level. 0 associativity means fully associative. */
 struct TlbConfig {
@@ -32,6 +43,15 @@ struct TlbConfig {
     std::uint32_t associativity = 0;
     Cycle hit_latency = 1;
 };
+template <FieldsOf<TlbConfig> S, class F>
+constexpr void
+forEachField(S &c, F &&f)
+{
+    f("entries", c.entries, kKeyed);
+    f("associativity", c.associativity, kKeyed);
+    f("hit_latency", c.hit_latency, kKeyed);
+}
+BAUVM_FIELD_TABLE_COMPLETE(TlbConfig);
 
 /** GPU memory-system (non-UVM) parameters. */
 struct MemConfig {
@@ -48,6 +68,24 @@ struct MemConfig {
     std::uint32_t walk_cache_entries = 64;
     Cycle walk_cache_latency = 4;
 };
+template <FieldsOf<MemConfig> S, class F>
+constexpr void
+forEachField(S &c, F &&f)
+{
+    f("l1", c.l1, kNoFlags);
+    f("l2", c.l2, kNoFlags);
+    f("l1_tlb", c.l1_tlb, kNoFlags);
+    f("l2_tlb", c.l2_tlb, kNoFlags);
+    f("dram_latency", c.dram_latency, kKeyed | kKnob);
+    f("atomic_latency", c.atomic_latency, kKeyed);
+    f("dram_bytes_per_cycle", c.dram_bytes_per_cycle, kKeyed | kKnob);
+    f("mshrs_per_sm", c.mshrs_per_sm, kKeyed | kKnob);
+    f("walker_threads", c.walker_threads, kKeyed | kKnob);
+    f("page_table_levels", c.page_table_levels, kKeyed);
+    f("walk_cache_entries", c.walk_cache_entries, kKeyed);
+    f("walk_cache_latency", c.walk_cache_latency, kKeyed);
+}
+BAUVM_FIELD_TABLE_COMPLETE(MemConfig);
 
 /** Unified-virtual-memory runtime parameters. */
 struct UvmConfig {
@@ -89,6 +127,32 @@ struct UvmConfig {
      *  thread oversubscription. Paper: empirically 20%. */
     double lifetime_drop_threshold = 0.20;
 };
+template <FieldsOf<UvmConfig> S, class F>
+constexpr void
+forEachField(S &c, F &&f)
+{
+    f("page_bytes", c.page_bytes, kKeyed);
+    f("fault_buffer_entries", c.fault_buffer_entries, kKeyed | kKnob);
+    f("preload", c.preload, kKeyed | kKnob);
+    f("fault_handling_us", c.fault_handling_us, kKeyed | kKnob);
+    f("fault_handling_per_page_us", c.fault_handling_per_page_us,
+      kKeyed | kKnob);
+    f("interrupt_latency_us", c.interrupt_latency_us, kKeyed | kKnob);
+    f("pcie_gbps", c.pcie_gbps, kKeyed | kKnob);
+    f("pcie_d2h_gbps", c.pcie_d2h_gbps, kKeyed | kKnob);
+    f("prefetch_enabled", c.prefetch_enabled, kKeyed | kKnob);
+    f("va_block_bytes", c.va_block_bytes, kKeyed | kKnob);
+    f("prefetch_density", c.prefetch_density, kKeyed | kKnob);
+    f("sequential_prefetch_pages", c.sequential_prefetch_pages,
+      kKeyed | kKnob);
+    f("unobtrusive_eviction", c.unobtrusive_eviction, kKeyed | kKnob);
+    f("ideal_eviction", c.ideal_eviction, kKeyed | kKnob);
+    f("pcie_compression_ratio", c.pcie_compression_ratio, kKeyed | kKnob);
+    f("root_chunk_pages", c.root_chunk_pages, kKeyed | kKnob);
+    f("lifetime_window_cycles", c.lifetime_window_cycles, kKeyed | kKnob);
+    f("lifetime_drop_threshold", c.lifetime_drop_threshold, kKeyed | kKnob);
+}
+BAUVM_FIELD_TABLE_COMPLETE(UvmConfig);
 
 /** Thread-oversubscription (TO) parameters. */
 struct ToConfig {
@@ -111,6 +175,20 @@ struct ToConfig {
      *  the paper's TO proper only switches on page-fault stalls. */
     bool switch_on_memory_stall = false;
 };
+template <FieldsOf<ToConfig> S, class F>
+constexpr void
+forEachField(S &c, F &&f)
+{
+    f("enabled", c.enabled, kKeyed | kKnob);
+    f("initial_extra_blocks", c.initial_extra_blocks, kKeyed | kKnob);
+    f("max_extra_blocks", c.max_extra_blocks, kKeyed | kKnob);
+    f("ctx_switch_bytes_per_cycle", c.ctx_switch_bytes_per_cycle,
+      kKeyed | kKnob);
+    f("block_state_bytes", c.block_state_bytes, kKeyed);
+    f("ideal_ctx_switch", c.ideal_ctx_switch, kKeyed | kKnob);
+    f("switch_on_memory_stall", c.switch_on_memory_stall, kKeyed | kKnob);
+}
+BAUVM_FIELD_TABLE_COMPLETE(ToConfig);
 
 /** Simulation tracing (src/trace) parameters. */
 struct TraceConfig {
@@ -122,6 +200,17 @@ struct TraceConfig {
      *  dropped_events in the export. */
     std::uint64_t buffer_records = 1u << 20;
 };
+template <FieldsOf<TraceConfig> S, class F>
+constexpr void
+forEachField(S &c, F &&f)
+{
+    // Not keyed: tracing is proven non-perturbing (CI byte-compares
+    // traced vs untraced stdout), so traced and untraced runs share
+    // cached results; buffer_records only sizes the observer ring.
+    f("enabled", c.enabled, kNoFlags);
+    f("buffer_records", c.buffer_records, kNoFlags);
+}
+BAUVM_FIELD_TABLE_COMPLETE(TraceConfig);
 
 /** Online model auditing (src/check) parameters. */
 struct CheckConfig {
@@ -130,6 +219,13 @@ struct CheckConfig {
      *  disabled tracing. */
     bool enabled = false;
 };
+template <FieldsOf<CheckConfig> S, class F>
+constexpr void
+forEachField(S &c, F &&f)
+{
+    f("enabled", c.enabled, kKeyed);
+}
+BAUVM_FIELD_TABLE_COMPLETE(CheckConfig);
 
 /** ETC baseline (Li et al., ASPLOS'19) parameters. */
 struct EtcConfig {
@@ -141,6 +237,19 @@ struct EtcConfig {
     Cycle compression_latency = 8;   //!< added to every L2 access
     Cycle epoch_cycles = 200000;     //!< detection/execution epoch length
 };
+template <FieldsOf<EtcConfig> S, class F>
+constexpr void
+forEachField(S &c, F &&f)
+{
+    f("enabled", c.enabled, kKeyed | kKnob);
+    f("proactive_eviction", c.proactive_eviction, kKeyed);
+    f("memory_aware_throttling", c.memory_aware_throttling, kKeyed | kKnob);
+    f("capacity_compression", c.capacity_compression, kKeyed | kKnob);
+    f("compression_ratio", c.compression_ratio, kKeyed | kKnob);
+    f("compression_latency", c.compression_latency, kKeyed | kKnob);
+    f("epoch_cycles", c.epoch_cycles, kKeyed | kKnob);
+}
+BAUVM_FIELD_TABLE_COMPLETE(EtcConfig);
 
 /**
  * How the GpuMemoryManager arbitrates device frames between tenants
@@ -163,6 +272,13 @@ enum class SharePolicy : std::uint8_t {
 struct MtConfig {
     SharePolicy policy = SharePolicy::FreeForAll;
 };
+template <FieldsOf<MtConfig> S, class F>
+constexpr void
+forEachField(S &c, F &&f)
+{
+    f("policy", c.policy, kKeyed | kKnob);
+}
+BAUVM_FIELD_TABLE_COMPLETE(MtConfig);
 
 /** SM and grid-dispatch parameters. */
 struct GpuConfig {
@@ -177,6 +293,19 @@ struct GpuConfig {
      *  completion path. */
     Cycle mem_op_overhead_cycles = 20;
 };
+template <FieldsOf<GpuConfig> S, class F>
+constexpr void
+forEachField(S &c, F &&f)
+{
+    f("num_sms", c.num_sms, kKeyed | kKnob);
+    f("max_threads_per_sm", c.max_threads_per_sm, kKeyed | kKnob);
+    f("max_blocks_per_sm", c.max_blocks_per_sm, kKeyed | kKnob);
+    f("regfile_bytes_per_sm", c.regfile_bytes_per_sm, kKeyed);
+    f("warp_size", c.warp_size, kKeyed);
+    f("issue_width", c.issue_width, kKeyed | kKnob);
+    f("mem_op_overhead_cycles", c.mem_op_overhead_cycles, kKeyed | kKnob);
+}
+BAUVM_FIELD_TABLE_COMPLETE(GpuConfig);
 
 /** Everything needed to run one simulation. */
 struct SimConfig {
@@ -196,6 +325,22 @@ struct SimConfig {
     double memory_ratio = 0.5;
     std::uint64_t seed = 1;
 };
+template <FieldsOf<SimConfig> S, class F>
+constexpr void
+forEachField(S &c, F &&f)
+{
+    f("gpu", c.gpu, kNoFlags);
+    f("mem", c.mem, kNoFlags);
+    f("uvm", c.uvm, kNoFlags);
+    f("to", c.to, kNoFlags);
+    f("etc", c.etc, kNoFlags);
+    f("trace", c.trace, kNoFlags);
+    f("check", c.check, kNoFlags);
+    f("mt", c.mt, kNoFlags);
+    f("memory_ratio", c.memory_ratio, kKeyed | kKnob);
+    f("seed", c.seed, kKeyed);
+}
+BAUVM_FIELD_TABLE_COMPLETE(SimConfig);
 
 } // namespace bauvm
 

@@ -84,6 +84,19 @@ struct BatchRecord {
         return fault_pages + prefetch_pages;
     }
 };
+template <FieldsOf<BatchRecord> S, class F>
+constexpr void
+forEachField(S &b, F &&f)
+{
+    f("begin", b.begin, kExported);
+    f("first_transfer", b.first_transfer, kExported);
+    f("end", b.end, kExported);
+    f("fault_pages", b.fault_pages, kExported);
+    f("prefetch_pages", b.prefetch_pages, kExported);
+    f("duplicate_faults", b.duplicate_faults, kExported);
+    f("migrated_bytes", b.migrated_bytes, kExported);
+}
+BAUVM_FIELD_TABLE_COMPLETE(BatchRecord);
 
 /** The UVM runtime: fault intake, batching, migration, eviction. */
 class UvmRuntime

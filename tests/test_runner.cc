@@ -287,7 +287,7 @@ TEST(SweepResult, JsonExportCarriesSchemaAndCells)
     const SweepResult sweep = runner.run();
     const std::string json = sweep.toJson();
 
-    EXPECT_NE(json.find("\"schema\": \"bauvm.sweep/1.3\""),
+    EXPECT_NE(json.find("\"schema\": \"bauvm.sweep/1.4\""),
               std::string::npos);
     EXPECT_NE(json.find("\"bench\": \"test_export\""),
               std::string::npos);
@@ -298,6 +298,8 @@ TEST(SweepResult, JsonExportCarriesSchemaAndCells)
     EXPECT_NE(json.find("\"translations\": "), std::string::npos);
     EXPECT_NE(json.find("\"tlb_hit_rate\": "), std::string::npos);
     EXPECT_NE(json.find("\"faults_per_kcycle\": "), std::string::npos);
+    // Event order digest added in schema minor /1.4.
+    EXPECT_NE(json.find("\"event_order_digest\": "), std::string::npos);
 
     ASSERT_EQ(sweep.cells.size(), 1u);
     ASSERT_TRUE(sweep.cells[0].ok);

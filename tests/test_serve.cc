@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/presets.h"
@@ -284,6 +285,19 @@ TEST(ResultAggregatorTest, FlushesAtCapacityAndOnScopeExit)
 // Content addressing
 // ---------------------------------------------------------------------
 
+/** Moves one config leaf off its default value. */
+template <class T>
+void
+perturb(T &v)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        v = !v;
+    else if constexpr (std::is_enum_v<T>)
+        v = static_cast<T>(static_cast<std::underlying_type_t<T>>(v) + 1);
+    else
+        v = v + 1;
+}
+
 TEST(CellDigest, StableUniqueAndInvalidating)
 {
     CellSpec spec;
@@ -320,6 +334,84 @@ TEST(CellDigest, StableUniqueAndInvalidating)
     EXPECT_NE(digestHex(cellKey(spec.workload, spec.scale,
                                 cellConfig(spec), "rev2")),
               digest);
+
+    // Pinned before the key was derived from the field table: every
+    // existing result cache must keep its addresses.
+    CellSpec toue = spec;
+    toue.policy = Policy::ToUe;
+    EXPECT_EQ(digestHex(canonicalConfigString(cellConfig(toue))),
+              "72ead01a022a7c4ccb0b602622bbe1c8");
+    EXPECT_EQ(digestHex(cellKey(toue.workload, toue.scale,
+                                cellConfig(toue), "rev1")),
+              "d24c575d01547842a9c927cecc1fcae7");
+    EXPECT_EQ(digest, "49421768b439a4f42873230909735e60");
+
+    // Perturbing any keyed leaf changes the key; trace.* are the only
+    // leaves left out, and perturbing them changes nothing.
+    const SimConfig defaults;
+    const std::string base = canonicalConfigString(defaults);
+    std::size_t keyed = 0;
+    forEachLeaf(defaults, [&](const std::string &name, const auto &,
+                              unsigned flags) {
+        SimConfig changed;
+        forEachLeaf(changed, [&](const std::string &other, auto &field,
+                                 unsigned) {
+            if (other == name)
+                perturb(field);
+        });
+        const bool is_keyed = (flags & kKeyed) != 0;
+        EXPECT_EQ(canonicalConfigString(changed) != base, is_keyed)
+            << name;
+        EXPECT_EQ(is_keyed, name.rfind("trace.", 0) != 0) << name;
+        keyed += is_keyed;
+    });
+    EXPECT_EQ(keyed, 65u);
+
+    // The override set is fixed: a new config field is not a knob
+    // until someone flags it kKnob on purpose.
+    EXPECT_EQ(knownOverrideKeys(),
+              (std::vector<std::string>{
+                  "etc.capacity_compression",
+                  "etc.compression_latency",
+                  "etc.compression_ratio",
+                  "etc.enabled",
+                  "etc.epoch_cycles",
+                  "etc.memory_aware_throttling",
+                  "gpu.issue_width",
+                  "gpu.max_blocks_per_sm",
+                  "gpu.max_threads_per_sm",
+                  "gpu.mem_op_overhead_cycles",
+                  "gpu.num_sms",
+                  "mem.dram_bytes_per_cycle",
+                  "mem.dram_latency",
+                  "mem.mshrs_per_sm",
+                  "mem.walker_threads",
+                  "memory_ratio",
+                  "mt.policy",
+                  "to.ctx_switch_bytes_per_cycle",
+                  "to.enabled",
+                  "to.ideal_ctx_switch",
+                  "to.initial_extra_blocks",
+                  "to.max_extra_blocks",
+                  "to.switch_on_memory_stall",
+                  "uvm.fault_buffer_entries",
+                  "uvm.fault_handling_per_page_us",
+                  "uvm.fault_handling_us",
+                  "uvm.ideal_eviction",
+                  "uvm.interrupt_latency_us",
+                  "uvm.lifetime_drop_threshold",
+                  "uvm.lifetime_window_cycles",
+                  "uvm.pcie_compression_ratio",
+                  "uvm.pcie_d2h_gbps",
+                  "uvm.pcie_gbps",
+                  "uvm.prefetch_density",
+                  "uvm.prefetch_enabled",
+                  "uvm.preload",
+                  "uvm.root_chunk_pages",
+                  "uvm.sequential_prefetch_pages",
+                  "uvm.unobtrusive_eviction",
+                  "uvm.va_block_bytes",
+              }));
 }
 
 // ---------------------------------------------------------------------
@@ -578,6 +670,53 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
         parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
                    " \"workloads\": []}"),
         &req, &error));
+
+    // Override values are checked against the knob's type where the
+    // request is parsed, so none of these can reach fatal() (which
+    // would take the daemon down) or an undefined cast.
+    const auto withOverride = [](const std::string &entry) {
+        return parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
+                          " \"workloads\": [\"PR\"], \"variants\":"
+                          " [{\"label\": \"v\", \"overrides\": [" +
+                          entry + "]}]}");
+    };
+    const auto cellWithOverride = [](const std::string &entry) {
+        return parseOrDie("{\"workload\": \"PR\", \"overrides\": [" +
+                          entry + "]}");
+    };
+    CellSpec cell;
+    for (const std::string bad : {
+             "{\"key\": \"mt.policy\", \"value\": 7}",
+             "{\"key\": \"mt.policy\", \"value\": -1}",
+             "{\"key\": \"gpu.num_sms\", \"value\": -1}",
+             "{\"key\": \"gpu.num_sms\", \"value\": 1.5}",
+             "{\"key\": \"gpu.num_sms\", \"value\": 4294967296}",
+             "{\"key\": \"gpu.num_sms\", \"value\": \"abc\"}",
+             "{\"key\": \"gpu.num_sms\"}",
+             "{\"key\": \"uvm.va_block_bytes\", \"value\": 1e20}",
+             "{\"key\": \"to.enabled\", \"value\": 2}",
+             "{\"key\": \"to.enabled\", \"value\": 0.5}",
+             "{\"key\": \"uvm.pcie_gbps\", \"value\": true}",
+             "{\"key\": \"gpu.warp_size\", \"value\": 16}",
+         }) {
+        error.clear();
+        EXPECT_FALSE(parseSweepRequest(withOverride(bad), &req, &error))
+            << bad;
+        EXPECT_NE(error.find("override"), std::string::npos) << error;
+        EXPECT_FALSE(parseCellSpec(cellWithOverride(bad), &cell, &error))
+            << bad;
+    }
+    for (const std::string good : {
+             "{\"key\": \"mt.policy\", \"value\": 2}",
+             "{\"key\": \"gpu.num_sms\", \"value\": 4294967295}",
+             "{\"key\": \"to.enabled\", \"value\": 1}",
+             "{\"key\": \"uvm.pcie_gbps\", \"value\": 0.5}",
+         }) {
+        EXPECT_TRUE(parseSweepRequest(withOverride(good), &req, &error))
+            << error;
+        EXPECT_TRUE(parseCellSpec(cellWithOverride(good), &cell, &error))
+            << error;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/presets.h"
@@ -284,6 +285,40 @@ TEST(MultiTenant, CellSpecTenantsRoundTripThroughJson)
     EXPECT_EQ(parsed.tenants[0].scale, WorkloadScale::Tiny);
 }
 
+/** "name=value;" for every kExported field of @p s, in table order,
+ *  vectors expanded element by element. */
+template <class S>
+std::string
+exportedText(const S &s)
+{
+    std::string out;
+    forEachField(s, [&](const char *name, const auto &v, unsigned flags) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        if (!(flags & kExported))
+            return;
+        out += name;
+        out += '=';
+        if constexpr (kIsVector<T>) {
+            for (const auto &element : v)
+                out += "{" + exportedText(element) + "}";
+        } else {
+            out += fieldText(v);
+        }
+        out += ';';
+    });
+    return out;
+}
+
+/** Member names of the JSON object @p v, in document order. */
+std::vector<std::string>
+memberNames(const JsonValue &v)
+{
+    std::vector<std::string> names;
+    for (const auto &member : v.members())
+        names.push_back(member.first);
+    return names;
+}
+
 TEST(MultiTenant, TenantResultsRoundTripThroughCellJson)
 {
     GraphBuildCache::Scope graph_scope;
@@ -297,26 +332,56 @@ TEST(MultiTenant, TenantResultsRoundTripThroughCellJson)
     ASSERT_TRUE(out.ok) << out.error;
     ASSERT_EQ(out.result.tenants.size(), 2u);
     EXPECT_GT(out.result.tenants[0].slowdown, 0.0);
+    ASSERT_FALSE(out.result.batch_records.empty());
+    EXPECT_NE(out.result.event_order_digest, 0u);
 
     JsonWriter w(/*pretty=*/false);
-    writeCellJson(w, out);
+    writeCellJson(w, out, /*with_batch_records=*/true);
     JsonValue doc;
     std::string error;
     ASSERT_TRUE(JsonValue::parse(w.str(), &doc, &error)) << error;
     CellOutcome parsed;
     ASSERT_TRUE(parseCellOutcome(doc, &parsed, &error)) << error;
+
+    // Every exported field of RunResult, TenantResult and BatchRecord
+    // comes back exactly (doubles included: both sides print %.17g).
+    EXPECT_EQ(exportedText(parsed.result), exportedText(out.result));
     ASSERT_EQ(parsed.result.tenants.size(), 2u);
-    for (std::size_t i = 0; i < 2; ++i) {
-        const TenantResult &a = out.result.tenants[i];
-        const TenantResult &b = parsed.result.tenants[i];
-        EXPECT_EQ(a.workload, b.workload);
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.quota_pages, b.quota_pages);
-        EXPECT_EQ(a.evictions_caused, b.evictions_caused);
-        EXPECT_EQ(a.evictions_suffered, b.evictions_suffered);
-        EXPECT_EQ(a.peak_resident_pages, b.peak_resident_pages);
-        EXPECT_DOUBLE_EQ(a.slowdown, b.slowdown);
-    }
+    ASSERT_EQ(parsed.result.batch_records.size(),
+              out.result.batch_records.size());
+    for (std::size_t i = 0; i < out.result.batch_records.size(); ++i)
+        EXPECT_EQ(exportedText(parsed.result.batch_records[i]),
+                  exportedText(out.result.batch_records[i]))
+            << "batch " << i;
+    EXPECT_EQ(parsed.result.workload, out.result.workload);
+    EXPECT_EQ(parsed.result.seed, out.result.seed);
+
+    // The literal member lists: writer and parser share the table, so
+    // only this catches a misspelled name in it.
+    const JsonValue *result = doc.find("result");
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(memberNames(*result),
+              (std::vector<std::string>{
+                  "cycles", "kernels", "instructions", "footprint_bytes",
+                  "capacity_pages", "batches", "avg_batch_pages",
+                  "avg_batch_time", "avg_handling_time", "demand_pages",
+                  "prefetched_pages", "migrations", "evictions",
+                  "premature_evictions", "premature_rate",
+                  "context_switches", "context_switch_cycles",
+                  "pcie_h2d_bytes", "pcie_d2h_bytes", "translations",
+                  "tlb_hit_rate", "faults_per_kcycle",
+                  "event_order_digest", "sim_events", "host_wall_s",
+                  "events_per_sec", "tenants"}));
+    EXPECT_EQ(memberNames(result->find("tenants")->at(0)),
+              (std::vector<std::string>{
+                  "id", "workload", "seed", "cycles", "kernels",
+                  "instructions", "footprint_bytes", "quota_pages",
+                  "demand_pages", "evictions_caused",
+                  "evictions_suffered", "peak_resident_pages",
+                  "avg_lifetime_cycles", "slowdown"}));
+    const JsonValue *records = doc.find("batch_records");
+    ASSERT_NE(records, nullptr);
+    EXPECT_EQ(records->at(0).size(), 7u);
 }
 
 // ---- API guardrails -------------------------------------------------
