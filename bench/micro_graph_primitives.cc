@@ -3,11 +3,12 @@
  * google-benchmark microbenchmarks of graph construction: the
  * external-memory streamed CSR builder (src/graph/stream) against the
  * in-core build it is differential-tested bit-identical to
- * (generateRmat + relabelByDegree). bench/perf_smoke pairs the two
- * shapes the same way it pairs the event-kernel and memory-path
- * rewrites, so the streaming overhead trajectory lands in the
- * BENCH_sim_throughput.json artifact (tracked non-gating by
- * ci/check_perf.py).
+ * (generateRmat + relabelByDegree). The "Legacy" shape is that live
+ * in-core build, not a retired twin: the prefix only lets
+ * bench/perf_smoke pair the two shapes the way it pairs the
+ * event-kernel and memory-path rewrites, so the streaming overhead
+ * trajectory lands in the BENCH_sim_throughput.json artifact (tracked
+ * non-gating by ci/check_perf.py).
  *
  * The benchmark scale is deliberately small (Tiny-tier edges): the
  * point is the relative cost of streamed regeneration + partition

@@ -40,54 +40,67 @@ appendEdge(std::vector<std::pair<VertexId, VertexId>> &edges,
 CsrGraph
 generateRmat(const RmatParams &params)
 {
-    // The in-core generator is the concatenation of the seed-
-    // addressable edge stream's blocks, so streamed and in-core
-    // consumers see the identical edge sequence by construction.
-    const StreamedRmatGenerator gen(params);
-    std::vector<std::pair<VertexId, VertexId>> edges;
-    std::vector<std::uint32_t> weights;
-    edges.reserve(params.num_edges * (params.undirected ? 2 : 1));
-    RmatStreamBlock block;
-    for (std::uint64_t b = 0; b < gen.numBlocks(); ++b) {
-        gen.block(b, &block);
-        edges.insert(edges.end(), block.edges.begin(),
-                     block.edges.end());
-        weights.insert(weights.end(), block.weights.begin(),
-                       block.weights.end());
-    }
-    return CsrGraph::fromEdges(gen.numVertices(), edges, weights);
+    // One sequential pass over the canonical draw sequence, straight
+    // into the edge list. StreamedRmatGenerator replays the same
+    // sequence block by block from captured RNG states.
+    validateRmatParams(params);
+    RmatStreamBlock all;
+    Rng rng(params.seed);
+    appendRmatEdges(params, rng, params.num_edges, &all);
+    return CsrGraph::fromEdges(rmatVertexCount(params), all.edges,
+                               all.weights);
+}
+
+std::vector<VertexId>
+degreeDescendingIds(std::span<const std::uint64_t> degree)
+{
+    const std::uint64_t max_degree =
+        degree.empty() ? 0 : *std::max_element(degree.begin(), degree.end());
+    // Counting sort, buckets from the highest degree down; a bucket
+    // hands out ids in old-id order, so ties keep old-id order.
+    std::vector<VertexId> next(max_degree + 1, 0);
+    for (const std::uint64_t d : degree)
+        ++next[max_degree - d];
+    std::exclusive_scan(next.begin(), next.end(), next.begin(),
+                        VertexId{0});
+    std::vector<VertexId> new_id(degree.size());
+    for (std::size_t v = 0; v < degree.size(); ++v)
+        new_id[v] = next[max_degree - degree[v]]++;
+    return new_id;
 }
 
 CsrGraph
 relabelByDegree(const CsrGraph &raw)
 {
-    const bool weighted = raw.weighted();
     const VertexId n = raw.numVertices();
-    std::vector<VertexId> by_degree(n);
-    std::iota(by_degree.begin(), by_degree.end(), 0);
-    std::stable_sort(by_degree.begin(), by_degree.end(),
-                     [&raw](VertexId a, VertexId b) {
-                         return raw.degree(a) > raw.degree(b);
-                     });
-    std::vector<VertexId> new_id(n);
-    for (VertexId i = 0; i < n; ++i)
-        new_id[by_degree[i]] = i;
-    std::vector<std::pair<VertexId, VertexId>> edges;
-    std::vector<std::uint32_t> wts;
-    edges.reserve(raw.numEdges());
+    std::vector<std::uint64_t> degree(n);
+    for (VertexId v = 0; v < n; ++v)
+        degree[v] = raw.degree(v);
+    const std::vector<VertexId> new_id = degreeDescendingIds(degree);
+
+    // New row new_id[v] holds old vertex v's neighbours, mapped, in
+    // their original order: exactly the row CsrGraph::fromEdges builds
+    // from the relabeled edge list in old-vertex order.
+    std::vector<std::uint64_t> row(static_cast<std::size_t>(n) + 1, 0);
+    for (VertexId v = 0; v < n; ++v)
+        row[new_id[v] + 1] = degree[v];
+    std::partial_sum(row.begin(), row.end(), row.begin());
+
+    std::vector<VertexId> cols(raw.numEdges());
+    std::vector<std::uint32_t> weights(raw.weighted() ? raw.numEdges()
+                                                      : 0);
     for (VertexId v = 0; v < n; ++v) {
+        const std::uint64_t at = row[new_id[v]];
         const auto nbrs = raw.neighbors(v);
-        const auto ew = weighted ? raw.edgeWeights(v)
-                                 : std::span<const std::uint32_t>{};
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-            edges.emplace_back(new_id[v], new_id[nbrs[i]]);
-            if (weighted)
-                wts.push_back(ew[i]);
+        for (std::size_t i = 0; i < nbrs.size(); ++i)
+            cols[at + i] = new_id[nbrs[i]];
+        if (raw.weighted()) {
+            const auto ew = raw.edgeWeights(v);
+            std::copy(ew.begin(), ew.end(), weights.begin() + at);
         }
     }
-    CsrGraph graph = CsrGraph::fromEdges(n, edges, wts);
-    graph.validate();
-    return graph;
+    return CsrGraph::fromCsrArrays(std::move(row), std::move(cols),
+                                   std::move(weights));
 }
 
 CsrGraph

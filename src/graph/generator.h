@@ -13,6 +13,8 @@
 #define BAUVM_GRAPH_GENERATOR_H_
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "src/graph/csr_graph.h"
 #include "src/sim/rng.h"
@@ -42,6 +44,15 @@ CsrGraph generateRmat(const RmatParams &params);
  * external-memory builder (src/graph/stream/csr_stream_builder).
  */
 CsrGraph relabelByDegree(const CsrGraph &raw);
+
+/**
+ * The relabelByDegree order as an old-id -> new-id map over per-vertex
+ * out-degrees: descending degree, ties in old-id order. A counting sort,
+ * so it is stable by construction; the external-memory builder uses it
+ * too.
+ */
+std::vector<VertexId> degreeDescendingIds(
+    std::span<const std::uint64_t> degree);
 
 /** Generates a uniform random graph with the same knobs. */
 CsrGraph generateUniform(VertexId num_vertices, std::uint64_t num_edges,

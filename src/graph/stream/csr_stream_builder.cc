@@ -1,11 +1,11 @@
 #include "src/graph/stream/csr_stream_builder.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <numeric>
 #include <utility>
 #include <vector>
 
+#include "src/graph/generator.h"
 #include "src/sim/log.h"
 
 namespace bauvm
@@ -70,36 +70,20 @@ graphStreamConfig()
 CsrGraph
 buildCsrStreamed(const RmatParams &params, const StreamCsrOptions &opt)
 {
-    const StreamedRmatGenerator gen(params, opt.edges_per_block);
+    // The capture pass counts out-degrees as it draws. It drops self
+    // loops and counts undirected edges at both ends, so these are
+    // exactly the final CSR degrees.
+    std::vector<std::uint64_t> degree;
+    const StreamedRmatGenerator gen(params, opt.edges_per_block, &degree);
     const VertexId n = gen.numVertices();
     const bool weighted = params.weighted;
 
-    // Pass 1: stream every block counting out-degrees. The stream has
-    // already dropped self loops and doubled undirected edges, so
-    // these are exactly the final CSR degrees.
-    std::vector<std::uint64_t> degree(n, 0);
-    RmatStreamBlock block;
-    for (std::uint64_t b = 0; b < gen.numBlocks(); ++b) {
-        gen.block(b, &block);
-        for (const auto &[src, dst] : block.edges) {
-            (void)dst;
-            ++degree[src];
-        }
-    }
-
-    // Old-id -> new-id mapping. Matches the in-core path bit for bit:
-    // stable sort by descending degree, ties broken by old id.
-    std::vector<VertexId> new_id(n);
+    // Old-id -> new-id mapping: the in-core relabelByDegree order.
+    std::vector<VertexId> new_id;
     if (opt.relabel_by_degree) {
-        std::vector<VertexId> by_degree(n);
-        std::iota(by_degree.begin(), by_degree.end(), 0);
-        std::stable_sort(by_degree.begin(), by_degree.end(),
-                         [&degree](VertexId a, VertexId b) {
-                             return degree[a] > degree[b];
-                         });
-        for (VertexId i = 0; i < n; ++i)
-            new_id[by_degree[i]] = i;
+        new_id = degreeDescendingIds(degree);
     } else {
+        new_id.resize(n);
         std::iota(new_id.begin(), new_id.end(), 0);
     }
 
@@ -113,7 +97,7 @@ buildCsrStreamed(const RmatParams &params, const StreamCsrOptions &opt)
 
     degree = {}; // released before the scatter passes
 
-    // Pass 2: counting-sort passes over contiguous new-id partitions,
+    // Scatter: counting-sort passes over contiguous new-id partitions,
     // each sized to the scratch budget, spilling finished rows. Within
     // a row the scatter sees edges in stream (= generation) order —
     // the same order CsrGraph::fromEdges's stable counting sort keeps
@@ -123,6 +107,7 @@ buildCsrStreamed(const RmatParams &params, const StreamCsrOptions &opt)
     std::vector<VertexId> cols;
     std::vector<std::uint32_t> wts;
     std::vector<std::uint64_t> cursor;
+    RmatStreamBlock block;
     const std::uint64_t bytes_per_edge = weighted ? 8 : 4;
 
     VertexId r_lo = 0;

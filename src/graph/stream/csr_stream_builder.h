@@ -9,8 +9,9 @@
  * host RAM is bounded by the final CSR arrays plus a configurable
  * partition scratch budget:
  *
- *  - pass 1 streams every block counting (relabeled) out-degrees,
- *    yielding the row-offset array;
+ *  - the generator's capture pass counts out-degrees as it draws;
+ *    the degree-descending relabel (degreeDescendingIds) and the
+ *    row-offset array follow from them;
  *  - the vertex range is then cut into contiguous partitions whose
  *    column data fits the scratch budget, and one counting-sort pass
  *    per partition streams every block again, scattering that

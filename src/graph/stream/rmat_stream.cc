@@ -1,6 +1,7 @@
 #include "src/graph/stream/rmat_stream.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/sim/log.h"
 
@@ -10,47 +11,54 @@ namespace bauvm
 namespace
 {
 
-VertexId
-roundUpPow2(VertexId v)
-{
-    VertexId p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
-
 /**
- * Draws one raw R-MAT edge, consuming exactly the RNG sequence the
- * original sequential generator consumed: log2(n) quadrant draws, then
- * one weight draw iff the graph is weighted and the edge is not a
- * dropped self loop. @return false when the edge is a self loop.
+ * Draws raw R-MAT edges, consuming the canonical RNG sequence: log2(n)
+ * quadrant draws, then one weight draw iff the graph is weighted and
+ * the edge is not a dropped self loop.
  */
-bool
-drawEdge(Rng &rng, VertexId n, const RmatParams &p, VertexId *src,
-         VertexId *dst, std::uint32_t *weight)
+class QuadrantDraw
 {
-    VertexId s = 0, d = 0;
-    for (VertexId bit = n >> 1; bit > 0; bit >>= 1) {
-        const double r = rng.nextDouble();
-        if (r < p.a) {
-            // top-left quadrant: no bits set
-        } else if (r < p.a + p.b) {
-            d |= bit;
-        } else if (r < p.a + p.b + p.c) {
-            s |= bit;
-        } else {
-            s |= bit;
-            d |= bit;
-        }
+  public:
+    // The thresholds keep the left-to-right sum (a + b) + c: a
+    // reassociated sum can move a threshold by one ulp and so change
+    // the generated graph.
+    QuadrantDraw(const RmatParams &p, VertexId n)
+        : top_bit_(n >> 1), a_(p.a), ab_(p.a + p.b),
+          abc_(p.a + p.b + p.c), weighted_(p.weighted)
+    {
     }
-    if (s == d)
-        return false;
-    *src = s;
-    *dst = d;
-    if (p.weighted)
-        *weight = static_cast<std::uint32_t>(rng.nextRange(1, 64));
-    return true;
-}
+
+    /** @return false when the edge is a self loop. */
+    bool
+    operator()(Rng &rng, VertexId *src, VertexId *dst,
+               std::uint32_t *weight) const
+    {
+        VertexId s = 0, d = 0;
+        for (VertexId bit = top_bit_; bit > 0; bit >>= 1) {
+            // Quadrants a | b | c | d split [0, 1) in that order: the
+            // source takes the bit in c and d, the destination in b and
+            // d. Masks, not branches: the quadrant is random, so a
+            // branch per bit mispredicts.
+            const double r = rng.nextDouble();
+            const VertexId in_s = r >= ab_;
+            const VertexId in_d = (r >= a_) & ((r < ab_) | (r >= abc_));
+            s |= bit & (0u - in_s);
+            d |= bit & (0u - in_d);
+        }
+        if (s == d)
+            return false;
+        *src = s;
+        *dst = d;
+        if (weighted_)
+            *weight = static_cast<std::uint32_t>(rng.nextRange(1, 64));
+        return true;
+    }
+
+  private:
+    VertexId top_bit_;
+    double a_, ab_, abc_;
+    bool weighted_;
+};
 
 } // namespace
 
@@ -71,29 +79,76 @@ validateRmatParams(const RmatParams &params)
         fatal("RmatParams: num_edges must be non-zero");
     if (params.num_vertices < 2)
         fatal("RmatParams: need at least two vertices");
+    if (params.num_vertices > kMaxRmatVertices) {
+        fatal("RmatParams: num_vertices %u exceeds the 2^31 limit (the "
+              "power-of-two round-up must fit a 32-bit vertex id)",
+              params.num_vertices);
+    }
+}
+
+VertexId
+rmatVertexCount(const RmatParams &params)
+{
+    return std::bit_ceil(params.num_vertices);
+}
+
+void
+appendRmatEdges(const RmatParams &params, Rng &rng,
+                std::uint64_t raw_edges, RmatStreamBlock *out)
+{
+    const std::uint64_t most = raw_edges * (params.undirected ? 2 : 1);
+    out->edges.reserve(out->edges.size() + most);
+    if (params.weighted)
+        out->weights.reserve(out->weights.size() + most);
+
+    const QuadrantDraw draw(params, rmatVertexCount(params));
+    VertexId src = 0, dst = 0;
+    std::uint32_t weight = 0;
+    for (std::uint64_t e = 0; e < raw_edges; ++e) {
+        if (!draw(rng, &src, &dst, &weight))
+            continue; // self loop: dropped, no weight drawn
+        out->edges.emplace_back(src, dst);
+        if (params.weighted)
+            out->weights.push_back(weight);
+        if (params.undirected) {
+            out->edges.emplace_back(dst, src);
+            if (params.weighted)
+                out->weights.push_back(weight);
+        }
+    }
 }
 
 StreamedRmatGenerator::StreamedRmatGenerator(
-    const RmatParams &params, std::uint32_t edges_per_block)
+    const RmatParams &params, std::uint32_t edges_per_block,
+    std::vector<std::uint64_t> *degrees)
     : params_(params), edges_per_block_(edges_per_block)
 {
     validateRmatParams(params_);
     if (edges_per_block_ == 0)
         fatal("StreamedRmatGenerator: edges_per_block must be > 0");
-    num_vertices_ = roundUpPow2(params_.num_vertices);
+    num_vertices_ = rmatVertexCount(params_);
+    if (degrees != nullptr)
+        degrees->assign(num_vertices_, 0);
 
     // Capture pass: replay the full draw sequence once, recording the
     // generator state at each block boundary. No edges are stored.
+    const QuadrantDraw draw(params_, num_vertices_);
     const std::uint64_t blocks =
         (params_.num_edges + edges_per_block_ - 1) / edges_per_block_;
     block_start_.reserve(blocks);
     Rng rng(params_.seed);
-    VertexId src, dst;
-    std::uint32_t weight;
-    for (std::uint64_t e = 0; e < params_.num_edges; ++e) {
-        if (e % edges_per_block_ == 0)
-            block_start_.push_back(rng);
-        drawEdge(rng, num_vertices_, params_, &src, &dst, &weight);
+    VertexId src = 0, dst = 0;
+    std::uint32_t weight = 0;
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+        block_start_.push_back(rng);
+        const std::uint64_t raw = rawEdgesInBlock(b);
+        for (std::uint64_t e = 0; e < raw; ++e) {
+            if (!draw(rng, &src, &dst, &weight) || degrees == nullptr)
+                continue;
+            ++(*degrees)[src];
+            if (params_.undirected)
+                ++(*degrees)[dst];
+        }
     }
 }
 
@@ -113,27 +168,10 @@ StreamedRmatGenerator::rawEdgesInBlock(std::uint64_t b) const
 void
 StreamedRmatGenerator::block(std::uint64_t b, RmatStreamBlock *out) const
 {
+    const std::uint64_t raw = rawEdgesInBlock(b); // range-checks b
     out->clear();
-    const std::uint64_t raw = rawEdgesInBlock(b);
-    out->edges.reserve(raw * (params_.undirected ? 2 : 1));
-    if (params_.weighted)
-        out->weights.reserve(raw * (params_.undirected ? 2 : 1));
-
     Rng rng = block_start_[b]; // value copy: replay from the boundary
-    VertexId src, dst;
-    std::uint32_t weight = 0;
-    for (std::uint64_t e = 0; e < raw; ++e) {
-        if (!drawEdge(rng, num_vertices_, params_, &src, &dst, &weight))
-            continue; // self loop: dropped, no weight drawn
-        out->edges.emplace_back(src, dst);
-        if (params_.weighted)
-            out->weights.push_back(weight);
-        if (params_.undirected) {
-            out->edges.emplace_back(dst, src);
-            if (params_.weighted)
-                out->weights.push_back(weight);
-        }
-    }
+    appendRmatEdges(params_, rng, raw, out);
 }
 
 } // namespace bauvm

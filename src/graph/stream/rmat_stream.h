@@ -11,11 +11,13 @@
  * state at every block boundary, and block(b) then replays just that
  * block from its captured state.
  *
- * The stream is definitionally bit-identical to generateRmat(): the
- * in-core generator is itself implemented as the concatenation of all
- * blocks, so a streamed consumer (src/graph/stream/csr_stream_builder)
- * sees exactly the edge sequence, self-loop drops, reverse-edge
- * doubling and weight draws an in-core build sees.
+ * The in-core generateRmat() draws the same sequence in one sequential
+ * pass through appendRmatEdges(). The two paths share the per-edge
+ * draw but not the traversal, so the concatenation check in the stream
+ * tests is a real differential between them: a streamed consumer
+ * (src/graph/stream/csr_stream_builder) must see exactly the edge
+ * sequence, self-loop drops, reverse-edge doubling and weight draws an
+ * in-core build sees. Pinned graph digests guard the draw itself.
  */
 
 #ifndef BAUVM_GRAPH_STREAM_RMAT_STREAM_H_
@@ -51,18 +53,40 @@ struct RmatStreamBlock {
     }
 };
 
+/** Largest num_vertices whose power-of-two round-up fits a VertexId. */
+constexpr VertexId kMaxRmatVertices = VertexId{1} << 31;
+
 /** Fatal()s unless @p params describes a generatable graph: partition
- *  probabilities must be non-negative with a + b + c < 1, and
- *  num_edges must be non-zero. */
+ *  probabilities must be non-negative with a + b + c < 1, num_edges
+ *  must be non-zero and num_vertices in [2, kMaxRmatVertices]. */
 void validateRmatParams(const RmatParams &params);
+
+/** Vertex count of the graph @p params generates: num_vertices rounded
+ *  up to a power of two. @pre validateRmatParams(params) passed. */
+VertexId rmatVertexCount(const RmatParams &params);
+
+/**
+ * Draws @p raw_edges raw R-MAT edges of @p params from @p rng and
+ * appends the survivors to @p out (reserving room for all of them up
+ * front): self loops are dropped (drawing no weight), undirected graphs
+ * also get each reverse edge, and weighted graphs get one weight per
+ * surviving draw, shared by both directions.
+ * @pre validateRmatParams(params) passed.
+ */
+void appendRmatEdges(const RmatParams &params, Rng &rng,
+                     std::uint64_t raw_edges, RmatStreamBlock *out);
 
 /** See file doc. */
 class StreamedRmatGenerator
 {
   public:
+    /** When @p degrees is non-null it receives every vertex's final
+     *  out-degree (self loops dropped, undirected edges counted at both
+     *  ends), counted during the capture pass at no extra draws. */
     explicit StreamedRmatGenerator(
         const RmatParams &params,
-        std::uint32_t edges_per_block = kDefaultEdgesPerBlock);
+        std::uint32_t edges_per_block = kDefaultEdgesPerBlock,
+        std::vector<std::uint64_t> *degrees = nullptr);
 
     const RmatParams &params() const { return params_; }
     /** Vertex count after the generator's power-of-two round-up. */

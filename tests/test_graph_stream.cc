@@ -104,8 +104,10 @@ TEST(RmatStream, GranularityDoesNotChangeTheStream)
     EXPECT_EQ(coarse.weights, fine.weights);
 
     // And the concatenation is exactly what generateRmat() builds from.
+    // A real differential: generateRmat() draws the sequence in one
+    // pass, the blocks replay it from captured RNG states.
     const CsrGraph from_stream = CsrGraph::fromEdges(
-        StreamedRmatGenerator(p).numVertices(), fine.edges, fine.weights);
+        rmatVertexCount(p), fine.edges, fine.weights);
     expectGraphsEqual(from_stream, generateRmat(p));
 }
 
@@ -118,6 +120,100 @@ TEST(RmatStream, TailBlockHoldsTheRemainder)
     EXPECT_EQ(gen.rawEdgesInBlock(0), 400u);
     EXPECT_EQ(gen.rawEdgesInBlock(1), 400u);
     EXPECT_EQ(gen.rawEdgesInBlock(2), 200u);
+}
+
+// ---- pinned graph digests -------------------------------------------
+
+/** FNV-style digest of rowOffsets, then colIndices, then weights, each
+ *  element widened to u64. */
+std::uint64_t
+graphDigest(const CsrGraph &g)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    const auto mix = [&h](const auto &values) {
+        for (const auto x : values)
+            h = (h ^ static_cast<std::uint64_t>(x)) * 1099511628211ull;
+    };
+    mix(g.rowOffsets());
+    mix(g.colIndices());
+    mix(g.weights());
+    return h;
+}
+
+RmatParams
+rmat(VertexId n, std::uint64_t edges, std::uint64_t seed)
+{
+    RmatParams p;
+    p.num_vertices = n;
+    p.num_edges = edges;
+    p.seed = seed;
+    return p;
+}
+
+TEST(GraphDigest, PinnedAcrossEveryBuildPath)
+{
+    // The in-core and streamed paths share the quadrant draw, so the
+    // differential tests cannot see a change to the draw itself; these
+    // fixed digests can. Every build path must reproduce them.
+    struct Row {
+        const char *name;
+        RmatParams params;
+        std::uint32_t edges_per_block; //!< streamed build
+        std::uint64_t scratch_bytes;   //!< streamed build
+        std::uint64_t raw;             //!< generateRmat
+        std::uint64_t relabeled;       //!< relabelByDegree, streamed
+    };
+    RmatParams sssp = rmat(4096, 32768, 2);
+    sssp.weighted = true;
+    RmatParams directed = rmat(4096, 32768, 3);
+    directed.undirected = false;
+    RmatParams self_loops = rmat(1024, 4096, 7);
+    self_loops.a = self_loops.b = self_loops.c = 0.0;
+    self_loops.weighted = true;
+    RmatParams skewed = rmat(4096, 32768, 8);
+    skewed.a = 0.9;
+    skewed.b = 0.04;
+    skewed.c = 0.04;
+    RmatParams asymmetric = rmat(4096, 32768, 9); // b != c
+    asymmetric.a = 0.1;
+    asymmetric.b = 0.2;
+    asymmetric.c = 0.3;
+    asymmetric.weighted = true;
+    const Row rows[] = {
+        {"bfs-tiny", rmat(4096, 32768, 1), 1000, 16 << 10,
+         0x3c85a30de3392fadull, 0x59a3e864886bcd37ull},
+        {"bfs-small", rmat(32768, 524288, 1), 1u << 14, 1 << 20,
+         0x9e057e5648144cb9ull, 0x814bb3bb7cebd6a1ull},
+        {"bfs-large", rmat(262144, 4 << 20, 12345), 1u << 16, 16 << 20,
+         0x04f03ccdb4ada9ddull, 0x62e455b7dd7d84e5ull},
+        {"sssp-weighted", sssp, 1000, 16 << 10, 0xe29ae324b714028dull,
+         0x8ce30ba79a2f7b6dull},
+        {"directed", directed, 1000, 16 << 10, 0xbde48369a9177a1cull,
+         0x67fc4344c47c423eull},
+        {"n3", rmat(3, 64, 5), 10, 64, 0x94ad4d0eec55c525ull,
+         0x94ad4d0eec55c525ull},
+        {"n1000", rmat(1000, 8192, 6), 1000, 4 << 10, 0x0b721d158f21980bull,
+         0x90faf377fc623ba9ull},
+        {"all-self-loops", self_loops, 1000, 4 << 10, 0x93856c9d96ea8799ull,
+         0x93856c9d96ea8799ull},
+        {"skewed", skewed, 1000, 16 << 10, 0x07738ab28706be27ull,
+         0x3c832e8997014fa1ull},
+        {"asymmetric", asymmetric, 1000, 16 << 10, 0x84f1b632fd8194b5ull,
+         0x86fa666f527861dfull},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        const CsrGraph raw = generateRmat(row.params);
+        StreamCsrOptions opt;
+        opt.edges_per_block = row.edges_per_block;
+        opt.scratch_bytes = row.scratch_bytes;
+        const std::uint64_t got[] = {
+            graphDigest(raw), graphDigest(relabelByDegree(raw)),
+            graphDigest(buildCsrStreamed(row.params, opt))};
+        EXPECT_EQ(got[0], row.raw) << std::hex << got[0];
+        EXPECT_EQ(got[1], row.relabeled) << std::hex << got[1];
+        EXPECT_EQ(got[2], row.relabeled) << std::hex << got[2];
+    }
 }
 
 // ---- parameter validation -------------------------------------------
@@ -159,6 +255,22 @@ TEST(RmatParamValidation, RejectsZeroEdges)
     RmatParams p = smallParams();
     p.num_edges = 0;
     expectRmatFatal(p, "num_edges");
+}
+
+TEST(RmatParamValidation, RejectsVertexCountsPastTheRoundUpLimit)
+{
+    // Past 2^31 the power-of-two round-up would wrap a 32-bit id.
+    RmatParams p = smallParams();
+    p.num_edges = 1;
+    for (const VertexId n : {kMaxRmatVertices + 1, ~VertexId{0}}) {
+        p.num_vertices = n;
+        expectRmatFatal(p, "2^31 limit");
+        ScopedAbortCapture capture;
+        EXPECT_THROW(StreamedRmatGenerator{p}, SimAbort);
+        EXPECT_THROW(generateRmat(p), SimAbort);
+    }
+    p.num_vertices = kMaxRmatVertices; // the boundary itself is valid
+    validateRmatParams(p);             // must not throw; builds nothing
 }
 
 TEST(RmatParamValidation, AcceptsBoundaryProbabilities)
