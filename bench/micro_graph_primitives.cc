@@ -3,12 +3,7 @@
  * google-benchmark microbenchmarks of graph construction: the
  * external-memory streamed CSR builder (src/graph/stream) against the
  * in-core build it is differential-tested bit-identical to
- * (generateRmat + relabelByDegree). The "Legacy" shape is that live
- * in-core build, not a retired twin: the prefix only lets
- * bench/perf_smoke pair the two shapes the way it pairs the
- * event-kernel and memory-path rewrites, so the streaming overhead
- * trajectory lands in the BENCH_sim_throughput.json artifact (tracked
- * non-gating by ci/check_perf.py).
+ * (generateRmat + relabelByDegree, BM_GraphInCoreCsrBuild).
  *
  * The benchmark scale is deliberately small (Tiny-tier edges): the
  * point is the relative cost of streamed regeneration + partition
@@ -59,7 +54,7 @@ BM_GraphStreamCsrBuild(benchmark::State &state)
 BENCHMARK(BM_GraphStreamCsrBuild)->Unit(benchmark::kMillisecond);
 
 void
-BM_LegacyGraphStreamCsrBuild(benchmark::State &state)
+BM_GraphInCoreCsrBuild(benchmark::State &state)
 {
     const RmatParams p = benchParams();
     std::uint64_t edges = 0;
@@ -72,7 +67,7 @@ BM_LegacyGraphStreamCsrBuild(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(edges));
 }
-BENCHMARK(BM_LegacyGraphStreamCsrBuild)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GraphInCoreCsrBuild)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -16,9 +16,6 @@
 #include "src/mem/page_table_walker.h"
 #include "src/mem/tlb.h"
 #include "src/sim/event_queue.h"
-#ifdef BAUVM_LEGACY_DIFFERENTIAL
-#include "src/sim/legacy_event_queue.h"
-#endif // BAUVM_LEGACY_DIFFERENTIAL
 #include "src/sim/rng.h"
 
 namespace
@@ -27,11 +24,8 @@ namespace
 using namespace bauvm;
 
 // ---------------------------------------------------------------------
-// Event-queue kernels. Each shape runs against both the production
-// slab/calendar kernel (EventQueue) and the retained std::function +
-// unordered_map reference (LegacyEventQueue) so bench/perf_smoke can
-// report the speedup of the rewrite. The shapes mirror real simulator
-// traffic:
+// Event-queue kernel (the slab/calendar EventQueue). The shapes mirror
+// real simulator traffic:
 //  - ScheduleRun:   the original scatter of 1024 absolute times;
 //  - ShortDelay:    chained 1-8 cycle events (L1/L2 hits, issue
 //                   slots) — the calendar ring's sweet spot;
@@ -41,12 +35,11 @@ using namespace bauvm;
 //                   completions and batch timers — ring + heap mix.
 // ---------------------------------------------------------------------
 
-template <typename Queue>
 void
-eventQueueScheduleRun(benchmark::State &state)
+BM_EventQueueScheduleRun(benchmark::State &state)
 {
     for (auto _ : state) {
-        Queue q;
+        EventQueue q;
         std::uint64_t sink = 0;
         for (int i = 0; i < 1024; ++i)
             q.scheduleAt(static_cast<Cycle>(i * 7 % 997),
@@ -56,18 +49,18 @@ eventQueueScheduleRun(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 1024);
 }
+BENCHMARK(BM_EventQueueScheduleRun);
 
-template <typename Queue>
 void
-eventQueueShortDelay(benchmark::State &state)
+BM_EventQueueShortDelay(benchmark::State &state)
 {
     for (auto _ : state) {
-        Queue q;
+        EventQueue q;
         std::uint64_t sink = 0;
         // 8 chains of self-rescheduling short-delay events, 128 hops
         // each: the shape of cache-hit latencies and coalescer ticks.
         struct Chain {
-            Queue *q;
+            EventQueue *q;
             std::uint64_t *sink;
             int hops = 0;
             void
@@ -87,15 +80,15 @@ eventQueueShortDelay(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 8 * 128);
 }
+BENCHMARK(BM_EventQueueShortDelay);
 
-template <typename Queue>
 void
-eventQueueCancelHeavy(benchmark::State &state)
+BM_EventQueueCancelHeavy(benchmark::State &state)
 {
     for (auto _ : state) {
-        Queue q;
+        EventQueue q;
         std::uint64_t sink = 0;
-        std::vector<std::uint64_t> ids; // EventId / LegacyEventId
+        std::vector<EventId> ids;
         ids.reserve(1024);
         for (int i = 0; i < 1024; ++i)
             ids.push_back(q.scheduleAt(
@@ -112,13 +105,13 @@ eventQueueCancelHeavy(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 1024);
 }
+BENCHMARK(BM_EventQueueCancelHeavy);
 
-template <typename Queue>
 void
-eventQueueMixedHorizon(benchmark::State &state)
+BM_EventQueueMixedHorizon(benchmark::State &state)
 {
     for (auto _ : state) {
-        Queue q;
+        EventQueue q;
         std::uint64_t sink = 0;
         // 7/8 near-future (hit latencies), 1/8 far-future (PCIe
         // completions, batch timers) — the simulator's real mix.
@@ -134,70 +127,7 @@ eventQueueMixedHorizon(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 1024);
 }
-
-void
-BM_EventQueueScheduleRun(benchmark::State &state)
-{
-    eventQueueScheduleRun<EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueScheduleRun);
-
-#ifdef BAUVM_LEGACY_DIFFERENTIAL
-void
-BM_LegacyEventQueueScheduleRun(benchmark::State &state)
-{
-    eventQueueScheduleRun<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueueScheduleRun);
-#endif // BAUVM_LEGACY_DIFFERENTIAL
-
-void
-BM_EventQueueShortDelay(benchmark::State &state)
-{
-    eventQueueShortDelay<EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueShortDelay);
-
-#ifdef BAUVM_LEGACY_DIFFERENTIAL
-void
-BM_LegacyEventQueueShortDelay(benchmark::State &state)
-{
-    eventQueueShortDelay<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueueShortDelay);
-#endif // BAUVM_LEGACY_DIFFERENTIAL
-
-void
-BM_EventQueueCancelHeavy(benchmark::State &state)
-{
-    eventQueueCancelHeavy<EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueCancelHeavy);
-
-#ifdef BAUVM_LEGACY_DIFFERENTIAL
-void
-BM_LegacyEventQueueCancelHeavy(benchmark::State &state)
-{
-    eventQueueCancelHeavy<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueueCancelHeavy);
-#endif // BAUVM_LEGACY_DIFFERENTIAL
-
-void
-BM_EventQueueMixedHorizon(benchmark::State &state)
-{
-    eventQueueMixedHorizon<EventQueue>(state);
-}
 BENCHMARK(BM_EventQueueMixedHorizon);
-
-#ifdef BAUVM_LEGACY_DIFFERENTIAL
-void
-BM_LegacyEventQueueMixedHorizon(benchmark::State &state)
-{
-    eventQueueMixedHorizon<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueueMixedHorizon);
-#endif // BAUVM_LEGACY_DIFFERENTIAL
 
 void
 BM_TlbLookup(benchmark::State &state)

@@ -105,6 +105,9 @@ parseBenchArgs(int argc, char **argv)
                 fatal("unknown scale '%s'", v.c_str());
         } else if (arg == "--ratio") {
             opt.ratio = next_f64("--ratio");
+            if (!std::isfinite(opt.ratio) || opt.ratio < 0.0)
+                fatal("--ratio must be a finite number >= 0 "
+                      "(0 = unlimited memory)");
         } else if (arg == "--seed") {
             opt.seed = next_u64("--seed");
         } else if (arg == "--jobs") {

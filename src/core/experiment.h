@@ -88,7 +88,9 @@ struct BenchOptions {
  * free-for-all|strict|proportional.
  *
  * An unknown argument prints the usage text to stderr and exits with an
- * error (fatal(), so a ScopedAbortCapture turns it into SimAbort).
+ * error (fatal(), so a ScopedAbortCapture turns it into SimAbort). A
+ * --ratio that is negative or not finite fails the same way; 0 means
+ * unlimited memory.
  */
 BenchOptions parseBenchArgs(int argc, char **argv);
 

@@ -39,8 +39,9 @@ secondsSince(Clock::time_point t0)
 
 /**
  * Stores @p value in the knob @p field if its type can hold it:
- * integers integral in [0, max], bools 0 or 1, doubles any. A new
- * scoped-enum knob fails to compile here until it gets its max.
+ * integers integral in [0, max], bools 0 or 1, doubles finite and
+ * >= 0 (no double knob has a meaning below zero). A new scoped-enum
+ * knob fails to compile here until it gets its max.
  * @return "" on success, else why not.
  */
 template <class T>
@@ -48,6 +49,8 @@ std::string
 setKnob(T &field, double value)
 {
     if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value) || value < 0.0)
+            return "must be a finite number >= 0";
         field = value;
         return "";
     } else {

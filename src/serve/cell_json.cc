@@ -1,5 +1,7 @@
 #include "src/serve/cell_json.h"
 
+#include <cmath>
+
 #include "src/core/experiment.h"
 #include "src/sim/log.h"
 
@@ -157,6 +159,9 @@ parseCellSpec(const JsonValue &v, CellSpec *out, std::string *error)
         return failParse(error,
                          "cell spec: unknown scale '" + scale + "'");
     out->ratio = v.getDouble("ratio", 0.5);
+    if (!std::isfinite(out->ratio) || out->ratio < 0.0)
+        return failParse(error, "cell spec: ratio must be a finite "
+                                "number >= 0");
     out->base_seed = v.getU64("seed", 1);
     out->audit = v.getBool("audit", false);
     std::string why;

@@ -1,6 +1,7 @@
 #include "src/serve/sweep_request.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 
 #include "src/core/experiment.h"
@@ -132,6 +133,9 @@ parseSweepRequest(const JsonValue &v, SweepRequest *out,
         return failParse(
             error, "sweep request: unknown scale '" + scale + "'");
     out->ratio = v.getDouble("ratio", 0.5);
+    if (!std::isfinite(out->ratio) || out->ratio < 0.0)
+        return failParse(error, "sweep request: ratio must be a finite "
+                                "number >= 0");
     out->seed = v.getU64("seed", 1);
     out->audit = v.getBool("audit", false);
     if (const JsonValue *tenants = v.find("tenants")) {

@@ -675,6 +675,28 @@ TEST(BenchArgsAudit, UnknownFlagPrintsUsageAndFails)
     EXPECT_NE(err.find("--audit"), std::string::npos);
 }
 
+TEST(BenchArgsAudit, RatioMustBeFiniteAndNonNegative)
+{
+    // 0 means unlimited memory. A negative or non-finite ratio means
+    // nothing and must not silently run as unlimited memory.
+    const char *zero[] = {"prog", "--ratio", "0"};
+    EXPECT_EQ(parseBenchArgs(3, const_cast<char **>(zero)).ratio, 0.0);
+    const char *half[] = {"prog", "--ratio", "0.5"};
+    EXPECT_EQ(parseBenchArgs(3, const_cast<char **>(half)).ratio, 0.5);
+    for (const char *bad : {"-0.5", "nan", "inf", "-inf"}) {
+        const char *argv[] = {"prog", "--ratio", bad};
+        ScopedAbortCapture capture;
+        try {
+            parseBenchArgs(3, const_cast<char **>(argv));
+            ADD_FAILURE() << "--ratio " << bad << " must not parse";
+        } catch (const SimAbort &e) {
+            EXPECT_FALSE(e.isPanic()) << bad;
+            EXPECT_NE(std::string(e.what()).find("--ratio"),
+                      std::string::npos);
+        }
+    }
+}
+
 // ---- workload registry ---------------------------------------------
 
 TEST(WorkloadRegistryApi, EnumerationIsKindPartitioned)
@@ -769,11 +791,99 @@ fig11Text(const SweepResult &sweep,
     return t.toText();
 }
 
+/** One Fig 11 Tiny cell's pinned simulation. */
+struct Fig11GoldenCell {
+    const char *workload;
+    const char *policy; //!< as policyName() prints it
+    std::uint64_t digest;
+    Cycle cycles;
+    std::uint64_t events;
+};
+
+/**
+ * Every cell of the Fig 11 Tiny matrix (11 irregular workloads x 6
+ * policies, default seed and ratio): event_order_digest, cycles and
+ * sim_events, recorded from the simulator before the table existed.
+ * A change that moves every cell together cannot pass the audited-vs-
+ * plain comparison alone; it fails here. Never re-record a row to make
+ * a change pass: a row changes only with a deliberate model change
+ * that EXPERIMENTS.md documents.
+ */
+const Fig11GoldenCell kFig11TinyGolden[] = {
+    {"BC", "BASELINE", 0xc4cfcc1088e9e593ull, 17846618, 80165},
+    {"BC", "BASELINE+PCIeC", 0xcf901274fea333cfull, 13996905, 80165},
+    {"BC", "TO", 0x017aff23c723560cull, 17008089, 87119},
+    {"BC", "UE", 0xd58a746b9e759d6eull, 7929120, 83541},
+    {"BC", "TO+UE", 0xc94baca4da5d681eull, 7929425, 84673},
+    {"BC", "ETC", 0x0734eef83e98f3c3ull, 752055, 93508},
+    {"BFS-DWC", "BASELINE", 0x1907a5ca40442829ull, 1278742, 31757},
+    {"BFS-DWC", "BASELINE+PCIeC", 0xad73fa5f20328690ull, 980453, 31757},
+    {"BFS-DWC", "TO", 0x0a5fb35f897e7934ull, 1205466, 33255},
+    {"BFS-DWC", "UE", 0xf743de8d0873618full, 446494, 30680},
+    {"BFS-DWC", "TO+UE", 0x755ff1aae0c7e9a7ull, 544544, 32291},
+    {"BFS-DWC", "ETC", 0xbc4099d6e2975c89ull, 673093, 33052},
+    {"BFS-TA", "BASELINE", 0x93ef7b93b40d770aull, 15899063, 31726},
+    {"BFS-TA", "BASELINE+PCIeC", 0x775402a42f44dfefull, 16901436, 32361},
+    {"BFS-TA", "TO", 0x93ef7b93b40d770aull, 15899063, 31726},
+    {"BFS-TA", "UE", 0x3b86df4d4d03d879ull, 14315388, 34595},
+    {"BFS-TA", "TO+UE", 0x3b86df4d4d03d879ull, 14315388, 34595},
+    {"BFS-TA", "ETC", 0x413c4b39b3a9b57dull, 1220864, 29710},
+    {"BFS-TF", "BASELINE", 0xef7806ff266979a6ull, 42928869, 52710},
+    {"BFS-TF", "BASELINE+PCIeC", 0xa3ec596e2ffbb44aull, 36859612, 53293},
+    {"BFS-TF", "TO", 0xef7806ff266979a6ull, 42928869, 52710},
+    {"BFS-TF", "UE", 0x4f87848eb12ab2d2ull, 10761284, 49315},
+    {"BFS-TF", "TO+UE", 0x4f87848eb12ab2d2ull, 10761284, 49315},
+    {"BFS-TF", "ETC", 0x39a4ed7c6cfb9289ull, 6409643, 50742},
+    {"BFS-TTC", "BASELINE", 0x23b8c8eba591f374ull, 28393301, 33239},
+    {"BFS-TTC", "BASELINE+PCIeC", 0xc1d34bc1cdbd9ab0ull, 23776149, 33491},
+    {"BFS-TTC", "TO", 0x23b8c8eba591f374ull, 28393301, 33239},
+    {"BFS-TTC", "UE", 0xc72b4394729e93b7ull, 14163911, 33769},
+    {"BFS-TTC", "TO+UE", 0xc72b4394729e93b7ull, 14163911, 33769},
+    {"BFS-TTC", "ETC", 0x0ef54afeb708b4acull, 1244550, 29083},
+    {"BFS-TWC", "BASELINE", 0xaea7adfbb159580cull, 831303, 40142},
+    {"BFS-TWC", "BASELINE+PCIeC", 0x9b1842bd00e27a5dull, 903487, 40108},
+    {"BFS-TWC", "TO", 0x8fd9eca625ed8c0bull, 834061, 40940},
+    {"BFS-TWC", "UE", 0x92b05e01c9c55c59ull, 810051, 38357},
+    {"BFS-TWC", "TO+UE", 0xa6a7d6e9bd1725cfull, 812209, 39334},
+    {"BFS-TWC", "ETC", 0xaa209ab98a925d67ull, 423349, 41812},
+    {"GC-DTC", "BASELINE", 0x588ccc99dec9da2bull, 96015054, 343803},
+    {"GC-DTC", "BASELINE+PCIeC", 0x8aa1ac9b52e9b6a4ull, 88187247, 345032},
+    {"GC-DTC", "TO", 0x588ccc99dec9da2bull, 96015054, 343803},
+    {"GC-DTC", "UE", 0xe54243b51e73d7c2ull, 962117263, 743716},
+    {"GC-DTC", "TO+UE", 0xe54243b51e73d7c2ull, 962117263, 743716},
+    {"GC-DTC", "ETC", 0x05b8e3f07e68119aull, 8055703, 330890},
+    {"GC-TTC", "BASELINE", 0x8bbe10a6232a3f0eull, 231275454, 354452},
+    {"GC-TTC", "BASELINE+PCIeC", 0x2ef9801ef5231f6cull, 208297194, 357203},
+    {"GC-TTC", "TO", 0x8bbe10a6232a3f0eull, 231275454, 354452},
+    {"GC-TTC", "UE", 0x1bbf56c667df4b5aull, 1027883851, 761341},
+    {"GC-TTC", "TO+UE", 0x1bbf56c667df4b5aull, 1027883851, 761341},
+    {"GC-TTC", "ETC", 0x48891046c2d80567ull, 11767888, 322181},
+    {"KCORE", "BASELINE", 0x8c1144f2a747ab2aull, 64494426, 164591},
+    {"KCORE", "BASELINE+PCIeC", 0xe0204cd25f68b7d8ull, 53386513, 164611},
+    {"KCORE", "TO", 0x8c1144f2a747ab2aull, 64494426, 164591},
+    {"KCORE", "UE", 0x8d2a50788e6df636ull, 20445137, 161587},
+    {"KCORE", "TO+UE", 0x8d2a50788e6df636ull, 20445137, 161587},
+    {"KCORE", "ETC", 0x83cdce4d27ee66e3ull, 2561386, 153746},
+    {"SSSP-TWC", "BASELINE", 0x44a4df701e382582ull, 9635390, 80326},
+    {"SSSP-TWC", "BASELINE+PCIeC", 0xbfe2b7ab2db174e3ull, 7315763, 80326},
+    {"SSSP-TWC", "TO", 0x5ac8dd4b4df5f985ull, 9005385, 90028},
+    {"SSSP-TWC", "UE", 0xf951e74d6817c14full, 7436460, 75754},
+    {"SSSP-TWC", "TO+UE", 0x2354fd94de68eb88ull, 7237847, 85864},
+    {"SSSP-TWC", "ETC", 0x89eabda38fadb0f2ull, 1866331, 86787},
+    {"PR", "BASELINE", 0x76d50a0665757593ull, 1860404, 107974},
+    {"PR", "BASELINE+PCIeC", 0xcda97429e9fe0fd9ull, 1521779, 108262},
+    {"PR", "TO", 0x8edb90ab9adc3d74ull, 1710479, 110755},
+    {"PR", "UE", 0x982d93b82ee5ec50ull, 1183329, 100304},
+    {"PR", "TO+UE", 0xe97c89ed93dbc9c8ull, 1290229, 99755},
+    {"PR", "ETC", 0xa1692ca795ef1bc9ull, 520574, 116017},
+};
+
 TEST(Fig11Audit, AuditedMatrixPrintsByteIdenticalOutput)
 {
     // The full fig11 matrix at Tiny scale, audited vs unaudited: the
-    // printed figure must be byte-identical and every audited cell must
-    // succeed. (CI's audit smoke step runs the same comparison on the
+    // printed figure must be byte-identical, every audited cell must
+    // succeed, and both sweeps must match the golden table cell for
+    // cell. (CI's audit smoke step runs the same comparison on the
     // Small matrix.)
     GraphBuildCache::Scope graph_scope; // share builds across sweeps
 
@@ -799,6 +909,21 @@ TEST(Fig11Audit, AuditedMatrixPrintsByteIdenticalOutput)
     const std::string audited_text =
         fig11Text(audited, WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular), allPolicies());
     EXPECT_EQ(plain_text, audited_text);
+
+    for (const SweepResult *sweep : {&plain, &audited}) {
+        SCOPED_TRACE(sweep == &plain ? "plain" : "audited");
+        ASSERT_EQ(sweep->cells.size(), std::size(kFig11TinyGolden));
+        for (const Fig11GoldenCell &g : kFig11TinyGolden) {
+            SCOPED_TRACE(std::string(g.workload) + " / " + g.policy);
+            const CellOutcome *cell =
+                sweep->find(g.workload, policyFromName(g.policy));
+            ASSERT_NE(cell, nullptr);
+            EXPECT_EQ(cell->result.event_order_digest, g.digest)
+                << std::hex << cell->result.event_order_digest;
+            EXPECT_EQ(cell->result.cycles, g.cycles);
+            EXPECT_EQ(cell->result.sim_events, g.events);
+        }
+    }
 }
 
 } // namespace

@@ -8,10 +8,8 @@
 #include <vector>
 
 #include "src/sim/event_queue.h"
-#ifdef BAUVM_LEGACY_DIFFERENTIAL
-#include "src/sim/legacy_event_queue.h"
-#endif // BAUVM_LEGACY_DIFFERENTIAL
 #include "src/sim/rng.h"
+#include "tests/oracles/legacy_event_queue.h"
 
 namespace bauvm
 {
@@ -290,7 +288,6 @@ runDifferentialScript()
     return order;
 }
 
-#ifdef BAUVM_LEGACY_DIFFERENTIAL
 TEST(EventQueue, MatchesLegacyKernelOnRandomScript)
 {
     const auto fast = runDifferentialScript<EventQueue>();
@@ -298,7 +295,6 @@ TEST(EventQueue, MatchesLegacyKernelOnRandomScript)
     ASSERT_FALSE(fast.empty());
     EXPECT_EQ(fast, legacy);
 }
-#endif // BAUVM_LEGACY_DIFFERENTIAL
 
 } // namespace
 } // namespace bauvm

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests pinning the dense-PageMetaTable memory data path to the
- * hash-map reference it replaced (src/uvm/legacy_mem_path.h):
+ * hash-map reference it replaced (tests/oracles/legacy_mem_path.h, a
+ * test-only oracle compiled into bauvm_tests):
  *
  *  - PageMeta mechanics: version wrap on unmap, refault (premature
  *    eviction) counting, waiter-list FIFO wake order through the
@@ -33,12 +34,10 @@
 #include "src/trace/trace_sink.h"
 #include "src/uvm/fault_buffer.h"
 #include "src/uvm/gpu_memory_manager.h"
-#ifdef BAUVM_LEGACY_DIFFERENTIAL
-#include "src/uvm/legacy_mem_path.h"
-#endif // BAUVM_LEGACY_DIFFERENTIAL
 #include "src/uvm/prefetcher.h"
 #include "src/uvm/uvm_runtime.h"
 #include "src/workloads/workload_registry.h"
+#include "tests/oracles/legacy_mem_path.h"
 
 namespace bauvm
 {
@@ -137,8 +136,6 @@ TEST(UvmRuntimeWaiters, WakeInFifoRegistrationOrder)
 }
 
 // ---------------------------------------- randomized differential LRU
-
-#ifdef BAUVM_LEGACY_DIFFERENTIAL
 
 class ManagerDifferential
     : public ::testing::TestWithParam<std::uint32_t>
@@ -377,8 +374,6 @@ TEST(PrefetcherDifferential, SequentialPolicyMatchesLegacy)
             << "round " << round;
     }
 }
-
-#endif // BAUVM_LEGACY_DIFFERENTIAL
 
 } // namespace
 } // namespace bauvm

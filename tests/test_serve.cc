@@ -670,6 +670,26 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
         parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
                    " \"workloads\": []}"),
         &req, &error));
+    // A negative or infinite ratio would run as unlimited memory.
+    for (const std::string bad_ratio : {"-0.5", "1e999"}) {
+        EXPECT_FALSE(parseSweepRequest(
+            parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
+                       " \"workloads\": [\"PR\"], \"ratio\": " +
+                       bad_ratio + "}"),
+            &req, &error))
+            << bad_ratio;
+        CellSpec spec;
+        EXPECT_FALSE(parseCellSpec(
+            parseOrDie("{\"workload\": \"PR\", \"ratio\": " +
+                       bad_ratio + "}"),
+            &spec, &error))
+            << bad_ratio;
+    }
+    EXPECT_TRUE(parseSweepRequest(
+        parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
+                   " \"workloads\": [\"PR\"], \"ratio\": 0}"),
+        &req, &error))
+        << error;
 
     // Override values are checked against the knob's type where the
     // request is parsed, so none of these can reach fatal() (which
@@ -698,6 +718,12 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
              "{\"key\": \"to.enabled\", \"value\": 0.5}",
              "{\"key\": \"uvm.pcie_gbps\", \"value\": true}",
              "{\"key\": \"gpu.warp_size\", \"value\": 16}",
+             // Double knobs: none has a meaning below zero, and 1e999
+             // parses to infinity.
+             "{\"key\": \"memory_ratio\", \"value\": -0.5}",
+             "{\"key\": \"uvm.pcie_gbps\", \"value\": -1}",
+             "{\"key\": \"uvm.prefetch_density\", \"value\": 1e999}",
+             "{\"key\": \"uvm.fault_handling_us\", \"value\": -1e999}",
          }) {
         error.clear();
         EXPECT_FALSE(parseSweepRequest(withOverride(bad), &req, &error))
@@ -711,6 +737,7 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
              "{\"key\": \"gpu.num_sms\", \"value\": 4294967295}",
              "{\"key\": \"to.enabled\", \"value\": 1}",
              "{\"key\": \"uvm.pcie_gbps\", \"value\": 0.5}",
+             "{\"key\": \"memory_ratio\", \"value\": 0}",
          }) {
         EXPECT_TRUE(parseSweepRequest(withOverride(good), &req, &error))
             << error;
