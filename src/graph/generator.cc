@@ -1,13 +1,17 @@
 #include "src/graph/generator.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/graph/stream/rmat_stream.h"
 #include "src/sim/log.h"
+#include "src/sim/parallel_units.h"
 
 namespace bauvm
 {
@@ -37,18 +41,92 @@ appendEdge(std::vector<std::pair<VertexId, VertexId>> &edges,
 
 } // namespace
 
-CsrGraph
-generateRmat(const RmatParams &params)
+std::size_t
+BuildThreads::chunksFor(std::uint64_t edges) const
 {
-    // One sequential pass over the canonical draw sequence, straight
-    // into the edge list. StreamedRmatGenerator replays the same
-    // sequence block by block from captured RNG states.
+    const std::uint64_t workers =
+        threads != 0 ? threads
+                     : std::max(1u, std::thread::hardware_concurrency());
+    const std::uint64_t by_size =
+        edges / std::max<std::uint64_t>(min_chunk_edges, 1);
+    return static_cast<std::size_t>(
+        std::clamp<std::uint64_t>(by_size, 1, workers));
+}
+
+CsrGraph
+generateRmat(const RmatParams &params, const BuildThreads &threads)
+{
     validateRmatParams(params);
-    RmatStreamBlock all;
-    Rng rng(params.seed);
-    appendRmatEdges(params, rng, params.num_edges, &all);
-    return CsrGraph::fromEdges(rmatVertexCount(params), all.edges,
-                               all.weights);
+    const VertexId n = rmatVertexCount(params);
+    // A weighted edge draws its weight only when it is not a self
+    // loop, so where a later edge starts in the draw sequence depends
+    // on the edges before it: weighted graphs draw in one pass. So do
+    // graphs whose in-row offsets (below) could overflow 32 bits.
+    const std::uint64_t directed =
+        params.num_edges * (params.undirected ? 2 : 1);
+    const std::size_t chunks =
+        params.weighted || directed > UINT32_MAX
+            ? 1
+            : threads.chunksFor(params.num_edges);
+    if (chunks == 1) {
+        // One sequential pass over the canonical draw sequence,
+        // straight into the edge list. StreamedRmatGenerator replays
+        // the same sequence block by block.
+        RmatStreamBlock all;
+        Rng rng(params.seed);
+        appendRmatEdges(params, rng, params.num_edges, &all);
+        return CsrGraph::fromEdges(n, all.edges, all.weights);
+    }
+
+    // An unweighted raw edge takes exactly log2(n) draws, so chunk c,
+    // which starts at raw edge e, starts e * log2(n) draws into the
+    // sequence: one jump. Each chunk draws its edges and counts them
+    // per row on its own thread. The calling thread reserves every
+    // buffer (without touching it), so the big blocks come from its
+    // heap and go back there, not to per-thread malloc arenas.
+    const std::uint64_t draws_per_edge = std::countr_zero(n);
+    const auto first_edge = [&](std::size_t c) {
+        return params.num_edges * c / chunks;
+    };
+    std::vector<RmatStreamBlock> chunk(chunks);
+    std::vector<std::vector<std::uint32_t>> in_row(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+        chunk[c].edges.reserve((first_edge(c + 1) - first_edge(c)) *
+                               (params.undirected ? 2 : 1));
+        in_row[c].reserve(n);
+    }
+    runUnits(chunks, chunks, [&](std::size_t c) {
+        Rng rng(params.seed);
+        rng.jump(first_edge(c) * draws_per_edge);
+        appendRmatEdges(params, rng, first_edge(c + 1) - first_edge(c),
+                        &chunk[c]);
+        in_row[c].assign(n, 0);
+        for (const auto &edge : chunk[c].edges)
+            ++in_row[c][edge.first];
+    });
+
+    // The row lengths, and each chunk's counts turned in place into the
+    // offset of its first edge within the row. Chunk c's edges of a row
+    // then land after those of chunks 0..c-1, in draw order: the stable
+    // order CsrGraph::fromEdges keeps.
+    std::vector<std::uint64_t> row(static_cast<std::size_t>(n) + 1, 0);
+    for (VertexId v = 0; v < n; ++v) {
+        std::uint32_t at = 0;
+        for (std::vector<std::uint32_t> &counts : in_row) {
+            const std::uint32_t k = counts[v];
+            counts[v] = at;
+            at += k;
+        }
+        row[v + 1] = row[v] + at;
+    }
+
+    std::vector<VertexId> cols(row[n]);
+    runUnits(chunks, chunks, [&](std::size_t c) {
+        std::vector<std::uint32_t> &at = in_row[c];
+        for (const auto &[src, dst] : chunk[c].edges)
+            cols[row[src] + at[src]++] = dst;
+    });
+    return CsrGraph::fromCsrArrays(std::move(row), std::move(cols));
 }
 
 std::vector<VertexId>
@@ -70,7 +148,7 @@ degreeDescendingIds(std::span<const std::uint64_t> degree)
 }
 
 CsrGraph
-relabelByDegree(const CsrGraph &raw)
+relabelByDegree(const CsrGraph &raw, const BuildThreads &threads)
 {
     const VertexId n = raw.numVertices();
     std::vector<std::uint64_t> degree(n);
@@ -86,19 +164,34 @@ relabelByDegree(const CsrGraph &raw)
         row[new_id[v] + 1] = degree[v];
     std::partial_sum(row.begin(), row.end(), row.begin());
 
+    // Each old-vertex range, cut to hold about the same number of
+    // edges, fills its own new rows.
     std::vector<VertexId> cols(raw.numEdges());
     std::vector<std::uint32_t> weights(raw.weighted() ? raw.numEdges()
                                                       : 0);
-    for (VertexId v = 0; v < n; ++v) {
-        const std::uint64_t at = row[new_id[v]];
-        const auto nbrs = raw.neighbors(v);
-        for (std::size_t i = 0; i < nbrs.size(); ++i)
-            cols[at + i] = new_id[nbrs[i]];
-        if (raw.weighted()) {
-            const auto ew = raw.edgeWeights(v);
-            std::copy(ew.begin(), ew.end(), weights.begin() + at);
+    const std::size_t parts = threads.chunksFor(raw.numEdges());
+    const std::vector<std::uint64_t> &raw_row = raw.rowOffsets();
+    const auto first_vertex = [&](std::size_t p) {
+        if (p == parts)
+            return n;
+        return static_cast<VertexId>(
+            std::lower_bound(raw_row.begin(), raw_row.end() - 1,
+                             raw.numEdges() * p / parts) -
+            raw_row.begin());
+    };
+    runUnits(parts, parts, [&](std::size_t p) {
+        const VertexId hi = first_vertex(p + 1);
+        for (VertexId v = first_vertex(p); v < hi; ++v) {
+            const std::uint64_t at = row[new_id[v]];
+            const auto nbrs = raw.neighbors(v);
+            for (std::size_t i = 0; i < nbrs.size(); ++i)
+                cols[at + i] = new_id[nbrs[i]];
+            if (raw.weighted()) {
+                const auto ew = raw.edgeWeights(v);
+                std::copy(ew.begin(), ew.end(), weights.begin() + at);
+            }
         }
-    }
+    });
     return CsrGraph::fromCsrArrays(std::move(row), std::move(cols),
                                    std::move(weights));
 }

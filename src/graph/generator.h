@@ -12,6 +12,7 @@
 #ifndef BAUVM_GRAPH_GENERATOR_H_
 #define BAUVM_GRAPH_GENERATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -32,8 +33,30 @@ struct RmatParams {
     std::uint64_t seed = 1;
 };
 
-/** Generates an R-MAT graph. */
-CsrGraph generateRmat(const RmatParams &params);
+/**
+ * Host threads for one graph build. The built graph is byte-identical
+ * for every value; only the build's wall time changes.
+ */
+struct BuildThreads {
+    std::size_t threads = 0; //!< 0 = hardware concurrency
+    /** Edges (raw R-MAT draws, or CSR edges for the relabel) below
+     *  which a chunk is not worth a thread. Tests lower it to split
+     *  small graphs. */
+    std::uint64_t min_chunk_edges = std::uint64_t{1} << 16;
+
+    /** Contiguous chunks to split @p edges raw edges into: one per
+     *  thread, but none smaller than min_chunk_edges, and at least
+     *  one. */
+    std::size_t chunksFor(std::uint64_t edges) const;
+};
+
+/**
+ * Generates an R-MAT graph. An unweighted graph draws and counting-
+ * sorts its edges in contiguous chunks on @p threads; a weighted one
+ * builds serially (see generator.cc).
+ */
+CsrGraph generateRmat(const RmatParams &params,
+                      const BuildThreads &threads = {});
 
 /**
  * Relabels vertices by descending degree (stable; ties keep old-id
@@ -41,9 +64,11 @@ CsrGraph generateRmat(const RmatParams &params);
  * id locality — hot hub data clusters on few pages — whereas raw R-MAT
  * ids scatter maximally; the relabeling restores that property. Used
  * by every graph workload build and matched bit for bit by the
- * external-memory builder (src/graph/stream/csr_stream_builder).
+ * external-memory builder (src/graph/stream/csr_stream_builder). The
+ * scatter runs on @p threads, split by old-vertex range.
  */
-CsrGraph relabelByDegree(const CsrGraph &raw);
+CsrGraph relabelByDegree(const CsrGraph &raw,
+                         const BuildThreads &threads = {});
 
 /**
  * The relabelByDegree order as an old-id -> new-id map over per-vertex

@@ -1,5 +1,6 @@
 #include "src/graph/stream/csr_stream_builder.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <numeric>
 #include <utility>
@@ -72,9 +73,17 @@ buildCsrStreamed(const RmatParams &params, const StreamCsrOptions &opt)
 {
     // The capture pass counts out-degrees as it draws. It drops self
     // loops and counts undirected edges at both ends, so these are
-    // exactly the final CSR degrees.
+    // exactly the final CSR degrees. Every capture group past the
+    // first counts into its own n-entry array: the scratch budget caps
+    // those arrays, as it caps the scatter partitions below.
+    BuildThreads capture = opt.threads;
+    capture.threads = std::min<std::uint64_t>(
+        capture.chunksFor(params.num_edges),
+        1 + opt.scratch_bytes / (std::uint64_t{rmatVertexCount(params)} *
+                                 sizeof(std::uint64_t)));
     std::vector<std::uint64_t> degree;
-    const StreamedRmatGenerator gen(params, opt.edges_per_block, &degree);
+    const StreamedRmatGenerator gen(params, opt.edges_per_block, &degree,
+                                    capture);
     const VertexId n = gen.numVertices();
     const bool weighted = params.weighted;
 

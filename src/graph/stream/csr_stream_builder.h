@@ -46,6 +46,10 @@ struct StreamCsrOptions {
     /** Apply the same descending-degree relabeling the in-core
      *  workload build applies (relabelByDegree). */
     bool relabel_by_degree = true;
+    /** Threads for the capture pass (the scatter passes are serial).
+     *  Each capture thread past the first takes an 8-byte-per-vertex
+     *  degree array, so scratch_bytes also caps the thread count. */
+    BuildThreads threads;
 };
 
 /** Builds the CSR graph of @p params out of core; see file doc. */

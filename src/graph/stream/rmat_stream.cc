@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "src/sim/log.h"
+#include "src/sim/parallel_units.h"
 
 namespace bauvm
 {
@@ -120,7 +121,7 @@ appendRmatEdges(const RmatParams &params, Rng &rng,
 
 StreamedRmatGenerator::StreamedRmatGenerator(
     const RmatParams &params, std::uint32_t edges_per_block,
-    std::vector<std::uint64_t> *degrees)
+    std::vector<std::uint64_t> *degrees, const BuildThreads &threads)
     : params_(params), edges_per_block_(edges_per_block)
 {
     validateRmatParams(params_);
@@ -130,26 +131,55 @@ StreamedRmatGenerator::StreamedRmatGenerator(
     if (degrees != nullptr)
         degrees->assign(num_vertices_, 0);
 
-    // Capture pass: replay the full draw sequence once, recording the
-    // generator state at each block boundary. No edges are stored.
+    // Capture pass: record the generator state at each block boundary
+    // and count degrees; no edges are stored. Group g captures blocks
+    // [first_block(g), first_block(g + 1)), starting by a jump to its
+    // first block. Group 0 counts into @p degrees, the others into
+    // their own arrays (reserved here, on the calling thread's heap),
+    // summed after the join.
     const QuadrantDraw draw(params_, num_vertices_);
     const std::uint64_t blocks =
         (params_.num_edges + edges_per_block_ - 1) / edges_per_block_;
-    block_start_.reserve(blocks);
-    Rng rng(params_.seed);
-    VertexId src = 0, dst = 0;
-    std::uint32_t weight = 0;
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-        block_start_.push_back(rng);
-        const std::uint64_t raw = rawEdgesInBlock(b);
-        for (std::uint64_t e = 0; e < raw; ++e) {
-            if (!draw(rng, &src, &dst, &weight) || degrees == nullptr)
-                continue;
-            ++(*degrees)[src];
-            if (params_.undirected)
-                ++(*degrees)[dst];
+    block_start_.resize(blocks);
+    const std::size_t groups =
+        params_.weighted ? 1 : std::min<std::uint64_t>(
+                                   threads.chunksFor(params_.num_edges),
+                                   blocks);
+    const auto first_block = [&](std::size_t g) {
+        return blocks * g / groups;
+    };
+    const std::uint64_t draws_per_edge = std::countr_zero(num_vertices_);
+    std::vector<std::vector<std::uint64_t>> partial(groups - 1);
+    if (degrees != nullptr)
+        for (std::vector<std::uint64_t> &counts : partial)
+            counts.reserve(num_vertices_);
+    runUnits(groups, groups, [&](std::size_t g) {
+        std::vector<std::uint64_t> *deg = degrees;
+        if (g != 0 && degrees != nullptr) {
+            partial[g - 1].assign(num_vertices_, 0);
+            deg = &partial[g - 1];
         }
-    }
+        Rng rng(params_.seed);
+        rng.jump(first_block(g) * edges_per_block_ * draws_per_edge);
+        VertexId src = 0, dst = 0;
+        std::uint32_t weight = 0;
+        for (std::uint64_t b = first_block(g); b < first_block(g + 1);
+             ++b) {
+            block_start_[b] = rng;
+            const std::uint64_t raw = rawEdgesInBlock(b);
+            for (std::uint64_t e = 0; e < raw; ++e) {
+                if (!draw(rng, &src, &dst, &weight) || deg == nullptr)
+                    continue;
+                ++(*deg)[src];
+                if (params_.undirected)
+                    ++(*deg)[dst];
+            }
+        }
+    });
+    if (degrees != nullptr)
+        for (const std::vector<std::uint64_t> &counts : partial)
+            for (VertexId v = 0; v < num_vertices_; ++v)
+                (*degrees)[v] += counts[v];
 }
 
 std::uint64_t

@@ -11,6 +11,13 @@
  * state at every block boundary, and block(b) then replays just that
  * block from its captured state.
  *
+ * An unweighted raw edge takes exactly log2(n) draws, so block b
+ * starts b * edges_per_block * log2(n) draws in, and the capture pass
+ * splits into contiguous block groups that each start by Rng::jump()
+ * and run on their own thread. A weighted edge draws its weight only
+ * when it is not a self loop, so there a block's start depends on the
+ * draws before it and the capture pass stays one serial replay.
+ *
  * The in-core generateRmat() draws the same sequence in one sequential
  * pass through appendRmatEdges(). The two paths share the per-edge
  * draw but not the traversal, so the concatenation check in the stream
@@ -82,11 +89,16 @@ class StreamedRmatGenerator
   public:
     /** When @p degrees is non-null it receives every vertex's final
      *  out-degree (self loops dropped, undirected edges counted at both
-     *  ends), counted during the capture pass at no extra draws. */
+     *  ends), counted during the capture pass. An unweighted graph's
+     *  capture runs in contiguous block groups on @p threads; a
+     *  weighted graph's is one serial pass (see the file doc). Every
+     *  group past the first counts into its own numVertices()-entry
+     *  array, so the caller bounds that memory through @p threads. */
     explicit StreamedRmatGenerator(
         const RmatParams &params,
         std::uint32_t edges_per_block = kDefaultEdgesPerBlock,
-        std::vector<std::uint64_t> *degrees = nullptr);
+        std::vector<std::uint64_t> *degrees = nullptr,
+        const BuildThreads &threads = {});
 
     const RmatParams &params() const { return params_; }
     /** Vertex count after the generator's power-of-two round-up. */

@@ -14,7 +14,7 @@
 #include "src/core/experiment.h"
 #include "src/core/system.h"
 #include "src/graph/stream/csr_stream_builder.h"
-#include "src/runner/parallel_units.h"
+#include "src/sim/parallel_units.h"
 #include "src/sim/log.h"
 #include "src/trace/trace_export.h"
 #include "src/workloads/workload_registry.h"

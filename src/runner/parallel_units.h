@@ -1,50 +1,12 @@
 /**
  * @file
- * Deterministic intra-cell work-unit pool.
- *
- * A sweep cell can contain several *independent* simulations — a
- * multi-tenant cell runs one solo anchor per tenant plus the mix
- * itself, each on its own GpuUvmSystem and event queue. runUnits()
- * executes those units on up to `threads` host threads. Determinism
- * is by construction, not by locking discipline: units share no
- * mutable simulation state (the only shared structure they touch, the
- * graph cache, is internally synchronized and value-deterministic),
- * every unit writes results only into its own index of caller-owned
- * arrays, and the caller merges them in fixed unit order after the
- * join. Any thread count therefore produces bit-identical output to
- * the serial loop.
- *
- * Error handling mirrors the serial loop's observable behavior as
- * closely as a parallel run can: every unit runs to completion (no
- * cancellation), each exception is captured per unit, and after the
- * join the exception of the lowest-index failing unit is rethrown —
- * the one the serial loop would have thrown first (later units that
- * the serial loop would have skipped have run here; their side
- * effects are confined to their own slots).
- *
- * Units that use log.h's fatal()/panic() must install their own
- * ScopedAbortCapture: the capture depth is thread-local, so a guard
- * on the spawning thread does not cover workers.
+ * runUnits() moved to src/sim/parallel_units.h so the graph layer can
+ * use it; this header keeps the old include path building.
  */
 
 #ifndef BAUVM_RUNNER_PARALLEL_UNITS_H_
 #define BAUVM_RUNNER_PARALLEL_UNITS_H_
 
-#include <cstddef>
-#include <functional>
-
-namespace bauvm
-{
-
-/**
- * Invokes @p unit(i) exactly once for every i in [0, count) on at
- * most @p threads host threads (1 or 0 = serial, in index order, on
- * the calling thread). Blocks until all units finish, then rethrows
- * the lowest-index captured exception, if any.
- */
-void runUnits(std::size_t count, std::size_t threads,
-              const std::function<void(std::size_t)> &unit);
-
-} // namespace bauvm
+#include "src/sim/parallel_units.h"
 
 #endif // BAUVM_RUNNER_PARALLEL_UNITS_H_

@@ -5,6 +5,7 @@
 #include "src/core/experiment.h"
 #include "src/runner/json_writer.h"
 #include "src/sim/log.h"
+#include "src/sim/write_file.h"
 
 namespace bauvm
 {
@@ -138,17 +139,8 @@ SweepResult::writeJson(const std::string &path) const
         std::fwrite(doc.data(), 1, doc.size(), stdout);
         return true;
     }
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("sweep: cannot open '%s' for writing", path.c_str());
+    if (!writeFileInPlace(path, doc, "sweep"))
         return false;
-    }
-    const std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    if (n != doc.size()) {
-        warn("sweep: short write to '%s'", path.c_str());
-        return false;
-    }
     inform("sweep: wrote %zu cells to %s", cells.size(), path.c_str());
     return true;
 }

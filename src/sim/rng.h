@@ -10,6 +10,7 @@
 #ifndef BAUVM_SIM_RNG_H_
 #define BAUVM_SIM_RNG_H_
 
+#include <array>
 #include <cstdint>
 
 #include "src/sim/log.h"
@@ -27,8 +28,35 @@ namespace bauvm
 class Rng
 {
   public:
+    /** The four state words of xoshiro256. */
+    using State = std::array<std::uint64_t, 4>;
+
     /** Constructs a generator from a 64-bit seed via splitmix64. */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
+
+    /** Adopts a raw state. @pre not all four words are zero. */
+    explicit Rng(const State &state) : s_(state) {}
+
+    const State &state() const { return s_; }
+
+    /**
+     * Advances the state by @p k steps, exactly as k calls to next()
+     * would, in O(log k) polynomial work plus 256 steps. The state
+     * update is linear over GF(2), so k steps are x^k evaluated at the
+     * step map; x^k is first reduced modulo the map's degree-256
+     * characteristic polynomial (see rng.cc).
+     */
+    void jump(std::uint64_t k);
+
+    /**
+     * The step map's characteristic polynomial P(x) = x^256 + ..., the
+     * x^256 term left implicit: bit i of word i / 64 is the
+     * coefficient of x^i. Berlekamp-Massey on any state bit's sequence
+     * yields it (test_rng.cc re-derives it that way).
+     */
+    static constexpr State kCharPoly = {
+        0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL,
+        0x04b4edcf26259f85ULL, 0x0003c03c3f3ecb19ULL};
 
     // The draw methods are defined here so the workloads' per-edge
     // inner loops inline them; the state update is a handful of xors.
@@ -86,7 +114,7 @@ class Rng
         return (x << k) | (x >> (64 - k));
     }
 
-    std::uint64_t s_[4];
+    State s_;
 };
 
 } // namespace bauvm

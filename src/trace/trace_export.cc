@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "src/runner/json_writer.h"
-#include "src/sim/log.h"
+#include "src/sim/write_file.h"
 
 namespace bauvm
 {
@@ -236,17 +236,7 @@ bool
 writeChromeTrace(const TraceSink &sink, const TraceMeta &meta,
                  const std::string &path)
 {
-    const std::string doc = toChromeTraceJson(sink, meta);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("trace: cannot open '%s' for writing", path.c_str());
-        return false;
-    }
-    const std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    const bool ok = n == doc.size() && std::fclose(f) == 0;
-    if (!ok)
-        warn("trace: short write to '%s'", path.c_str());
-    return ok;
+    return writeFileInPlace(path, toChromeTraceJson(sink, meta), "trace");
 }
 
 std::string
@@ -275,17 +265,7 @@ toCounterCsv(const TraceSink &sink)
 bool
 writeCounterCsv(const TraceSink &sink, const std::string &path)
 {
-    const std::string doc = toCounterCsv(sink);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("trace: cannot open '%s' for writing", path.c_str());
-        return false;
-    }
-    const std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    const bool ok = n == doc.size() && std::fclose(f) == 0;
-    if (!ok)
-        warn("trace: short write to '%s'", path.c_str());
-    return ok;
+    return writeFileInPlace(path, toCounterCsv(sink), "trace");
 }
 
 } // namespace bauvm

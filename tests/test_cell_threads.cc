@@ -15,7 +15,7 @@
 #include "src/core/presets.h"
 #include "src/core/tenant.h"
 #include "src/runner/cell_spec.h"
-#include "src/runner/parallel_units.h"
+#include "src/sim/parallel_units.h"
 
 namespace bauvm
 {

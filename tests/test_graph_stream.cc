@@ -201,18 +201,55 @@ TEST(GraphDigest, PinnedAcrossEveryBuildPath)
         {"asymmetric", asymmetric, 1000, 16 << 10, 0x84f1b632fd8194b5ull,
          0x86fa666f527861dfull},
     };
+    // Every thread count, with chunks down to one edge so that even
+    // the smallest rows split: the bytes must not depend on either.
     for (const Row &row : rows) {
-        SCOPED_TRACE(row.name);
-        const CsrGraph raw = generateRmat(row.params);
+        for (const std::size_t threads : {1, 2, 3, 4, 7}) {
+            SCOPED_TRACE(std::string(row.name) + " on " +
+                         std::to_string(threads) + " threads");
+            const BuildThreads bt{threads, /*min_chunk_edges=*/1};
+            const CsrGraph raw = generateRmat(row.params, bt);
+            StreamCsrOptions opt;
+            opt.edges_per_block = row.edges_per_block;
+            opt.scratch_bytes = row.scratch_bytes;
+            opt.threads = bt;
+            const std::uint64_t got[] = {
+                graphDigest(raw), graphDigest(relabelByDegree(raw, bt)),
+                graphDigest(buildCsrStreamed(row.params, opt))};
+            EXPECT_EQ(got[0], row.raw) << std::hex << got[0];
+            EXPECT_EQ(got[1], row.relabeled) << std::hex << got[1];
+            EXPECT_EQ(got[2], row.relabeled) << std::hex << got[2];
+        }
+    }
+}
+
+TEST(GraphBuildThreads, ChunksAreOnePerThreadAndNeverTooSmall)
+{
+    EXPECT_EQ((BuildThreads{4, 1000}.chunksFor(999)), 1u);
+    EXPECT_EQ((BuildThreads{4, 1000}.chunksFor(2999)), 2u);
+    EXPECT_EQ((BuildThreads{4, 1000}.chunksFor(1u << 20)), 4u);
+    EXPECT_EQ((BuildThreads{1, 1}.chunksFor(1u << 20)), 1u);
+    EXPECT_GE((BuildThreads{0, 1}.chunksFor(1u << 20)), 1u);
+    EXPECT_EQ((BuildThreads{7, 1}.chunksFor(3)), 3u);
+}
+
+TEST(GraphBuildThreads, UnweightedSelfLoopsOnlyBuildAnEmptyGraph)
+{
+    // Every draw lands in quadrant d, so every edge is the self loop
+    // (n - 1, n - 1) and is dropped, in every chunk.
+    RmatParams p = rmat(1000, 1u << 12, 4);
+    p.a = p.b = p.c = 0.0;
+    for (const std::size_t threads : {1, 2, 3, 4, 7}) {
+        SCOPED_TRACE(threads);
+        const BuildThreads bt{threads, /*min_chunk_edges=*/1};
+        const CsrGraph raw = generateRmat(p, bt);
+        EXPECT_EQ(raw.numVertices(), 1024u);
+        EXPECT_EQ(raw.numEdges(), 0u);
+        expectGraphsEqual(relabelByDegree(raw, bt), raw);
         StreamCsrOptions opt;
-        opt.edges_per_block = row.edges_per_block;
-        opt.scratch_bytes = row.scratch_bytes;
-        const std::uint64_t got[] = {
-            graphDigest(raw), graphDigest(relabelByDegree(raw)),
-            graphDigest(buildCsrStreamed(row.params, opt))};
-        EXPECT_EQ(got[0], row.raw) << std::hex << got[0];
-        EXPECT_EQ(got[1], row.relabeled) << std::hex << got[1];
-        EXPECT_EQ(got[2], row.relabeled) << std::hex << got[2];
+        opt.edges_per_block = 100;
+        opt.threads = bt;
+        expectGraphsEqual(buildCsrStreamed(p, opt), raw);
     }
 }
 
@@ -396,11 +433,11 @@ TEST(GraphStreamWorkloadPath, ThresholdZeroStreamsEveryGraphWorkload)
 
 // ---- bounded-RSS guarantee ------------------------------------------
 
-TEST(StreamCsrBuilderRss, HugeBuildNeverMaterializesTheEdgeList)
+/** Builds the WorkloadScale::Huge graph with @p opt in a forked child
+ *  and expects its peak RSS under the in-core edge list's size. */
+void
+expectHugeStreamedBuildUnderTheEdgeList(const StreamCsrOptions &opt)
 {
-#ifdef BAUVM_SANITIZED
-    GTEST_SKIP() << "sanitizer shadow memory distorts RSS accounting";
-#endif
     // WorkloadScale::Huge graph parameters (src/workloads/workload.cc).
     RmatParams p;
     p.num_vertices = 2097152;
@@ -417,7 +454,7 @@ TEST(StreamCsrBuilderRss, HugeBuildNeverMaterializesTheEdgeList)
     if (pid == 0) {
         // Child: build and sanity-check, then report via exit status
         // (no gtest machinery in the child).
-        const CsrGraph g = buildCsrStreamed(p);
+        const CsrGraph g = buildCsrStreamed(p, opt);
         const bool ok = g.numVertices() == p.num_vertices &&
                         g.numEdges() > p.num_edges &&
                         g.numEdges() <= 2 * p.num_edges;
@@ -433,6 +470,26 @@ TEST(StreamCsrBuilderRss, HugeBuildNeverMaterializesTheEdgeList)
     EXPECT_LT(maxrss_bytes, edge_list_bytes)
         << "peak RSS " << (maxrss_bytes >> 20) << " MiB reaches the "
         << (edge_list_bytes >> 20) << " MiB edge-list footprint";
+}
+
+TEST(StreamCsrBuilderRss, HugeBuildNeverMaterializesTheEdgeList)
+{
+#ifdef BAUVM_SANITIZED
+    GTEST_SKIP() << "sanitizer shadow memory distorts RSS accounting";
+#endif
+    expectHugeStreamedBuildUnderTheEdgeList({});
+}
+
+TEST(StreamCsrBuilderRss, HugeBuildOn64ThreadsStaysUnderTheEdgeList)
+{
+#ifdef BAUVM_SANITIZED
+    GTEST_SKIP() << "sanitizer shadow memory distorts RSS accounting";
+#endif
+    // Each capture thread past the first counts degrees into its own
+    // 16 MiB array at this n: uncapped, 64 threads would add ~1 GiB.
+    StreamCsrOptions opt;
+    opt.threads = BuildThreads{64};
+    expectHugeStreamedBuildUnderTheEdgeList(opt);
 }
 
 } // namespace

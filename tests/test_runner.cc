@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -23,6 +25,7 @@
 #include "src/runner/sweep_runner.h"
 #include "src/runner/thread_pool.h"
 #include "src/sim/log.h"
+#include "src/sim/write_file.h"
 
 namespace bauvm
 {
@@ -315,6 +318,34 @@ TEST(SweepResult, JsonExportCarriesSchemaAndCells)
     ASSERT_NE(f, nullptr);
     std::fclose(f);
     std::remove(path.c_str());
+}
+
+TEST(WriteFileInPlace, ReplacesLongerContentsAndReportsEveryFailure)
+{
+    const std::string path = ::testing::TempDir() + "in_place.txt";
+    ASSERT_TRUE(writeFileInPlace(path, std::string(4096, 'x'), "test"));
+    ASSERT_TRUE(writeFileInPlace(path, "short", "test"));
+    std::ifstream in(path);
+    std::stringstream got;
+    got << in.rdbuf();
+    EXPECT_EQ(got.str(), "short"); // cut to the new length
+    std::remove(path.c_str());
+    // Not a regular file: nothing to truncate, and not a failure.
+    EXPECT_TRUE(writeFileInPlace("/dev/null", "{}", "test"));
+
+    EXPECT_FALSE(writeFileInPlace(
+        ::testing::TempDir() + "no-such-dir/x.json", "{}", "test"));
+    // /dev/full opens, then fails every write with ENOSPC.
+    EXPECT_FALSE(writeFileInPlace("/dev/full", "{}", "test"));
+}
+
+TEST(SweepResult, WriteJsonReportsAFailedFlush)
+{
+    // A buffered stdio write only meets ENOSPC when fclose() flushes,
+    // so the export must check the whole write through to the close.
+    SweepResult sweep;
+    sweep.bench = "flush";
+    EXPECT_FALSE(sweep.writeJson("/dev/full"));
 }
 
 // ---------------------------------------------------------------------
