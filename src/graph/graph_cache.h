@@ -17,7 +17,7 @@
  * builder directly.
  *
  * Sharing is safe because CsrGraph is immutable after construction and
- * every consumer copies it into its own DeviceArrays; determinism is
+ * consumers read it only through read-only DeviceViews; determinism is
  * unaffected because the cached build is bit-identical to the rebuild
  * it replaces.
  */

@@ -7,12 +7,16 @@
  * and write elements directly (the functional side) and yield the
  * element addresses to the timing model (the performance side); the UVM
  * runtime migrates the pages those addresses live on.
+ *
+ * DeviceView<T, Host> is the read-only counterpart for inputs the host
+ * already holds (the cached CSR graph), read in place instead of copied.
  */
 
 #ifndef BAUVM_WORKLOADS_DEVICE_ARRAY_H_
 #define BAUVM_WORKLOADS_DEVICE_ARRAY_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -130,6 +134,46 @@ class DeviceArray
 
   private:
     std::vector<T> data_;
+    VAddr base_ = 0;
+};
+
+/**
+ * A read-only array in unified memory over caller-owned host storage.
+ * The simulated elements are sizeof(T) bytes wide, exactly as in a
+ * DeviceArray<T> of the same length, so addresses and footprints do
+ * not depend on how the host stores the values; element i is read from
+ * host[i] and widened to T. The storage must outlive the view. There
+ * is no mutator: shared inputs cannot be written through a view.
+ */
+template <typename T, typename Host = T>
+class DeviceView
+{
+  public:
+    DeviceView() = default;
+
+    DeviceView(DeviceAllocator &alloc, std::span<const Host> host,
+               std::string name)
+        : DeviceView(alloc, host, host.size(), std::move(name))
+    {
+    }
+
+    /** Reserves @p n >= host.size() elements; those past the host
+     *  storage have addresses but no values. */
+    DeviceView(DeviceAllocator &alloc, std::span<const Host> host,
+               std::size_t n, std::string name)
+        : host_(host), base_(alloc.allocate(n * sizeof(T), std::move(name)))
+    {
+        if (n < host.size())
+            fatal("DeviceView: range shorter than its host storage");
+    }
+
+    T operator[](std::size_t i) const { return static_cast<T>(host_[i]); }
+
+    /** Virtual address of element @p i. */
+    VAddr addr(std::size_t i) const { return base_ + i * sizeof(T); }
+
+  private:
+    std::span<const Host> host_;
     VAddr base_ = 0;
 };
 

@@ -36,17 +36,13 @@ class KtrussWorkload : public GraphWorkloadBase
     {
         buildGraph(scale, seed, false);
         fwd_ = reference::buildForwardAdjacency(*graph_);
-        const VertexId v = graph_->numVertices();
         const std::uint64_t m = fwd_.col.size();
         edges_ = m;
-        d_fwd_row_ =
-            DeviceArray<std::uint64_t>(alloc_, v + 1, "ktruss_fwd_row");
-        std::copy(fwd_.row.begin(), fwd_.row.end(),
-                  d_fwd_row_.host().begin());
-        d_fwd_col_ = DeviceArray<std::uint64_t>(
-            alloc_, std::max<std::uint64_t>(m, 1), "ktruss_fwd_col");
-        std::copy(fwd_.col.begin(), fwd_.col.end(),
-                  d_fwd_col_.host().begin());
+        d_fwd_row_ = DeviceView<std::uint64_t>(alloc_, fwd_.row,
+                                               "ktruss_fwd_row");
+        d_fwd_col_ = DeviceView<std::uint64_t, VertexId>(
+            alloc_, fwd_.col, std::max<std::uint64_t>(m, 1),
+            "ktruss_fwd_col");
         d_alive_ = DeviceArray<std::uint32_t>(
             alloc_, std::max<std::uint64_t>(m, 1), "ktruss_alive");
         d_alive_.fill(1);
@@ -216,8 +212,8 @@ class KtrussWorkload : public GraphWorkloadBase
 
   private:
     reference::ForwardAdjacency fwd_;
-    DeviceArray<std::uint64_t> d_fwd_row_;
-    DeviceArray<std::uint64_t> d_fwd_col_;
+    DeviceView<std::uint64_t> d_fwd_row_;
+    DeviceView<std::uint64_t, VertexId> d_fwd_col_;
     DeviceArray<std::uint32_t> d_alive_;
     DeviceArray<std::uint32_t> d_support_;
     std::uint64_t edges_ = 0;

@@ -38,15 +38,12 @@ class TriangleCountWorkload : public GraphWorkloadBase
         const VertexId v = graph_->numVertices();
         const std::uint64_t m = fwd_.col.size();
         d_fwd_row_ =
-            DeviceArray<std::uint64_t>(alloc_, v + 1, "tc_fwd_row");
-        std::copy(fwd_.row.begin(), fwd_.row.end(),
-                  d_fwd_row_.host().begin());
+            DeviceView<std::uint64_t>(alloc_, fwd_.row, "tc_fwd_row");
         // Zero-length allocations are fatal; a graph this sparse has
-        // no triangles either way, so alias a 1-element array.
-        d_fwd_col_ = DeviceArray<std::uint64_t>(
-            alloc_, std::max<std::uint64_t>(m, 1), "tc_fwd_col");
-        std::copy(fwd_.col.begin(), fwd_.col.end(),
-                  d_fwd_col_.host().begin());
+        // no triangles either way, so reserve a 1-element range.
+        d_fwd_col_ = DeviceView<std::uint64_t, VertexId>(
+            alloc_, fwd_.col, std::max<std::uint64_t>(m, 1),
+            "tc_fwd_col");
         d_count_ = DeviceArray<std::uint64_t>(alloc_, v, "tc_count");
         d_count_.fill(0);
     }
@@ -151,8 +148,8 @@ class TriangleCountWorkload : public GraphWorkloadBase
 
   private:
     reference::ForwardAdjacency fwd_;
-    DeviceArray<std::uint64_t> d_fwd_row_;
-    DeviceArray<std::uint64_t> d_fwd_col_;
+    DeviceView<std::uint64_t> d_fwd_row_;
+    DeviceView<std::uint64_t, VertexId> d_fwd_col_;
     DeviceArray<std::uint64_t> d_count_;
     bool done_ = false;
 };

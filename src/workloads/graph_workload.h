@@ -47,6 +47,12 @@ constexpr std::uint32_t kGraphTpb = 256;
 class GraphWorkloadBase : public Workload
 {
   public:
+    GraphWorkloadBase() = default;
+    // Views may point into storage a subclass owns (TC's forward
+    // adjacency); a copy would read the original's.
+    GraphWorkloadBase(const GraphWorkloadBase &) = delete;
+    GraphWorkloadBase &operator=(const GraphWorkloadBase &) = delete;
+
     const CsrGraph &graph() const { return *graph_; }
     VertexId source() const { return source_; }
 
@@ -77,16 +83,16 @@ class GraphWorkloadBase : public Workload
     }
 
     // Immutable after build; shared across sweep cells of the same
-    // (workload, seed) via GraphBuildCache, so subclasses must never
-    // mutate it (per-run state belongs in the device arrays).
+    // (workload, seed) via GraphBuildCache. Per-run state belongs in
+    // DeviceArrays; the CSR views below read the graph in place.
     std::shared_ptr<const CsrGraph> graph_;
     VertexId source_ = 0;
-    // GraphBIG stores 64-bit vertex ids and weights; the device arrays
-    // use 8-byte elements accordingly (this also gives the workloads
-    // their paper-like footprints).
-    DeviceArray<std::uint64_t> d_row_;
-    DeviceArray<std::uint64_t> d_col_;
-    DeviceArray<std::uint64_t> d_weight_; //!< weighted graphs only
+    // GraphBIG stores 64-bit vertex ids and weights, so the simulated
+    // elements are 8 bytes wide (this also gives the workloads their
+    // paper-like footprints); the host values are the cached graph's.
+    DeviceView<std::uint64_t> d_row_;
+    DeviceView<std::uint64_t, VertexId> d_col_;
+    DeviceView<std::uint64_t, std::uint32_t> d_weight_; //!< weighted only
 };
 
 } // namespace bauvm

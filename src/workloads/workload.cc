@@ -1,6 +1,5 @@
 #include "src/workloads/workload.h"
 
-#include <algorithm>
 #include <numeric>
 #include <span>
 
@@ -89,19 +88,13 @@ GraphWorkloadBase::buildGraph(WorkloadScale scale, std::uint64_t seed,
     graph_ = GraphBuildCache::instance().getOrBuild(
         key, [&] { return buildRelabeledRmat(params, streamed); });
 
-    d_row_ = DeviceArray<std::uint64_t>(
-        alloc_, graph_->numVertices() + 1, "row_offsets");
-    std::copy(graph_->rowOffsets().begin(), graph_->rowOffsets().end(),
-              d_row_.host().begin());
-    d_col_ = DeviceArray<std::uint64_t>(alloc_, graph_->numEdges(),
-                                        "col_indices");
-    std::copy(graph_->colIndices().begin(), graph_->colIndices().end(),
-              d_col_.host().begin());
+    d_row_ = DeviceView<std::uint64_t>(alloc_, graph_->rowOffsets(),
+                                       "row_offsets");
+    d_col_ = DeviceView<std::uint64_t, VertexId>(
+        alloc_, graph_->colIndices(), "col_indices");
     if (weighted) {
-        d_weight_ = DeviceArray<std::uint64_t>(
-            alloc_, graph_->numEdges(), "edge_weights");
-        std::copy(graph_->weights().begin(), graph_->weights().end(),
-                  d_weight_.host().begin());
+        d_weight_ = DeviceView<std::uint64_t, std::uint32_t>(
+            alloc_, graph_->weights(), "edge_weights");
     }
 
     // Start traversals from the highest-degree vertex so they reach

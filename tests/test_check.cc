@@ -5,8 +5,9 @@
  * must panic with a structured diagnostic), the zero-perturbation
  * guarantee (auditing must not change simulated results), the
  * TLB/page-table coherence edges (eviction while translated, stale
- * walk outcomes), the SimHooks/WorkloadRegistry API surface, and the
- * audited-vs-unaudited fig11 matrix at Small scale.
+ * walk outcomes), the SimHooks/WorkloadRegistry API surface, the
+ * audited-vs-unaudited fig11 matrix at Tiny scale, and the golden
+ * tables pinning the fig11, frontier-family and two-tenant mix cells.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "src/core/presets.h"
 #include "src/core/report.h"
 #include "src/core/system.h"
+#include "src/core/tenant.h"
 #include "src/graph/graph_cache.h"
 #include "src/mem/memory_hierarchy.h"
 #include "src/mem/page_table.h"
@@ -922,6 +924,153 @@ TEST(Fig11Audit, AuditedMatrixPrintsByteIdenticalOutput)
                 << std::hex << cell->result.event_order_digest;
             EXPECT_EQ(cell->result.cycles, g.cycles);
             EXPECT_EQ(cell->result.sim_events, g.events);
+        }
+    }
+}
+
+/** One frontier-family Tiny cell's pinned simulation. */
+struct FrontierGoldenCell {
+    const char *workload;
+    const char *policy; //!< as policyName() prints it
+    std::uint64_t digest;
+    Cycle cycles;
+    std::uint64_t events;
+    std::uint64_t footprint_bytes;
+};
+
+/**
+ * The frontier family (BFS-HYB, CC, TC, KTRUSS) x 6 policies at Tiny,
+ * default seed and ratio: event_order_digest, cycles, sim_events and
+ * footprint_bytes. Fig 11's table covers none of these workloads; this
+ * one pins their CSR and forward-adjacency layouts (footprint) and the
+ * simulated order over them. Same rule as kFig11TinyGolden: never
+ * re-record a row to make a change pass.
+ */
+const FrontierGoldenCell kFrontierTinyGolden[] = {
+    {"BFS-HYB", "BASELINE", 0xc6d6999c8a79208cull, 1572507, 13642, 851968},
+    {"BFS-HYB", "BASELINE+PCIeC",
+     0xcd08f6c690a9ecc0ull, 1312405, 13642, 851968},
+    {"BFS-HYB", "TO", 0xc6d6999c8a79208cull, 1572507, 13642, 851968},
+    {"BFS-HYB", "UE", 0xbd8d7ffcca577ca4ull, 942562, 13492, 851968},
+    {"BFS-HYB", "TO+UE", 0xbd8d7ffcca577ca4ull, 942562, 13492, 851968},
+    {"BFS-HYB", "ETC", 0x8fb8d955f1cfba56ull, 590817, 13520, 851968},
+    {"CC", "BASELINE", 0xce8cadb2f8c5bedaull, 41297314, 86782, 917504},
+    {"CC", "BASELINE+PCIeC", 0x59516309a823fadbull, 32021485, 86648, 917504},
+    {"CC", "TO", 0xce8cadb2f8c5bedaull, 41297314, 86782, 917504},
+    {"CC", "UE", 0xfd470e5738c75841ull, 22339768, 85231, 917504},
+    {"CC", "TO+UE", 0xfd470e5738c75841ull, 22339768, 85231, 917504},
+    {"CC", "ETC", 0x20a4394e3425361full, 9974680, 92446, 917504},
+    {"TC", "BASELINE", 0xfb543afd8bd0797bull, 102534, 123056, 983040},
+    {"TC", "BASELINE+PCIeC", 0xea40433dbc55d931ull, 92751, 122806, 983040},
+    {"TC", "TO", 0xc01d44128457c964ull, 104227, 123128, 983040},
+    {"TC", "UE", 0xfb543afd8bd0797bull, 102534, 123056, 983040},
+    {"TC", "TO+UE", 0xc01d44128457c964ull, 104227, 123128, 983040},
+    {"TC", "ETC", 0x8a79885695b21d32ull, 102511, 123416, 983040},
+    {"KTRUSS", "BASELINE", 0x678a04b713209063ull, 380366, 727749, 1179648},
+    {"KTRUSS", "BASELINE+PCIeC",
+     0xf3914c4ab4aa25abull, 351369, 727749, 1179648},
+    {"KTRUSS", "TO", 0x059cdd1431ea4dd1ull, 386107, 731301, 1179648},
+    {"KTRUSS", "UE", 0x09c28f2b358ed17bull, 1784117, 712771, 1179648},
+    {"KTRUSS", "TO+UE", 0x37bf98995ae77047ull, 1518280, 718909, 1179648},
+    {"KTRUSS", "ETC", 0x070eae3fbf2bcddcull, 269801, 730614, 1179648},
+};
+
+TEST(FrontierAudit, TinyMatrixMatchesGoldenTable)
+{
+    GraphBuildCache::Scope graph_scope;
+    SweepSpec spec;
+    spec.bench = "frontier_audit_test";
+    spec.workloads = {"BFS-HYB", "CC", "TC", "KTRUSS"};
+    spec.policies = allPolicies();
+    spec.opt.scale = WorkloadScale::Tiny;
+    spec.verbose = false;
+    const SweepResult sweep = SweepRunner(std::move(spec)).run();
+    ASSERT_EQ(sweep.failedCells(), 0u);
+    ASSERT_EQ(sweep.cells.size(), std::size(kFrontierTinyGolden));
+    for (const FrontierGoldenCell &g : kFrontierTinyGolden) {
+        SCOPED_TRACE(std::string(g.workload) + " / " + g.policy);
+        const CellOutcome *cell =
+            sweep.find(g.workload, policyFromName(g.policy));
+        ASSERT_NE(cell, nullptr);
+        EXPECT_EQ(cell->result.event_order_digest, g.digest)
+            << std::hex << cell->result.event_order_digest;
+        EXPECT_EQ(cell->result.cycles, g.cycles);
+        EXPECT_EQ(cell->result.sim_events, g.events);
+        EXPECT_EQ(cell->result.footprint_bytes, g.footprint_bytes);
+    }
+}
+
+/** One two-tenant Tiny mix cell's pinned simulation. */
+struct MixGoldenCell {
+    const char *policy; //!< as policyName() prints it
+    std::uint64_t digest;
+    Cycle cycles;
+    std::uint64_t events;
+    struct {
+        Cycle cycles;
+        double slowdown; //!< against the tenant's solo anchor
+    } tenants[2];
+};
+
+/**
+ * BFS-HYB 0.5 + PR 0.5 under free-for-all sharing (the benchmark's
+ * mix2 shape) x the 5 policies that run multi-tenant, at Tiny with the
+ * default seed and ratio: the mix's event_order_digest, cycles and
+ * sim_events, and each tenant's cycles and slowdown. The slowdowns
+ * fold in the solo anchors, so a drift in either anchor fails here
+ * too. Never re-record a row to make a change pass.
+ */
+const MixGoldenCell kMixTinyGolden[] = {
+    {"BASELINE", 0xe5963f67ea787183ull, 1027007, 128083,
+     {{1027007, 0.72005785664005206}, {677520, 0.36429645274448275}}},
+    {"BASELINE+PCIeC", 0xfce0cafe28890bf0ull, 920217, 128035,
+     {{920217, 0.76834641579948881}, {597963, 0.39293681934104757}}},
+    {"TO", 0x804f396b6473ec0aull, 1027007, 129002,
+     {{1027007, 0.72005785664005206}, {677520, 0.51565568155871833}}},
+    {"UE", 0x21a43a1ea4a239f3ull, 875846, 127449,
+     {{872915, 1.0006625879677236}, {517999, 0.43758526804683689}}},
+    {"TO+UE", 0x46231dc8db160e23ull, 712901, 129617,
+     {{712901, 0.81723118473709133}, {413804, 0.3501377522355123}}},
+};
+
+TEST(MixAudit, TwoTenantTinyMatrixMatchesGoldenTable)
+{
+    GraphBuildCache::Scope graph_scope;
+    const std::vector<TenantSpec> tenants = {
+        {"BFS-HYB", 0.5, WorkloadScale::Tiny},
+        {"PR", 0.5, WorkloadScale::Tiny}};
+    const std::string label = tenantMixLabel(tenants);
+    for (std::size_t cell_threads : {1, 3}) {
+        SCOPED_TRACE("cell_threads " + std::to_string(cell_threads));
+        SweepSpec spec;
+        spec.bench = "mix_audit_test";
+        spec.workloads = {label};
+        for (const MixGoldenCell &g : kMixTinyGolden)
+            spec.policies.push_back(policyFromName(g.policy));
+        spec.opt.scale = WorkloadScale::Tiny;
+        spec.opt.tenants = tenants;
+        spec.opt.share_policy = SharePolicy::FreeForAll;
+        spec.opt.cell_threads = cell_threads;
+        spec.verbose = false;
+        const SweepResult sweep = SweepRunner(std::move(spec)).run();
+        ASSERT_EQ(sweep.failedCells(), 0u);
+        for (const MixGoldenCell &g : kMixTinyGolden) {
+            SCOPED_TRACE(g.policy);
+            const CellOutcome *cell =
+                sweep.find(label, policyFromName(g.policy));
+            ASSERT_NE(cell, nullptr);
+            const RunResult &r = cell->result;
+            EXPECT_EQ(r.event_order_digest, g.digest)
+                << std::hex << r.event_order_digest;
+            EXPECT_EQ(r.cycles, g.cycles);
+            EXPECT_EQ(r.sim_events, g.events);
+            ASSERT_EQ(r.tenants.size(), std::size(g.tenants));
+            for (std::size_t i = 0; i < r.tenants.size(); ++i) {
+                EXPECT_EQ(r.tenants[i].cycles, g.tenants[i].cycles)
+                    << "tenant " << i;
+                EXPECT_EQ(r.tenants[i].slowdown, g.tenants[i].slowdown)
+                    << "tenant " << i;
+            }
         }
     }
 }

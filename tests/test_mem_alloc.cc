@@ -4,9 +4,10 @@
  * allocations: a counting global operator new/delete is toggled around
  * a self-sustaining fault/prefetch/migrate/evict loop once the dense
  * page-metadata table, the waiter slab, the batch scratch vectors and
- * the batch-record vector's capacity are warm. Lives in its own binary
- * so the global hook cannot perturb (or be perturbed by) the main test
- * suite.
+ * the batch-record vector's capacity are warm. The same hook counts
+ * bytes, which proves a graph workload's build reads the cached graph
+ * instead of copying it. Lives in its own binary so the global hook
+ * cannot perturb (or be perturbed by) the main test suite.
  */
 
 #include <gtest/gtest.h>
@@ -16,22 +17,28 @@
 #include <new>
 #include <thread>
 
+#include "src/graph/graph_cache.h"
 #include "src/mem/memory_hierarchy.h"
 #include "src/sim/event_queue.h"
 #include "src/uvm/gpu_memory_manager.h"
 #include "src/uvm/uvm_runtime.h"
+#include "src/workloads/graph_workload.h"
+#include "src/workloads/workload_registry.h"
 
 namespace
 {
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_bytes{0};
 } // namespace
 
 void *
 operator new(std::size_t n)
 {
-    if (g_counting.load(std::memory_order_relaxed))
+    if (g_counting.load(std::memory_order_relaxed)) {
         g_allocs.fetch_add(1, std::memory_order_relaxed);
+        g_bytes.fetch_add(n, std::memory_order_relaxed);
+    }
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -55,7 +62,9 @@ operator delete[](void *p) noexcept
     std::free(p);
 }
 
-void
+// Out of line: inlined into gtest's `new TestClass`, it draws GCC's
+// -Wmismatched-new-delete (free() on operator new's pointer).
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -261,6 +270,38 @@ TEST(MemAlloc, HooklessPathIsAllocationFreeOnTwoThreads)
     EXPECT_EQ(g_allocs.load(), 0u)
         << "hookless steady state must not allocate on either worker";
     EXPECT_EQ(UvmRuntime::WakeFn::heapFallbacks(), fallbacks_before);
+}
+
+/**
+ * A graph workload's device arrays read the cached graph in place: once
+ * the GraphBuildCache holds the graph, a second build allocates only
+ * its per-run state, less than one 4-byte column array of the graph
+ * (a widened copy of the columns alone would be twice that). SSSP-TWC
+ * covers the weighted path.
+ */
+TEST(MemAlloc, GraphWorkloadBuildDoesNotCopyTheCachedGraph)
+{
+    GraphBuildCache::Scope graph_scope;
+    for (const char *name : {"BFS-HYB", "SSSP-TWC"}) {
+        SCOPED_TRACE(name);
+        constexpr std::uint64_t kSeed = 1;
+        WorkloadRegistry::instance().create(name)->build(
+            WorkloadScale::Small, kSeed);
+
+        auto workload = WorkloadRegistry::instance().create(name);
+        g_bytes.store(0);
+        g_counting.store(true);
+        workload->build(WorkloadScale::Small, kSeed);
+        g_counting.store(false);
+
+        const auto *graph_workload =
+            dynamic_cast<const GraphWorkloadBase *>(workload.get());
+        ASSERT_NE(graph_workload, nullptr);
+        const std::uint64_t col_bytes =
+            graph_workload->graph().numEdges() * 4;
+        EXPECT_LT(g_bytes.load(), col_bytes)
+            << "a cache-hit build must not copy the graph";
+    }
 }
 
 } // namespace
