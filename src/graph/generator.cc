@@ -60,30 +60,41 @@ generateRmat(const RmatParams &params, const BuildThreads &threads)
     const VertexId n = rmatVertexCount(params);
     // A weighted edge draws its weight only when it is not a self
     // loop, so where a later edge starts in the draw sequence depends
-    // on the edges before it: weighted graphs draw in one pass. So do
-    // graphs whose in-row offsets (below) could overflow 32 bits.
-    const std::uint64_t directed =
-        params.num_edges * (params.undirected ? 2 : 1);
+    // on the edges before it: a weighted graph draws in one chunk.
+    // Each chunk's row counters take 4n bytes. Keeping n raw edges or
+    // more in every chunk holds them to at most half of the chunk's
+    // own edge data, however many cores the host has.
     const std::size_t chunks =
-        params.weighted || directed > UINT32_MAX
+        params.weighted
             ? 1
-            : threads.chunksFor(params.num_edges);
-    if (chunks == 1) {
-        // One sequential pass over the canonical draw sequence,
-        // straight into the edge list. StreamedRmatGenerator replays
-        // the same sequence block by block.
-        RmatStreamBlock all;
-        Rng rng(params.seed);
-        appendRmatEdges(params, rng, params.num_edges, &all);
-        return CsrGraph::fromEdges(n, all.edges, all.weights);
-    }
+            : std::min<std::uint64_t>(
+                  threads.chunksFor(params.num_edges),
+                  std::max<std::uint64_t>(params.num_edges / n, 1));
+
+    // The graph's own arrays are reserved before the draw buffers, at
+    // their most (every draw survives), so the draw buffers lie above
+    // them in the heap: freed, they leave one block at its top that
+    // relabelByDegree's arrays reuse. Reserved after them, the freed
+    // draws would leave a hole too small for the relabel's columns: a
+    // second Large build in one process then peaks at 103 MiB, not 72.
+    const std::uint64_t most_edges =
+        params.num_edges * (params.undirected ? 2 : 1);
+    std::vector<std::uint64_t> row(static_cast<std::size_t>(n) + 1, 0);
+    std::vector<VertexId> cols;
+    std::vector<std::uint32_t> weights;
+    cols.reserve(most_edges);
+    weights.reserve(params.weighted ? most_edges : 0);
 
     // An unweighted raw edge takes exactly log2(n) draws, so chunk c,
     // which starts at raw edge e, starts e * log2(n) draws into the
-    // sequence: one jump. Each chunk draws its edges and counts them
-    // per row on its own thread. The calling thread reserves every
-    // buffer (without touching it), so the big blocks come from its
-    // heap and go back there, not to per-thread malloc arenas.
+    // sequence: one jump. Each chunk keeps only its surviving raw
+    // draws (and one weight per draw) and counts them per row, at both
+    // ends if the graph is undirected, on its own thread. The calling
+    // thread reserves every buffer (without touching it), so the big
+    // blocks come from its heap and go back there, not to per-thread
+    // malloc arenas.
+    RmatParams draws = params;
+    draws.undirected = false; // reverse edges are written at scatter
     const std::uint64_t draws_per_edge = std::countr_zero(n);
     const auto first_edge = [&](std::size_t c) {
         return params.num_edges * c / chunks;
@@ -91,25 +102,30 @@ generateRmat(const RmatParams &params, const BuildThreads &threads)
     std::vector<RmatStreamBlock> chunk(chunks);
     std::vector<std::vector<std::uint32_t>> in_row(chunks);
     for (std::size_t c = 0; c < chunks; ++c) {
-        chunk[c].edges.reserve((first_edge(c + 1) - first_edge(c)) *
-                               (params.undirected ? 2 : 1));
+        const std::uint64_t raw = first_edge(c + 1) - first_edge(c);
+        chunk[c].edges.reserve(raw);
+        chunk[c].weights.reserve(params.weighted ? raw : 0);
         in_row[c].reserve(n);
     }
     runUnits(chunks, chunks, [&](std::size_t c) {
         Rng rng(params.seed);
         rng.jump(first_edge(c) * draws_per_edge);
-        appendRmatEdges(params, rng, first_edge(c + 1) - first_edge(c),
+        appendRmatEdges(draws, rng, first_edge(c + 1) - first_edge(c),
                         &chunk[c]);
-        in_row[c].assign(n, 0);
-        for (const auto &edge : chunk[c].edges)
-            ++in_row[c][edge.first];
+        std::vector<std::uint32_t> &counts = in_row[c];
+        counts.assign(n, 0);
+        for (const auto &[src, dst] : chunk[c].edges) {
+            ++counts[src];
+            if (params.undirected)
+                ++counts[dst];
+        }
     });
 
     // The row lengths, and each chunk's counts turned in place into the
     // offset of its first edge within the row. Chunk c's edges of a row
     // then land after those of chunks 0..c-1, in draw order: the stable
-    // order CsrGraph::fromEdges keeps.
-    std::vector<std::uint64_t> row(static_cast<std::size_t>(n) + 1, 0);
+    // order CsrGraph::fromEdges keeps. A row holds fewer than 2^32
+    // edges (validateRmatParams), so the 32-bit offsets cannot wrap.
     for (VertexId v = 0; v < n; ++v) {
         std::uint32_t at = 0;
         for (std::vector<std::uint32_t> &counts : in_row) {
@@ -120,13 +136,30 @@ generateRmat(const RmatParams &params, const BuildThreads &threads)
         row[v + 1] = row[v] + at;
     }
 
-    std::vector<VertexId> cols(row[n]);
+    // Each draw (src, dst) writes its forward edge, then its reverse
+    // edge (dst, src): the order of the doubled list appendRmatEdges
+    // builds for an undirected graph. A weight goes to both.
+    cols.resize(row[n]);
+    weights.resize(params.weighted ? row[n] : 0);
     runUnits(chunks, chunks, [&](std::size_t c) {
         std::vector<std::uint32_t> &at = in_row[c];
-        for (const auto &[src, dst] : chunk[c].edges)
-            cols[row[src] + at[src]++] = dst;
+        const RmatStreamBlock &drawn = chunk[c];
+        for (std::size_t i = 0; i < drawn.edges.size(); ++i) {
+            const auto [src, dst] = drawn.edges[i];
+            const std::uint64_t fwd = row[src] + at[src]++;
+            cols[fwd] = dst;
+            if (params.weighted)
+                weights[fwd] = drawn.weights[i];
+            if (params.undirected) {
+                const std::uint64_t rev = row[dst] + at[dst]++;
+                cols[rev] = src;
+                if (params.weighted)
+                    weights[rev] = drawn.weights[i];
+            }
+        }
     });
-    return CsrGraph::fromCsrArrays(std::move(row), std::move(cols));
+    return CsrGraph::fromCsrArrays(std::move(row), std::move(cols),
+                                   std::move(weights));
 }
 
 std::vector<VertexId>

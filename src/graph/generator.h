@@ -51,9 +51,9 @@ struct BuildThreads {
 };
 
 /**
- * Generates an R-MAT graph. An unweighted graph draws and counting-
- * sorts its edges in contiguous chunks on @p threads; a weighted one
- * builds serially (see generator.cc).
+ * Generates an R-MAT graph. Its raw edges are drawn and counting-
+ * sorted in contiguous chunks on @p threads (one chunk if weighted;
+ * see generator.cc), each undirected draw placed in both rows.
  */
 CsrGraph generateRmat(const RmatParams &params,
                       const BuildThreads &threads = {});

@@ -78,6 +78,14 @@ validateRmatParams(const RmatParams &params)
     }
     if (params.num_edges == 0)
         fatal("RmatParams: num_edges must be non-zero");
+    // generateRmat counts and places a row's edges in 32 bits.
+    const std::uint64_t most_edges =
+        params.undirected ? UINT32_MAX / 2 : UINT32_MAX;
+    if (params.num_edges > most_edges) {
+        fatal("RmatParams: num_edges %llu makes 2^32 or more directed "
+              "edges (the 32-bit in-row edge counters would wrap)",
+              static_cast<unsigned long long>(params.num_edges));
+    }
     if (params.num_vertices < 2)
         fatal("RmatParams: need at least two vertices");
     if (params.num_vertices > kMaxRmatVertices) {

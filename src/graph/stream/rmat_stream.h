@@ -18,13 +18,15 @@
  * when it is not a self loop, so there a block's start depends on the
  * draws before it and the capture pass stays one serial replay.
  *
- * The in-core generateRmat() draws the same sequence in one sequential
- * pass through appendRmatEdges(). The two paths share the per-edge
- * draw but not the traversal, so the concatenation check in the stream
- * tests is a real differential between them: a streamed consumer
- * (src/graph/stream/csr_stream_builder) must see exactly the edge
- * sequence, self-loop drops, reverse-edge doubling and weight draws an
- * in-core build sees. Pinned graph digests guard the draw itself.
+ * The in-core generateRmat() draws the same sequence in contiguous
+ * chunks, each from one jump, keeping only the raw draws; it writes
+ * each reverse edge at scatter time and never calls
+ * CsrGraph::fromEdges(). So fromEdges() over the concatenated blocks
+ * is an independent reference, and the stream tests compare the two:
+ * a streamed consumer (src/graph/stream/csr_stream_builder) must see
+ * exactly the edge sequence, self-loop drops, reverse-edge doubling
+ * and weight draws an in-core build places. The two share only the
+ * per-edge draw; pinned graph digests guard the draw itself.
  */
 
 #ifndef BAUVM_GRAPH_STREAM_RMAT_STREAM_H_
@@ -65,7 +67,9 @@ constexpr VertexId kMaxRmatVertices = VertexId{1} << 31;
 
 /** Fatal()s unless @p params describes a generatable graph: partition
  *  probabilities must be non-negative with a + b + c < 1, num_edges
- *  must be non-zero and num_vertices in [2, kMaxRmatVertices]. */
+ *  must be non-zero and make fewer than 2^32 directed edges (twice
+ *  num_edges if undirected), and num_vertices must be in
+ *  [2, kMaxRmatVertices]. */
 void validateRmatParams(const RmatParams &params);
 
 /** Vertex count of the graph @p params generates: num_vertices rounded

@@ -2,9 +2,10 @@
  * @file
  * The streamed graph pipeline: seed-addressable R-MAT block stream,
  * external-memory CSR builder, parameter validation, build-cache
- * keying, and the bounded-RSS guarantee that makes WorkloadScale::Huge
- * viable. The differential tests pin the central contract: a streamed
- * build is bit-identical to the in-core build it replaces.
+ * keying, the bounded-RSS guarantee that makes WorkloadScale::Huge
+ * viable, and the in-core build's peak RSS at WorkloadScale::Large.
+ * The differential tests pin the central contract: a streamed build
+ * is bit-identical to the in-core build it replaces.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,8 +87,7 @@ TEST(RmatStream, BlocksAreOrderIndependent)
 
 TEST(RmatStream, GranularityDoesNotChangeTheStream)
 {
-    const RmatParams p = smallParams(/*seed=*/9, /*weighted=*/true);
-    auto concat = [&](std::uint32_t epb) {
+    auto concat = [](const RmatParams &p, std::uint32_t epb) {
         const StreamedRmatGenerator gen(p, epb);
         RmatStreamBlock all, block;
         for (std::uint64_t b = 0; b < gen.numBlocks(); ++b) {
@@ -98,17 +99,33 @@ TEST(RmatStream, GranularityDoesNotChangeTheStream)
         }
         return all;
     };
-    const RmatStreamBlock coarse = concat(1u << 12);
-    const RmatStreamBlock fine = concat(1u << 7);
+    const RmatParams weighted = smallParams(/*seed=*/9, /*weighted=*/true);
+    const RmatStreamBlock coarse = concat(weighted, 1u << 12);
+    const RmatStreamBlock fine = concat(weighted, 1u << 7);
     EXPECT_EQ(coarse.edges, fine.edges);
     EXPECT_EQ(coarse.weights, fine.weights);
 
-    // And the concatenation is exactly what generateRmat() builds from.
-    // A real differential: generateRmat() draws the sequence in one
-    // pass, the blocks replay it from captured RNG states.
-    const CsrGraph from_stream = CsrGraph::fromEdges(
-        rmatVertexCount(p), fine.edges, fine.weights);
-    expectGraphsEqual(from_stream, generateRmat(p));
+    // And CsrGraph::fromEdges() over the concatenation is exactly what
+    // generateRmat() builds, on any thread count. A real differential:
+    // generateRmat() never calls fromEdges(), draws in chunks that
+    // start by jump and writes each reverse edge itself; the blocks
+    // replay the sequence from captured RNG states.
+    const RmatParams undirected = smallParams(/*seed=*/9);
+    RmatParams directed = undirected;
+    directed.undirected = false;
+    for (const RmatParams &p : {undirected, directed, weighted}) {
+        const RmatStreamBlock all = concat(p, 1u << 7);
+        const CsrGraph from_stream = CsrGraph::fromEdges(
+            rmatVertexCount(p), all.edges, all.weights);
+        for (const std::size_t threads : {1, 2, 7}) {
+            SCOPED_TRACE(std::string(p.weighted     ? "weighted"
+                                     : p.undirected ? "undirected"
+                                                    : "directed") +
+                         " on " + std::to_string(threads) + " threads");
+            const BuildThreads bt{threads, /*min_chunk_edges=*/1};
+            expectGraphsEqual(generateRmat(p, bt), from_stream);
+        }
+    }
 }
 
 TEST(RmatStream, TailBlockHoldsTheRemainder)
@@ -310,6 +327,26 @@ TEST(RmatParamValidation, RejectsVertexCountsPastTheRoundUpLimit)
     validateRmatParams(p);             // must not throw; builds nothing
 }
 
+TEST(RmatParamValidation, RejectsEdgeCountsPastTheInRowCounters)
+{
+    // generateRmat counts a row's edges in 32 bits, so a graph must
+    // have fewer than 2^32 directed edges (validation builds nothing).
+    RmatParams p = smallParams();
+    p.num_edges = std::uint64_t{1} << 31; // 2^32 directed edges
+    expectRmatFatal(p, "2^32 or more directed edges");
+    p.num_edges = ~std::uint64_t{0}; // doubling would wrap 64 bits
+    expectRmatFatal(p, "2^32 or more directed edges");
+    p.num_edges = std::uint64_t{1} << 32;
+    p.undirected = false;
+    expectRmatFatal(p, "2^32 or more directed edges");
+
+    p.num_edges = UINT32_MAX; // the boundaries themselves are valid
+    validateRmatParams(p);
+    p.undirected = true;
+    p.num_edges = UINT32_MAX / 2;
+    validateRmatParams(p);
+}
+
 TEST(RmatParamValidation, AcceptsBoundaryProbabilities)
 {
     RmatParams p = smallParams();
@@ -433,8 +470,30 @@ TEST(GraphStreamWorkloadPath, ThresholdZeroStreamsEveryGraphWorkload)
 
 // ---- bounded-RSS guarantee ------------------------------------------
 
+/** Runs @p build in a forked child and returns the child's peak RSS
+ *  in bytes; fails the test if @p build returns false. */
+std::uint64_t
+forkedPeakRssBytes(const std::function<bool()> &build)
+{
+    const pid_t pid = fork();
+    if (pid < 0) {
+        ADD_FAILURE() << "fork failed";
+        return 0;
+    }
+    if (pid == 0) {
+        // Child: report via exit status (no gtest machinery here).
+        _exit(build() ? 0 : 1);
+    }
+    int status = 0;
+    struct rusage ru = {};
+    EXPECT_EQ(wait4(pid, &status, 0, &ru), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "child build failed";
+    return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024; // KiB
+}
+
 /** Builds the WorkloadScale::Huge graph with @p opt in a forked child
- *  and expects its peak RSS under the in-core edge list's size. */
+ *  and expects its peak RSS under the size of its edge list. */
 void
 expectHugeStreamedBuildUnderTheEdgeList(const StreamCsrOptions &opt)
 {
@@ -444,29 +503,18 @@ expectHugeStreamedBuildUnderTheEdgeList(const StreamCsrOptions &opt)
     p.num_edges = 20971520;
     p.seed = 1;
 
-    // The in-core path's first allocation alone — the materialized
-    // undirected edge list — is 2 * num_edges * 8 bytes. The streamed
-    // build of the *whole graph* must stay under that.
+    // The materialized undirected edge list, both directions of every
+    // raw edge as 8-byte (src, dst) pairs (what CsrGraph::fromEdges
+    // takes), is 2 * num_edges * 8 bytes. The streamed build of the
+    // *whole graph* must stay under that.
     const std::uint64_t edge_list_bytes = 2 * p.num_edges * 8;
 
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0) << "fork failed";
-    if (pid == 0) {
-        // Child: build and sanity-check, then report via exit status
-        // (no gtest machinery in the child).
+    const std::uint64_t maxrss_bytes = forkedPeakRssBytes([&] {
         const CsrGraph g = buildCsrStreamed(p, opt);
-        const bool ok = g.numVertices() == p.num_vertices &&
-                        g.numEdges() > p.num_edges &&
-                        g.numEdges() <= 2 * p.num_edges;
-        _exit(ok ? 0 : 1);
-    }
-    int status = 0;
-    struct rusage ru = {};
-    ASSERT_EQ(wait4(pid, &status, 0, &ru), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0) << "child build failed";
-    const std::uint64_t maxrss_bytes =
-        static_cast<std::uint64_t>(ru.ru_maxrss) * 1024; // KiB on Linux
+        return g.numVertices() == p.num_vertices &&
+               g.numEdges() > p.num_edges &&
+               g.numEdges() <= 2 * p.num_edges;
+    });
     EXPECT_LT(maxrss_bytes, edge_list_bytes)
         << "peak RSS " << (maxrss_bytes >> 20) << " MiB reaches the "
         << (edge_list_bytes >> 20) << " MiB edge-list footprint";
@@ -490,6 +538,57 @@ TEST(StreamCsrBuilderRss, HugeBuildOn64ThreadsStaysUnderTheEdgeList)
     StreamCsrOptions opt;
     opt.threads = BuildThreads{64};
     expectHugeStreamedBuildUnderTheEdgeList(opt);
+}
+
+// At Large the raw draws (8 B each) and the CSR columns (4 B per
+// directed edge) take 32 MiB each, and the relabel holds two CSR
+// copies of 34 MiB each. Peaks measured on a 4-CPU host, each test in
+// a process of its own: 74 MiB at the default threads, 85 MiB on 64
+// threads (16 chunks, the cap at Large, which any host with 16 or more
+// cores also reaches by default). Chunk lists that hold both
+// directions of every draw peak at 105 and 165 MiB; uncapped chunks
+// peak at 133 MiB on 64 threads. The bound leaves 9 MiB
+// over the capped build and 11 MiB under the doubled lists.
+constexpr std::uint64_t kLargeInCoreBuildBoundMiB = 94;
+
+/** Builds the WorkloadScale::Large graph in core, the way a Large
+ *  graph workload does (generateRmat, then relabelByDegree), on
+ *  @p threads in a forked child and expects its peak RSS under
+ *  kLargeInCoreBuildBoundMiB. */
+void
+expectLargeInCoreBuildUnder(const BuildThreads &threads)
+{
+    RmatParams p;
+    p.num_vertices = 262144;
+    p.num_edges = 4 << 20;
+    p.seed = 2;
+    const std::uint64_t maxrss_bytes = forkedPeakRssBytes([&] {
+        const CsrGraph g = relabelByDegree(generateRmat(p, threads),
+                                           threads);
+        return g.numVertices() == p.num_vertices &&
+               g.numEdges() > p.num_edges &&
+               g.numEdges() <= 2 * p.num_edges;
+    });
+    EXPECT_LT(maxrss_bytes, kLargeInCoreBuildBoundMiB << 20)
+        << "peak RSS " << (maxrss_bytes >> 20) << " MiB";
+}
+
+TEST(InCoreBuildRss, LargeBuildKeepsOnlyTheRawDraws)
+{
+#ifdef BAUVM_SANITIZED
+    GTEST_SKIP() << "sanitizer shadow memory distorts RSS accounting";
+#endif
+    expectLargeInCoreBuildUnder({});
+}
+
+TEST(InCoreBuildRss, LargeBuildOn64ThreadsCapsItsChunks)
+{
+#ifdef BAUVM_SANITIZED
+    GTEST_SKIP() << "sanitizer shadow memory distorts RSS accounting";
+#endif
+    // Each chunk counts its rows into its own n-entry 32-bit array:
+    // 1 MiB at this n, 64 MiB on 64 uncapped chunks.
+    expectLargeInCoreBuildUnder(BuildThreads{64});
 }
 
 } // namespace
