@@ -1,17 +1,18 @@
 /**
  * @file
- * bauvm_submit: submit a sweep request to bauvm_sweepd and collect
- * the merged result.
+ * bauvm_submit: run a sweep request in-process and write its sweep
+ * document.
  *
- * Reads a bauvm.sweep-request/1 document (file or stdin), submits it
- * over the daemon's Unix socket, streams per-cell progress to stderr,
- * and writes the merged bauvm.sweep/1.4 document exactly as the
- * daemon produced it.
+ * Reads a bauvm.sweep-request/1 document (file or stdin), lowers it
+ * onto a SweepSpec (src/serve/sweep_request.h) and runs it through
+ * SweepRunner on the request's "jobs" worker threads, like every
+ * bench. Per-cell progress goes to stderr; the bauvm.sweep/1.4
+ * document goes to --json. --resume=DIR loads finished ok cells from
+ * the content-addressed result cache in DIR instead of recomputing
+ * them, and stores fresh ones there.
  *
- * --local runs the same request serially in-process instead — no
- * daemon, no workers, no cache. That is the reference execution the
- * sharded service is compared against in CI
- * (ci/check_sweep_equiv.py), and a convenient one-shot mode.
+ * Exit status: 0 when every cell is ok, 2 when some cell failed, 1 on
+ * an invalid request or an unwritable output.
  */
 
 #include <cstdio>
@@ -21,7 +22,7 @@
 #include <sstream>
 #include <string>
 
-#include "src/serve/client.h"
+#include "src/runner/sweep_runner.h"
 #include "src/serve/json.h"
 #include "src/serve/sweep_request.h"
 #include "src/sim/log.h"
@@ -34,16 +35,12 @@ printUsage(std::FILE *out)
 {
     std::fprintf(
         out,
-        "usage: bauvm_submit --socket PATH --request FILE [options]\n"
-        "       bauvm_submit --local --request FILE [options]\n"
-        "  --socket PATH   daemon socket (see bauvm_sweepd)\n"
+        "usage: bauvm_submit --request FILE [options]\n"
         "  --request FILE  bauvm.sweep-request/1 JSON ('-' = stdin)\n"
-        "  --json PATH     write the merged sweep JSON here "
+        "  --json PATH     write the sweep JSON here "
         "('-' = stdout, default)\n"
-        "  --local         run the request serially in-process "
-        "instead of submitting\n"
-        "  --wait S        wait up to S seconds for the daemon "
-        "socket to accept\n"
+        "  --resume=DIR    replay finished cells from the result "
+        "cache in DIR\n"
         "  --quiet         no per-cell progress on stderr\n");
 }
 
@@ -69,12 +66,10 @@ writeDoc(const std::string &path, const std::string &doc)
 int
 main(int argc, char **argv)
 {
-    std::string socket_path;
     std::string request_path;
     std::string json_path = "-";
-    bool local = false;
+    std::string resume_dir;
     bool quiet = false;
-    double wait_s = 0.0;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -83,16 +78,14 @@ main(int argc, char **argv)
                 bauvm::fatal("missing value for %s", what);
             return argv[++i];
         };
-        if (arg == "--socket") {
-            socket_path = next("--socket");
-        } else if (arg == "--request") {
+        if (arg == "--request") {
             request_path = next("--request");
         } else if (arg == "--json") {
             json_path = next("--json");
-        } else if (arg == "--local") {
-            local = true;
-        } else if (arg == "--wait") {
-            wait_s = std::strtod(next("--wait").c_str(), nullptr);
+        } else if (arg.rfind("--resume=", 0) == 0) {
+            resume_dir = arg.substr(std::strlen("--resume="));
+            if (resume_dir.empty())
+                bauvm::fatal("--resume= requires a directory");
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -103,10 +96,9 @@ main(int argc, char **argv)
             bauvm::fatal("unknown argument '%s'", arg.c_str());
         }
     }
-    if (request_path.empty() || (socket_path.empty() && !local)) {
+    if (request_path.empty()) {
         printUsage(stderr);
-        bauvm::fatal(local ? "--request is required"
-                           : "--socket and --request are required");
+        bauvm::fatal("--request is required");
     }
 
     std::string request_text;
@@ -124,56 +116,18 @@ main(int argc, char **argv)
         request_text = buf.str();
     }
 
-    if (local) {
-        bauvm::JsonValue doc;
-        std::string error;
-        if (!bauvm::JsonValue::parse(request_text, &doc, &error))
-            bauvm::fatal("malformed request JSON: %s", error.c_str());
-        bauvm::SweepRequest req;
-        if (!bauvm::parseSweepRequest(doc, &req, &error))
-            bauvm::fatal("%s", error.c_str());
-        const bauvm::SweepResult result =
-            bauvm::runRequestSerial(req, /*verbose=*/!quiet);
-        if (!writeDoc(json_path, result.toJson(/*pretty=*/false)))
-            return 1;
-        return result.failedCells() == 0 ? 0 : 2;
-    }
-
-    if (wait_s > 0.0 &&
-        !bauvm::waitForService(socket_path, wait_s))
-        bauvm::fatal("daemon socket '%s' not accepting after %.1fs",
-                     socket_path.c_str(), wait_s);
-
-    const bauvm::SweepSubmitResult result = bauvm::submitSweep(
-        socket_path, request_text,
-        [&](const bauvm::JsonValue &event) {
-            if (quiet || event.getString("op") != "cell")
-                return;
-            std::fprintf(
-                stderr, "  [%llu/%llu] %s/%s%s%s %s%s\n",
-                static_cast<unsigned long long>(
-                    event.getU64("done")),
-                static_cast<unsigned long long>(
-                    event.getU64("total")),
-                event.getString("workload").c_str(),
-                event.getString("policy").c_str(),
-                event.getString("variant").empty() ? "" : " ",
-                event.getString("variant").c_str(),
-                event.getBool("ok") ? "ok" : "FAILED",
-                event.getBool("cached") ? " (cached)" : "");
-        });
-    if (!result.ok)
-        bauvm::fatal("submit failed: %s", result.error.c_str());
-    if (!quiet)
-        std::fprintf(stderr,
-                     "submit: %llu cells (%llu cached, %llu failed, "
-                     "%llu timed out)\n",
-                     static_cast<unsigned long long>(result.cells),
-                     static_cast<unsigned long long>(result.cached),
-                     static_cast<unsigned long long>(result.failed),
-                     static_cast<unsigned long long>(
-                         result.timed_out));
-    if (!writeDoc(json_path, result.sweep_json))
+    bauvm::JsonValue doc;
+    std::string error;
+    if (!bauvm::JsonValue::parse(request_text, &doc, &error))
+        bauvm::fatal("malformed request JSON: %s", error.c_str());
+    bauvm::SweepSpec spec;
+    if (!bauvm::parseSweepRequest(doc, &spec, &error))
+        bauvm::fatal("%s", error.c_str());
+    spec.opt.resume_dir = resume_dir;
+    spec.verbose = !quiet;
+    const bauvm::SweepResult result =
+        bauvm::SweepRunner(std::move(spec)).run();
+    if (!writeDoc(json_path, result.toJson(/*pretty=*/false)))
         return 1;
-    return result.failed == 0 ? 0 : 2;
+    return result.failedCells() == 0 ? 0 : 2;
 }

@@ -16,8 +16,8 @@
  * Default mix: BFS-HYB and PR at equal (50/50) quotas; override with
  * --tenants A:Q,B:Q and --ratio. Cells run through the shared
  * executeCell() path, so --json exports the bauvm.sweep/1.3
- * per-tenant result array and the outcomes are bit-identical to the
- * sweep service running the same mix.
+ * per-tenant result array and the outcomes are bit-identical to a
+ * sweep request (bauvm_submit) running the same mix.
  */
 
 #include <cstdio>

@@ -3,22 +3,22 @@
 
 Usage: ci/check_sweep_equiv.py REFERENCE.json OTHER.json [OTHER2.json ...]
 
-The sweep service's contract is that sharding, hard kills, and
-cache-resumed reruns never change simulated results: a sweep produced
-by bauvm_sweepd across N forked workers (possibly SIGKILLed and
-resubmitted) must match the serial in-process run cell for cell.
+The sweep runner's contract is that worker threads and cache-resumed
+reruns never change simulated results: a sweep request run by
+bauvm_submit on N threads, or rerun with --resume=DIR, must match the
+1-thread run cell for cell.
 
 Only execution provenance is allowed to differ — wall-clock timings,
-worker identity, and cache attribution.  Everything else, including
+parallelism, process identity, and cache attribution.  Everything else, including
 every simulated counter, seed, digest, and the cell order, must be
 identical.  Exits 1 with a field-level diff on the first mismatch:
-unlike the perf smoke, this is a correctness gate.
+this is a correctness gate.
 
 bauvm.sweep/1.3 multi-tenant cells carry a per-tenant result array
 (result.tenants); every field in it is deterministic, so the generic
 diff covers it with no special casing.  As a structural sanity check
 we additionally require tenant ids to be 0..n-1 in order — a
-mis-merged shard that reordered or dropped a tenant would corrupt
+mis-merged result that reordered or dropped a tenant would corrupt
 that before it corrupted any counter.
 """
 
@@ -26,7 +26,8 @@ import json
 import sys
 
 # Fields that legitimately differ between executions of the same cell:
-# timings, parallelism, worker identity, and cache attribution.
+# timings, parallelism, process identity (executeCell stamps
+# worker_pid and hostname), and cache attribution.
 PROVENANCE = {
     "wall_s",
     "host_wall_s",

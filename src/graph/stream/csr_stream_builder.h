@@ -62,7 +62,7 @@ CsrGraph buildCsrStreamed(const RmatParams &params,
  * edge count reaches stream_threshold_edges build through
  * buildCsrStreamed() instead of in core. Mutable so tests and benches
  * can force the streamed path at small scales; the values are folded
- * into cellKey() so a change re-keys the sweep-service result cache.
+ * into cellKey() so a change re-keys the --resume result cache.
  */
 struct GraphStreamConfig {
     /** Raw R-MAT edge count at or above which builds stream.

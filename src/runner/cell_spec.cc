@@ -137,13 +137,6 @@ cellConfig(const CellSpec &spec)
     return config;
 }
 
-std::uint64_t
-cellJobSeed(const CellSpec &spec)
-{
-    return deriveJobSeed(spec.base_seed, spec.workload, spec.policy,
-                         spec.variant);
-}
-
 std::string
 canonicalConfigString(const SimConfig &c)
 {

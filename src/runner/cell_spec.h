@@ -2,13 +2,14 @@
  * @file
  * Declarative cell specifications and content addresses.
  *
- * A CellSpec is the wire-friendly description of one sweep cell: the
+ * A CellSpec is the declarative description of one sweep cell: the
  * (workload, policy, variant, scale, seed) coordinates plus a list of
- * *declarative* config overrides (named knob = numeric value) instead
- * of the in-process std::function mutations SweepSpec carries. It is
- * what the sweep service ships to worker processes and what both the
- * service and the in-process SweepRunner digest for the
- * content-addressed result cache.
+ * config overrides (named knob = numeric value) instead of the
+ * std::function mutations SweepSpec carries. cellConfig() lowers it to
+ * the final SimConfig; the pinned content-address digests are defined
+ * over that config. Sweep requests (src/serve/sweep_request.h) lower
+ * their override lists onto SweepSpec variants through the same
+ * applyConfigOverride().
  *
  * Content addressing: cellKey() canonicalizes the *final* SimConfig —
  * every kKeyed field (sim/field_table.h), doubles at full precision —
@@ -20,11 +21,9 @@
  * Function-valued variant mutations are code, so the git revision in
  * the key is what keys their behaviour.
  *
- * executeCell() is the one shared cell executor: abort capture, soft
- * timeout, optional per-cell trace flush, and provenance stamping
- * (digest, worker pid, hostname). SweepRunner's thread-pool path and
- * the sweep service's forked workers both run cells through it, which
- * is what keeps sharded results bit-identical to serial ones.
+ * executeCell() is the cell executor SweepRunner's workers call:
+ * abort capture, soft timeout, optional per-cell trace flush, and
+ * provenance stamping (digest, process id, hostname).
  */
 
 #ifndef BAUVM_RUNNER_CELL_SPEC_H_
@@ -63,7 +62,7 @@ bool applyConfigOverride(SimConfig &config, const std::string &key,
 /** Every kKnob leaf's dotted key, sorted, for diagnostics/usage. */
 std::vector<std::string> knownOverrideKeys();
 
-/** The declarative, serializable description of one sweep cell. */
+/** The declarative description of one sweep cell. */
 struct CellSpec {
     std::string workload;
     Policy policy = Policy::Baseline;
@@ -86,9 +85,6 @@ struct CellSpec {
  * applyConfigOverride rejects) + audit flag.
  */
 SimConfig cellConfig(const CellSpec &spec);
-
-/** deriveJobSeed for the spec's coordinates (exported provenance). */
-std::uint64_t cellJobSeed(const CellSpec &spec);
 
 /**
  * "dotted.name=value;" for every kKeyed SimConfig leaf, in declaration
@@ -142,7 +138,7 @@ struct CellExecArgs {
      *  Excluded from cellKey() — it cannot change the payload. */
     std::size_t cell_threads = 1;
 
-    // In-process tracing (sweep service workers leave these empty).
+    // Per-cell tracing; all empty when the sweep is not traced.
     std::string trace_dir;      //!< "" disables the per-cell flush
     std::string trace_stem;     //!< file stem inside trace_dir
     std::string trace_bench;    //!< TraceMeta.bench

@@ -27,7 +27,7 @@
  * Minor /1.1 adds the deterministic memory data path counters
  * "translations", "tlb_hit_rate" and "faults_per_kcycle"; consumers
  * keyed on the "bauvm.sweep/1" prefix keep working.
- * Minor /1.2 adds per-cell provenance for sharded/resumed sweeps:
+ * Minor /1.2 adds per-cell provenance for threaded/resumed sweeps:
  * "digest" (the content address from cell_spec.h — deterministic),
  * plus "worker_pid", "hostname" and "cached", which record *where* a
  * result came from and are excluded from determinism comparisons

@@ -49,11 +49,12 @@ cellFileStem(const SweepSpec &spec, const SweepJob &job)
 }
 
 /**
- * Runs one cell through the shared executeCell() path — the same code
- * the sweep service's forked workers run, which is what keeps every
- * execution mode (threaded, sharded, resumed) bit-identical. With a
- * resume cache, finished ok cells load by content address instead of
- * recomputing, and fresh ok results are stored for the next run.
+ * Runs one cell through executeCell(). The config is paperConfig +
+ * applyPolicy + the variant's mutation + BenchOptions::applyTo, in
+ * that order, so the options win over a variant that sets the same
+ * field. With a resume cache, finished ok cells load by content
+ * address instead of recomputing, and fresh ok results are stored for
+ * the next run.
  */
 CellOutcome
 executeJob(const SweepJob &job, const SweepSpec &spec,
@@ -208,12 +209,13 @@ SweepRunner::run()
                           : elapsed / static_cast<double>(done) *
                                 static_cast<double>(total - done);
             std::fprintf(
-                stderr, "  [%zu/%zu] %s/%s%s%s %s %.2fs | ETA %.0fs\n",
-                done, total, cell.workload.c_str(),
+                stderr,
+                "  [%zu/%zu] %s/%s%s%s %s%s %.2fs | ETA %.0fs\n", done,
+                total, cell.workload.c_str(),
                 policyName(cell.policy).c_str(),
-                cell.variant.empty() ? "" : " ",
-                cell.variant.c_str(), cell.ok ? "ok" : "FAILED",
-                cell.wall_s, eta);
+                cell.variant.empty() ? "" : " ", cell.variant.c_str(),
+                cell.ok ? "ok" : "FAILED",
+                cell.from_cache ? " (cached)" : "", cell.wall_s, eta);
         };
     }
 

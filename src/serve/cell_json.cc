@@ -1,7 +1,5 @@
 #include "src/serve/cell_json.h"
 
-#include <cmath>
-
 #include "src/core/experiment.h"
 #include "src/sim/log.h"
 
@@ -106,89 +104,6 @@ scaleFromName(const std::string &name, WorkloadScale *out)
         }
     }
     return false;
-}
-
-void
-writeCellSpec(JsonWriter &w, const CellSpec &spec)
-{
-    w.beginObject();
-    w.field("workload", spec.workload);
-    w.field("policy", policyName(spec.policy));
-    w.field("variant", spec.variant);
-    w.beginArray("overrides");
-    for (const ConfigOverride &o : spec.overrides) {
-        w.beginObject();
-        w.field("key", o.key);
-        w.field("value", o.value);
-        w.endObject();
-    }
-    w.endArray();
-    w.field("scale", scaleName(spec.scale));
-    w.field("ratio", spec.ratio);
-    w.field("seed", spec.base_seed);
-    w.field("audit", spec.audit);
-    if (!spec.tenants.empty()) {
-        w.beginArray("tenants");
-        for (const TenantSpec &t : spec.tenants) {
-            w.beginObject();
-            w.field("workload", t.workload);
-            w.field("quota", t.quota);
-            w.endObject();
-        }
-        w.endArray();
-    }
-    w.endObject();
-}
-
-bool
-parseCellSpec(const JsonValue &v, CellSpec *out, std::string *error)
-{
-    if (!v.isObject())
-        return failParse(error, "cell spec is not an object");
-    *out = CellSpec();
-    out->workload = v.getString("workload");
-    if (out->workload.empty())
-        return failParse(error, "cell spec: missing workload");
-    const std::string policy = v.getString("policy", "BASELINE");
-    if (!policyFromNameSafe(policy, &out->policy))
-        return failParse(error,
-                         "cell spec: unknown policy '" + policy + "'");
-    out->variant = v.getString("variant");
-    const std::string scale = v.getString("scale", "small");
-    if (!scaleFromName(scale, &out->scale))
-        return failParse(error,
-                         "cell spec: unknown scale '" + scale + "'");
-    out->ratio = v.getDouble("ratio", 0.5);
-    if (!std::isfinite(out->ratio) || out->ratio < 0.0)
-        return failParse(error, "cell spec: ratio must be a finite "
-                                "number >= 0");
-    out->base_seed = v.getU64("seed", 1);
-    out->audit = v.getBool("audit", false);
-    std::string why;
-    if (const JsonValue *overrides = v.find("overrides"))
-        if (!parseConfigOverrides(*overrides, &out->overrides, &why))
-            return failParse(error, "cell spec: " + why);
-    if (const JsonValue *tenants = v.find("tenants")) {
-        if (!tenants->isArray())
-            return failParse(error,
-                             "cell spec: tenants is not an array");
-        for (std::size_t i = 0; i < tenants->size(); ++i) {
-            const JsonValue &t = tenants->at(i);
-            TenantSpec spec;
-            spec.workload = t.getString("workload");
-            if (spec.workload.empty())
-                return failParse(
-                    error, "cell spec: tenant without workload");
-            spec.quota = t.getDouble("quota", 0.0);
-            spec.scale = out->scale; // tenants share the cell scale
-            out->tenants.push_back(std::move(spec));
-        }
-        if (out->tenants.size() == 1)
-            return failParse(error,
-                             "cell spec: a tenant mix needs at least "
-                             "two tenants");
-    }
-    return true;
 }
 
 bool

@@ -1,16 +1,15 @@
 /**
  * @file
- * JSON codecs for the sweep service: CellSpec (the wire form shipped
- * to worker processes) and CellOutcome (the wire/cache form of a
- * finished cell).
+ * JSON parsers for the sweep request and the result cache: the
+ * override lists of a request's variants and the CellOutcome form of
+ * a finished cell.
  *
- * The write side rides on src/runner/json_writer.h (writeCellJson from
- * sweep_result.h produces the outcome shape); this header adds the
- * matching parsers over src/serve/json.h plus the CellSpec writer.
- * Parsers are strict about the fields that determine simulation
- * behaviour (workload, policy, scale, overrides) and lenient about
- * additive provenance, so newer producers interoperate with older
- * consumers within the same schema major.
+ * The write side is writeCellJson (sweep_result.h, over
+ * src/runner/json_writer.h); parseCellOutcome reads that shape back
+ * from a cache entry. Parsers are strict about the fields that
+ * determine simulation behaviour (workload, policy, overrides) and
+ * lenient about additive provenance, so newer producers interoperate
+ * with older consumers within the same schema major.
  */
 
 #ifndef BAUVM_SERVE_CELL_JSON_H_
@@ -20,14 +19,10 @@
 
 #include "src/runner/cell_spec.h"
 #include "src/runner/job.h"
-#include "src/runner/json_writer.h"
 #include "src/serve/json.h"
 
 namespace bauvm
 {
-
-/** Serializes @p spec as one JSON object into @p w. */
-void writeCellSpec(JsonWriter &w, const CellSpec &spec);
 
 /** Parses an "overrides" array, [{"key": str, "value": number}, ...];
  *  @return false with the reason in @p error unless
@@ -35,14 +30,6 @@ void writeCellSpec(JsonWriter &w, const CellSpec &spec);
 bool parseConfigOverrides(const JsonValue &v,
                           std::vector<ConfigOverride> *out,
                           std::string *error);
-
-/**
- * Parses the writeCellSpec() shape. @return false (with a reason in
- * @p error) on a missing/invalid required field, an unknown policy or
- * scale name, or an override parseConfigOverrides() rejects.
- */
-bool parseCellSpec(const JsonValue &v, CellSpec *out,
-                   std::string *error);
 
 /**
  * Parses the writeCellJson() shape (sweep_result.h), including the

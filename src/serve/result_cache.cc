@@ -43,13 +43,6 @@ ResultCache::entryPath(const std::string &digest) const
 }
 
 bool
-ResultCache::contains(const std::string &digest) const
-{
-    std::error_code ec;
-    return fs::exists(entryPath(digest), ec);
-}
-
-bool
 ResultCache::lookup(const std::string &digest, const std::string &key,
                     CellOutcome *out)
 {

@@ -4,14 +4,14 @@
  * cells.
  *
  * Extends the in-memory GraphBuildCache idea (results shared within
- * one process) to results-on-disk shared across processes, daemon
- * restarts and concurrent requests: every completed cell is stored
- * under the 128-bit digest of its full content key (git revision,
- * workload, scale, canonical final config — see cell_spec.h), so
+ * one process) to results on disk shared across runs: SweepRunner's
+ * --resume stores every completed cell under the 128-bit digest of its
+ * full content key (git revision, workload, scale, canonical final
+ * config — see cell_spec.h), so
  *  - a killed sweep *resumes*: already-computed cells load instead of
  *    recomputing,
- *  - identical cells *dedupe* across requests and across harnesses
- *    sharing one cache directory, and
+ *  - identical cells are shared across benches and sweep requests
+ *    that point at one cache directory, and
  *  - any config or code change *invalidates* naturally, because it
  *    changes the address rather than mutating an entry.
  *
@@ -67,9 +67,6 @@ class ResultCache
      */
     bool store(const std::string &digest, const std::string &key,
                const CellOutcome &outcome);
-
-    /** True when an entry for @p digest exists (no content check). */
-    bool contains(const std::string &digest) const;
 
     const std::string &dir() const { return dir_; }
 

@@ -1,11 +1,11 @@
 #include "src/serve/sweep_request.h"
 
-#include <chrono>
 #include <cmath>
-#include <cstdio>
+#include <vector>
 
-#include "src/core/experiment.h"
+#include "src/runner/cell_spec.h"
 #include "src/serve/cell_json.h"
+#include "src/sim/log.h"
 #include "src/workloads/workload_registry.h"
 
 namespace bauvm
@@ -59,17 +59,26 @@ expandWorkloadEntry(const std::string &entry,
 } // namespace
 
 bool
-parseSweepRequest(const JsonValue &v, SweepRequest *out,
+parseSweepRequest(const JsonValue &v, SweepSpec *out,
                   std::string *error)
 {
     if (!v.isObject())
         return failParse(error, "sweep request is not an object");
     const std::string schema = v.getString("schema");
-    if (schema.rfind(SweepRequest::kSchema, 0) != 0)
+    if (schema.rfind(kSweepRequestSchema, 0) != 0)
         return failParse(error, "sweep request: unsupported schema '" +
                                     schema + "'");
-    *out = SweepRequest();
+    // Keys of the retired sweep daemon: a request that asks for a hard
+    // kill must not run silently without one.
+    for (const char *retired :
+         {"hard_timeout_s", "chunk_cells", "flush_cells"})
+        if (v.find(retired))
+            return failParse(error, std::string("sweep request: '") +
+                                        retired +
+                                        "' is no longer supported");
+    *out = SweepSpec();
     out->bench = v.getString("bench", "sweep");
+    BenchOptions &opt = out->opt;
 
     const JsonValue *workloads = v.find("workloads");
     if (!workloads || !workloads->isArray() || workloads->size() == 0)
@@ -116,28 +125,37 @@ parseSweepRequest(const JsonValue &v, SweepRequest *out,
                 return failParse(
                     error, "sweep request: variants[] entries are "
                            "objects");
-            RequestVariant var;
-            var.label = entry.getString("label");
+            std::vector<ConfigOverride> overrides;
             std::string why;
             if (const JsonValue *ov = entry.find("overrides"))
-                if (!parseConfigOverrides(*ov, &var.overrides, &why))
+                if (!parseConfigOverrides(*ov, &overrides, &why))
                     return failParse(error, "sweep request: " + why);
+            ConfigVariant var;
+            var.label = entry.getString("label");
+            if (!overrides.empty()) {
+                var.mutate = [overrides](SimConfig &config) {
+                    for (const ConfigOverride &o : overrides) {
+                        std::string why;
+                        if (!applyConfigOverride(config, o.key, o.value,
+                                                 &why))
+                            fatal("sweep request: %s", why.c_str());
+                    }
+                };
+            }
             out->variants.push_back(std::move(var));
         }
-    } else {
-        out->variants.push_back(RequestVariant());
     }
 
     const std::string scale = v.getString("scale", "small");
-    if (!scaleFromName(scale, &out->scale))
+    if (!scaleFromName(scale, &opt.scale))
         return failParse(
             error, "sweep request: unknown scale '" + scale + "'");
-    out->ratio = v.getDouble("ratio", 0.5);
-    if (!std::isfinite(out->ratio) || out->ratio < 0.0)
+    opt.ratio = v.getDouble("ratio", 0.5);
+    if (!std::isfinite(opt.ratio) || opt.ratio < 0.0)
         return failParse(error, "sweep request: ratio must be a finite "
                                 "number >= 0");
-    out->seed = v.getU64("seed", 1);
-    out->audit = v.getBool("audit", false);
+    opt.seed = v.getU64("seed", 1);
+    opt.audit = v.getBool("audit", false);
     if (const JsonValue *tenants = v.find("tenants")) {
         if (!tenants->isArray() || tenants->size() < 2)
             return failParse(error,
@@ -157,8 +175,7 @@ parseSweepRequest(const JsonValue &v, SweepRequest *out,
             if (spec.quota < 0.0)
                 return failParse(
                     error, "sweep request: negative tenant quota");
-            spec.scale = out->scale;
-            out->tenants.push_back(std::move(spec));
+            opt.tenants.push_back(std::move(spec));
         }
     }
     if (const JsonValue *policy = v.find("share_policy")) {
@@ -167,111 +184,23 @@ parseSweepRequest(const JsonValue &v, SweepRequest *out,
                 error, "sweep request: share_policy is not a string");
         const std::string name = policy->asString();
         if (name == "free-for-all")
-            out->share_policy = SharePolicy::FreeForAll;
+            opt.share_policy = SharePolicy::FreeForAll;
         else if (name == "strict")
-            out->share_policy = SharePolicy::StrictQuota;
+            opt.share_policy = SharePolicy::StrictQuota;
         else if (name == "proportional")
-            out->share_policy = SharePolicy::Proportional;
+            opt.share_policy = SharePolicy::Proportional;
         else
             return failParse(error,
                              "sweep request: unknown share_policy '" +
                                  name + "'");
     }
-    out->timeout_s = v.getDouble("timeout_s", 0.0);
-    out->hard_timeout_s = v.getDouble("hard_timeout_s", 0.0);
-    if (out->timeout_s < 0.0 || out->hard_timeout_s < 0.0)
-        return failParse(error,
-                         "sweep request: negative timeout");
-    out->jobs = static_cast<std::size_t>(v.getU64("jobs", 1));
-    if (out->jobs == 0)
-        out->jobs = 1;
-    out->chunk_cells =
-        static_cast<std::size_t>(v.getU64("chunk_cells", 1));
-    if (out->chunk_cells == 0)
-        out->chunk_cells = 1;
-    out->flush_cells =
-        static_cast<std::size_t>(v.getU64("flush_cells", 8));
-    if (out->flush_cells == 0)
-        out->flush_cells = 1;
+    opt.timeout_s = v.getDouble("timeout_s", 0.0);
+    if (opt.timeout_s < 0.0)
+        return failParse(error, "sweep request: negative timeout");
+    opt.jobs = static_cast<std::size_t>(v.getU64("jobs", 1));
+    if (opt.jobs == 0)
+        opt.jobs = 1;
     return true;
-}
-
-std::vector<CellSpec>
-expandCells(const SweepRequest &req)
-{
-    std::vector<CellSpec> cells;
-    cells.reserve(req.variants.size() * req.workloads.size() *
-                  req.policies.size());
-    // Variant-major -> workload -> policy: the SweepRunner expansion
-    // order, so merged daemon results line up with serial sweeps.
-    for (const RequestVariant &var : req.variants) {
-        for (const std::string &workload : req.workloads) {
-            for (Policy policy : req.policies) {
-                CellSpec cell;
-                cell.workload = workload;
-                cell.policy = policy;
-                cell.variant = var.label;
-                cell.overrides = var.overrides;
-                cell.scale = req.scale;
-                cell.ratio = req.ratio;
-                cell.base_seed = req.seed;
-                cell.audit = req.audit;
-                if (!req.tenants.empty()) {
-                    cell.tenants = req.tenants;
-                    for (TenantSpec &t : cell.tenants)
-                        t.scale = req.scale;
-                    cell.overrides.push_back(
-                        {"mt.policy",
-                         static_cast<double>(req.share_policy)});
-                }
-                cells.push_back(std::move(cell));
-            }
-        }
-    }
-    return cells;
-}
-
-SweepResult
-runRequestSerial(const SweepRequest &req, bool verbose)
-{
-    const std::vector<CellSpec> cells = expandCells(req);
-
-    SweepResult result;
-    result.bench = req.bench;
-    result.base_seed = req.seed;
-    result.scale = req.scale;
-    result.ratio = req.ratio;
-    result.jobs = 1;
-    result.cells.reserve(cells.size());
-
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const CellSpec &spec = cells[i];
-        CellExecArgs args;
-        args.workload = spec.workload;
-        args.policy = spec.policy;
-        args.variant = spec.variant;
-        args.job_seed = cellJobSeed(spec);
-        args.scale = spec.scale;
-        args.config = cellConfig(spec);
-        args.soft_timeout_s = req.timeout_s;
-        args.tenants = spec.tenants;
-        result.cells.push_back(executeCell(args));
-        if (verbose) {
-            const CellOutcome &cell = result.cells.back();
-            std::fprintf(stderr, "  [%zu/%zu] %s/%s%s%s %s %.2fs\n",
-                         i + 1, cells.size(), cell.workload.c_str(),
-                         policyName(cell.policy).c_str(),
-                         cell.variant.empty() ? "" : " ",
-                         cell.variant.c_str(),
-                         cell.ok ? "ok" : "FAILED", cell.wall_s);
-        }
-    }
-    result.elapsed_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-    return result;
 }
 
 } // namespace bauvm

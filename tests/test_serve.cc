@@ -1,25 +1,16 @@
 /**
  * @file
- * Tests for the sweep service subsystem (src/serve): the JSON parser,
- * the result aggregator, content addressing, the on-disk result
- * cache, request parsing/expansion, and the daemon itself — sharding,
- * caching, cross-request dedupe, hard timeouts, and kill-and-resume
- * equivalence against the serial in-process reference.
+ * Tests for src/serve: the JSON parser, content addressing, the
+ * on-disk result cache, sweep-request parsing into a SweepSpec, and
+ * SweepRunner's resume path over that cache.
  */
 
 #include <gtest/gtest.h>
 
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -28,13 +19,10 @@
 #include "src/runner/cell_spec.h"
 #include "src/runner/job.h"
 #include "src/runner/sweep_result.h"
-#include "src/serve/aggregator.h"
-#include "src/serve/cell_json.h"
-#include "src/serve/client.h"
+#include "src/runner/sweep_runner.h"
 #include "src/serve/json.h"
 #include "src/serve/result_cache.h"
 #include "src/serve/sweep_request.h"
-#include "src/serve/sweep_service.h"
 
 namespace bauvm
 {
@@ -53,8 +41,8 @@ parseOrDie(const std::string &text)
 /**
  * Canonical re-serialization of a parsed JSON tree with the
  * execution-provenance members removed (the fields that legitimately
- * differ between a serial run, a sharded daemon run, and a cache
- * replay — the C++ twin of ci/check_sweep_equiv.py's strip set).
+ * differ between a serial run, a threaded run, and a cache replay —
+ * the C++ twin of ci/check_sweep_equiv.py's strip set).
  * Member order is preserved, so two documents produced by the same
  * writer compare equal iff their deterministic content matches.
  */
@@ -162,40 +150,6 @@ requestJson(const std::string &extra = "")
            (extra.empty() ? "" : ", " + extra) + "}";
 }
 
-/** An in-process daemon on its own thread, stopped on scope exit. */
-class ServiceFixture
-{
-  public:
-    explicit ServiceFixture(SweepServiceOptions opt)
-        : service_(std::move(opt))
-    {
-        std::string error;
-        if (!service_.start(&error)) {
-            ADD_FAILURE() << "service start failed: " << error;
-            return;
-        }
-        started_ = true;
-        thread_ = std::thread([this] { service_.run(); });
-        EXPECT_TRUE(waitForService(service_.socketPath(), 10.0));
-    }
-
-    ~ServiceFixture()
-    {
-        if (started_) {
-            service_.stop();
-            thread_.join();
-        }
-    }
-
-    SweepService &service() { return service_; }
-    const std::string &socket() { return service_.socketPath(); }
-
-  private:
-    SweepService service_;
-    std::thread thread_;
-    bool started_ = false;
-};
-
 std::string
 tempPath(const std::string &leaf)
 {
@@ -248,37 +202,6 @@ TEST(JsonParse, ReportsErrors)
     EXPECT_FALSE(JsonValue::parse("{} trailing", &v, &error));
     EXPECT_FALSE(JsonValue::parse("", &v, &error));
     EXPECT_TRUE(JsonValue::parse("{}  \n", &v, &error)) << error;
-}
-
-// ---------------------------------------------------------------------
-// Result aggregator
-// ---------------------------------------------------------------------
-
-TEST(ResultAggregatorTest, FlushesAtCapacityAndOnScopeExit)
-{
-    std::vector<std::vector<std::string>> batches;
-    {
-        ResultAggregator agg(
-            [&](const std::vector<std::string> &items) {
-                batches.push_back(items);
-            },
-            3);
-        EXPECT_EQ(agg.capacity(), 3u);
-        for (int i = 0; i < 7; ++i)
-            agg.add(std::to_string(i));
-        EXPECT_EQ(batches.size(), 2u); // 3 + 3 shipped, 1 pending
-        EXPECT_EQ(agg.pending(), 1u);
-        EXPECT_EQ(agg.flushes(), 2u);
-        agg.flush();
-        agg.flush(); // empty: must not ship a zero-item batch
-        EXPECT_EQ(batches.size(), 3u);
-        agg.add("tail");
-    } // destructor is the barrier
-    ASSERT_EQ(batches.size(), 4u);
-    EXPECT_EQ(batches[0],
-              (std::vector<std::string>{"0", "1", "2"}));
-    EXPECT_EQ(batches[2], (std::vector<std::string>{"6"}));
-    EXPECT_EQ(batches[3], (std::vector<std::string>{"tail"}));
 }
 
 // ---------------------------------------------------------------------
@@ -443,19 +366,19 @@ TEST(ResultCacheTest, StoreThenLookupHits)
 
     const std::string key = "bauvm.cell/1|rev|W|tiny|cfg";
     const std::string digest = digestHex(key);
-    EXPECT_FALSE(cache.contains(digest));
 
     CellOutcome miss;
     EXPECT_FALSE(cache.lookup(digest, key, &miss));
     EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
 
     ASSERT_TRUE(cache.store(digest, key, fakeOutcome("W", 12345)));
     EXPECT_EQ(cache.stores(), 1u);
-    EXPECT_TRUE(cache.contains(digest));
 
     CellOutcome hit;
     ASSERT_TRUE(cache.lookup(digest, key, &hit));
     EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
     EXPECT_TRUE(hit.ok);
     EXPECT_TRUE(hit.from_cache);
     EXPECT_EQ(hit.workload, "W");
@@ -557,39 +480,55 @@ TEST(SweepRequestParse, FullDocumentRoundTrips)
         " {\"label\": \"big-buf\", \"overrides\":"
         "  [{\"key\": \"uvm.fault_buffer_entries\","
         "    \"value\": 2000}]}],"
-        " \"jobs\": 3, \"chunk_cells\": 2, \"flush_cells\": 4,"
-        " \"hard_timeout_s\": 9.5"));
-    SweepRequest req;
+        " \"jobs\": 3, \"seed\": 7, \"audit\": true,"
+        " \"timeout_s\": 9.5"));
+    SweepSpec spec;
     std::string error;
-    ASSERT_TRUE(parseSweepRequest(doc, &req, &error)) << error;
-    EXPECT_EQ(req.bench, "serve_test");
-    EXPECT_EQ(req.workloads,
+    ASSERT_TRUE(parseSweepRequest(doc, &spec, &error)) << error;
+    EXPECT_EQ(spec.bench, "serve_test");
+    EXPECT_EQ(spec.workloads,
               (std::vector<std::string>{"BFS-TWC", "PR"}));
-    ASSERT_EQ(req.policies.size(), 2u);
-    EXPECT_EQ(req.policies[0], Policy::Baseline);
-    EXPECT_EQ(req.policies[1], Policy::ToUe);
-    ASSERT_EQ(req.variants.size(), 2u);
-    EXPECT_EQ(req.variants[1].label, "big-buf");
-    ASSERT_EQ(req.variants[1].overrides.size(), 1u);
-    EXPECT_EQ(req.variants[1].overrides[0].key,
-              "uvm.fault_buffer_entries");
-    EXPECT_EQ(req.scale, WorkloadScale::Tiny);
-    EXPECT_EQ(req.jobs, 3u);
-    EXPECT_EQ(req.chunk_cells, 2u);
-    EXPECT_EQ(req.flush_cells, 4u);
-    EXPECT_DOUBLE_EQ(req.hard_timeout_s, 9.5);
+    ASSERT_EQ(spec.policies.size(), 2u);
+    EXPECT_EQ(spec.policies[0], Policy::Baseline);
+    EXPECT_EQ(spec.policies[1], Policy::ToUe);
+    EXPECT_EQ(spec.opt.scale, WorkloadScale::Tiny);
+    EXPECT_DOUBLE_EQ(spec.opt.ratio, 0.5);
+    EXPECT_EQ(spec.opt.seed, 7u);
+    EXPECT_EQ(spec.opt.jobs, 3u);
+    EXPECT_TRUE(spec.opt.audit);
+    EXPECT_DOUBLE_EQ(spec.opt.timeout_s, 9.5);
+    EXPECT_TRUE(spec.opt.tenants.empty());
+    EXPECT_EQ(SweepRunner(spec).cellCount(), 8u);
 
-    // Expansion: variant-major -> workload -> policy, the SweepRunner
-    // order the daemon's merged document must reproduce.
-    const std::vector<CellSpec> cells = expandCells(req);
-    ASSERT_EQ(cells.size(), 8u);
-    EXPECT_EQ(cells[0].workload, "BFS-TWC");
-    EXPECT_EQ(cells[0].policy, Policy::Baseline);
-    EXPECT_EQ(cells[0].variant, "");
-    EXPECT_EQ(cells[1].policy, Policy::ToUe);
-    EXPECT_EQ(cells[2].workload, "PR");
-    EXPECT_EQ(cells[4].variant, "big-buf");
-    EXPECT_EQ(cells[4].workload, "BFS-TWC");
+    // Each variant's overrides become its config mutation.
+    ASSERT_EQ(spec.variants.size(), 2u);
+    EXPECT_EQ(spec.variants[0].label, "");
+    EXPECT_FALSE(spec.variants[0].mutate);
+    EXPECT_EQ(spec.variants[1].label, "big-buf");
+    ASSERT_TRUE(spec.variants[1].mutate);
+    SimConfig config;
+    spec.variants[1].mutate(config);
+    EXPECT_EQ(config.uvm.fault_buffer_entries, 2000u);
+
+    // A tenant mix: the workload axis only labels the cells, and the
+    // share policy lands on BenchOptions like --share-policy.
+    const JsonValue mix = parseOrDie(
+        "{\"schema\": \"bauvm.sweep-request/1\","
+        " \"workloads\": [\"BFS-HYB+PR\"],"
+        " \"policies\": [\"BASELINE\"], \"scale\": \"tiny\","
+        " \"tenants\": [{\"workload\": \"BFS-HYB\", \"quota\": 0.7},"
+        "             {\"workload\": \"PR\", \"quota\": 0.3}],"
+        " \"share_policy\": \"strict\"}");
+    ASSERT_TRUE(parseSweepRequest(mix, &spec, &error)) << error;
+    EXPECT_EQ(spec.workloads, (std::vector<std::string>{"BFS-HYB+PR"}));
+    EXPECT_EQ(spec.opt.share_policy, SharePolicy::StrictQuota);
+    ASSERT_EQ(spec.opt.tenants.size(), 2u);
+    EXPECT_EQ(spec.opt.tenants[0].workload, "BFS-HYB");
+    EXPECT_DOUBLE_EQ(spec.opt.tenants[0].quota, 0.7);
+    EXPECT_EQ(spec.opt.tenants[1].workload, "PR");
+    EXPECT_DOUBLE_EQ(spec.opt.tenants[1].quota, 0.3);
+    EXPECT_TRUE(spec.variants.empty());
+    EXPECT_EQ(spec.opt.jobs, 1u);
 }
 
 TEST(SweepRequestParse, DefaultsAndGroupExpansion)
@@ -597,14 +536,17 @@ TEST(SweepRequestParse, DefaultsAndGroupExpansion)
     const JsonValue doc = parseOrDie(
         "{\"schema\": \"bauvm.sweep-request/1\","
         " \"workloads\": [\"@irregular\"], \"scale\": \"tiny\"}");
-    SweepRequest req;
+    SweepSpec spec;
     std::string error;
-    ASSERT_TRUE(parseSweepRequest(doc, &req, &error)) << error;
-    EXPECT_GE(req.workloads.size(), 2u);
-    EXPECT_EQ(req.policies.size(), allPolicies().size());
-    ASSERT_EQ(req.variants.size(), 1u);
-    EXPECT_EQ(req.variants[0].label, "");
-    EXPECT_EQ(req.jobs, 1u);
+    ASSERT_TRUE(parseSweepRequest(doc, &spec, &error)) << error;
+    EXPECT_GE(spec.workloads.size(), 2u);
+    EXPECT_EQ(spec.policies.size(), allPolicies().size());
+    EXPECT_TRUE(spec.variants.empty());
+    EXPECT_EQ(spec.bench, "sweep");
+    EXPECT_EQ(spec.opt.jobs, 1u);
+    EXPECT_EQ(spec.opt.seed, 1u);
+    EXPECT_FALSE(spec.opt.audit);
+    EXPECT_EQ(spec.opt.share_policy, SharePolicy::FreeForAll);
 }
 
 TEST(SweepRequestParse, FrontierGroupExpandsToTheFamily)
@@ -612,12 +554,12 @@ TEST(SweepRequestParse, FrontierGroupExpandsToTheFamily)
     const JsonValue doc = parseOrDie(
         "{\"schema\": \"bauvm.sweep-request/1\","
         " \"workloads\": [\"@frontier\"], \"scale\": \"tiny\"}");
-    SweepRequest req;
+    SweepSpec spec;
     std::string error;
-    ASSERT_TRUE(parseSweepRequest(doc, &req, &error)) << error;
+    ASSERT_TRUE(parseSweepRequest(doc, &spec, &error)) << error;
     const std::vector<std::string> expected = {"BFS-HYB", "CC", "TC",
                                                "KTRUSS"};
-    EXPECT_EQ(req.workloads, expected);
+    EXPECT_EQ(spec.workloads, expected);
 }
 
 TEST(CellKeyStreamParams, StreamConfigReKeysTheCell)
@@ -651,7 +593,7 @@ TEST(CellKeyStreamParams, StreamConfigReKeysTheCell)
 
 TEST(SweepRequestParse, RejectsInvalidDocuments)
 {
-    SweepRequest req;
+    SweepSpec req;
     std::string error;
     EXPECT_FALSE(parseSweepRequest(
         parseOrDie("{\"schema\": \"bauvm.other/1\","
@@ -678,12 +620,6 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
                        bad_ratio + "}"),
             &req, &error))
             << bad_ratio;
-        CellSpec spec;
-        EXPECT_FALSE(parseCellSpec(
-            parseOrDie("{\"workload\": \"PR\", \"ratio\": " +
-                       bad_ratio + "}"),
-            &spec, &error))
-            << bad_ratio;
     }
     EXPECT_TRUE(parseSweepRequest(
         parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
@@ -691,20 +627,42 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
         &req, &error))
         << error;
 
+    // A tenant mix needs two registered workloads.
+    for (const std::string bad_tenants : {
+             "[{\"workload\": \"PR\"}]",
+             "[{\"workload\": \"PR\"}, {\"workload\": \"NOPE\"}]",
+         }) {
+        EXPECT_FALSE(parseSweepRequest(
+            parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
+                       " \"workloads\": [\"mix\"], \"tenants\": " +
+                       bad_tenants + "}"),
+            &req, &error))
+            << bad_tenants;
+    }
+
+    // The keys of the retired sweep daemon are refused by name: a
+    // request that asks for a hard kill must not run without one.
+    for (const std::string retired :
+         {"hard_timeout_s", "chunk_cells", "flush_cells"}) {
+        error.clear();
+        EXPECT_FALSE(parseSweepRequest(
+            parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
+                       " \"workloads\": [\"PR\"], \"" +
+                       retired + "\": 1}"),
+            &req, &error))
+            << retired;
+        EXPECT_NE(error.find(retired), std::string::npos) << error;
+    }
+
     // Override values are checked against the knob's type where the
-    // request is parsed, so none of these can reach fatal() (which
-    // would take the daemon down) or an undefined cast.
+    // request is parsed, so none of these can reach the fatal() in a
+    // variant's mutation or an undefined cast.
     const auto withOverride = [](const std::string &entry) {
         return parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
                           " \"workloads\": [\"PR\"], \"variants\":"
                           " [{\"label\": \"v\", \"overrides\": [" +
                           entry + "]}]}");
     };
-    const auto cellWithOverride = [](const std::string &entry) {
-        return parseOrDie("{\"workload\": \"PR\", \"overrides\": [" +
-                          entry + "]}");
-    };
-    CellSpec cell;
     for (const std::string bad : {
              "{\"key\": \"mt.policy\", \"value\": 7}",
              "{\"key\": \"mt.policy\", \"value\": -1}",
@@ -729,8 +687,6 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
         EXPECT_FALSE(parseSweepRequest(withOverride(bad), &req, &error))
             << bad;
         EXPECT_NE(error.find("override"), std::string::npos) << error;
-        EXPECT_FALSE(parseCellSpec(cellWithOverride(bad), &cell, &error))
-            << bad;
     }
     for (const std::string good : {
              "{\"key\": \"mt.policy\", \"value\": 2}",
@@ -741,228 +697,66 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
          }) {
         EXPECT_TRUE(parseSweepRequest(withOverride(good), &req, &error))
             << error;
-        EXPECT_TRUE(parseCellSpec(cellWithOverride(good), &cell, &error))
-            << error;
     }
 }
 
 // ---------------------------------------------------------------------
-// The daemon
+// Resume through the result cache
 // ---------------------------------------------------------------------
 
-TEST(SweepServiceTest, ShardedMatchesSerialThenServesFromCache)
+TEST(SweepRunner, ResumeReplaysEveryOkCell)
 {
-    const std::string cache_dir = tempPath("svc_cache");
+    const std::string cache_dir = tempPath("runner_resume");
     std::filesystem::remove_all(cache_dir);
 
-    // Serial in-process reference for the same request.
-    SweepRequest req;
-    std::string error;
-    ASSERT_TRUE(parseSweepRequest(parseOrDie(requestJson()), &req,
-                                  &error))
-        << error;
-    const std::string serial =
-        runRequestSerial(req).toJson(/*pretty=*/false);
+    const auto run = [&](const std::string &extra) {
+        SweepSpec spec;
+        std::string error;
+        EXPECT_TRUE(parseSweepRequest(parseOrDie(requestJson(extra)),
+                                      &spec, &error))
+            << error;
+        spec.opt.resume_dir = cache_dir;
+        spec.verbose = false;
+        return SweepRunner(std::move(spec)).run();
+    };
 
-    SweepServiceOptions opt;
-    opt.socket_path = tempPath("svc1.sock");
-    opt.cache_dir = cache_dir;
-    opt.verbose = false;
-    ServiceFixture daemon(std::move(opt));
-
-    // Sharded across 2 forked workers: must match serial bit-for-bit
-    // on every deterministic field.
-    const SweepSubmitResult sharded =
-        submitSweep(daemon.socket(), requestJson("\"jobs\": 2"));
-    ASSERT_TRUE(sharded.ok) << sharded.error;
-    EXPECT_EQ(sharded.cells, 4u);
-    EXPECT_EQ(sharded.failed, 0u);
-    EXPECT_EQ(sharded.cached, 0u);
-    EXPECT_EQ(strippedDoc(sharded.sweep_json), strippedDoc(serial));
+    // 2 workloads x 2 policies on two worker threads: every cell is
+    // computed and stored.
+    const SweepResult first = run("\"jobs\": 2");
+    ASSERT_EQ(first.cells.size(), 4u);
+    for (const CellOutcome &cell : first.cells) {
+        EXPECT_TRUE(cell.ok) << cell.error;
+        EXPECT_FALSE(cell.from_cache);
+    }
     EXPECT_EQ(cacheEntryCount(cache_dir), 4u);
 
-    // Identical resubmission: every cell replays from the daemon's
-    // completion memo / the disk cache, still equal to serial.
-    const SweepSubmitResult replay =
-        submitSweep(daemon.socket(), requestJson("\"jobs\": 2"));
-    ASSERT_TRUE(replay.ok) << replay.error;
-    EXPECT_EQ(replay.cached, 4u);
-    EXPECT_EQ(strippedDoc(replay.sweep_json), strippedDoc(serial));
-    EXPECT_EQ(daemon.service().cellsExecuted(), 4u);
+    // The same matrix again: every cell replays, and the document is
+    // equal modulo provenance.
+    const SweepResult second = run("\"jobs\": 2");
+    ASSERT_EQ(second.cells.size(), 4u);
+    for (const CellOutcome &cell : second.cells)
+        EXPECT_TRUE(cell.from_cache) << cell.workload;
+    EXPECT_EQ(strippedDoc(second.toJson(/*pretty=*/false)),
+              strippedDoc(first.toJson(/*pretty=*/false)));
 
-    // A config change (different base seed) changes every content
-    // address: nothing may come from the cache.
-    const SweepSubmitResult reseeded = submitSweep(
-        daemon.socket(), requestJson("\"jobs\": 2, \"seed\": 99"));
-    ASSERT_TRUE(reseeded.ok) << reseeded.error;
-    EXPECT_EQ(reseeded.cached, 0u);
-    EXPECT_EQ(daemon.service().cellsExecuted(), 8u);
+    // A variant that changes a keyed knob must miss the cache for
+    // exactly its own cells; the default variant still replays.
+    const SweepResult third = run(
+        "\"jobs\": 2, \"variants\": [{\"label\": \"\"},"
+        " {\"label\": \"fb512\", \"overrides\":"
+        "  [{\"key\": \"uvm.fault_buffer_entries\", \"value\": 512}]}]");
+    ASSERT_EQ(third.cells.size(), 8u);
+    for (std::size_t i = 0; i < third.cells.size(); ++i) {
+        const CellOutcome &cell = third.cells[i];
+        EXPECT_TRUE(cell.ok) << cell.error;
+        EXPECT_EQ(cell.from_cache, i < 4) << i;
+        EXPECT_EQ(cell.variant, i < 4 ? "" : "fb512") << i;
+        if (i < 4)
+            EXPECT_EQ(cell.digest, first.cells[i].digest) << i;
+        else
+            EXPECT_NE(cell.digest, third.cells[i - 4].digest) << i;
+    }
     EXPECT_EQ(cacheEntryCount(cache_dir), 8u);
 }
-
-TEST(SweepServiceTest, ConcurrentIdenticalRequestsDedupe)
-{
-    const std::string cache_dir = tempPath("svc_dedupe");
-    std::filesystem::remove_all(cache_dir);
-
-    SweepServiceOptions opt;
-    opt.socket_path = tempPath("svc2.sock");
-    opt.cache_dir = cache_dir;
-    opt.verbose = false;
-    ServiceFixture daemon(std::move(opt));
-
-    // Two clients submit the same 4-cell matrix at once. However the
-    // completions interleave, the daemon must run each unique cell
-    // exactly once; the second request's cells either wait on the
-    // running twin or replay the memo, and both merged documents are
-    // identical on deterministic fields.
-    SweepSubmitResult a, b;
-    std::thread ta([&] {
-        a = submitSweep(daemon.socket(), requestJson("\"jobs\": 2"));
-    });
-    std::thread tb([&] {
-        b = submitSweep(daemon.socket(), requestJson("\"jobs\": 2"));
-    });
-    ta.join();
-    tb.join();
-
-    ASSERT_TRUE(a.ok) << a.error;
-    ASSERT_TRUE(b.ok) << b.error;
-    EXPECT_EQ(a.cells, 4u);
-    EXPECT_EQ(b.cells, 4u);
-    EXPECT_EQ(a.failed + b.failed, 0u);
-    EXPECT_EQ(strippedDoc(a.sweep_json), strippedDoc(b.sweep_json));
-
-    EXPECT_EQ(daemon.service().cellsExecuted(), 4u);
-    EXPECT_EQ(daemon.service().cellsFromCache() +
-                  daemon.service().cellsDeduped(),
-              4u);
-    EXPECT_EQ(cacheEntryCount(cache_dir), 4u);
-}
-
-TEST(SweepServiceTest, HardTimeoutKillsWorkerAndCellRetries)
-{
-    const std::string cache_dir = tempPath("svc_hardto");
-    std::filesystem::remove_all(cache_dir);
-
-    SweepServiceOptions opt;
-    opt.socket_path = tempPath("svc3.sock");
-    opt.cache_dir = cache_dir;
-    opt.verbose = false;
-    ServiceFixture daemon(std::move(opt));
-
-    // A hard budget far below any tiny cell's runtime: the daemon
-    // must SIGKILL the worker, charge exactly the running cell with
-    // timed_out, and keep the request alive to completion.
-    const SweepSubmitResult killed = submitSweep(
-        daemon.socket(),
-        "{\"schema\": \"bauvm.sweep-request/1\","
-        " \"bench\": \"hardto\", \"workloads\": [\"BFS-TWC\"],"
-        " \"policies\": [\"BASELINE\", \"TO+UE\"],"
-        " \"scale\": \"tiny\", \"hard_timeout_s\": 0.001}");
-    ASSERT_TRUE(killed.ok) << killed.error;
-    EXPECT_EQ(killed.cells, 2u);
-    EXPECT_GE(killed.timed_out, 1u);
-    EXPECT_EQ(killed.failed, killed.timed_out);
-    EXPECT_GE(daemon.service().workersKilled(), 1u);
-
-    const JsonValue doc = parseOrDie(killed.sweep_json);
-    const JsonValue *cells = doc.find("cells");
-    ASSERT_NE(cells, nullptr);
-    std::size_t marked = 0;
-    for (std::size_t i = 0; i < cells->size(); ++i) {
-        if (cells->at(i).getBool("timed_out")) {
-            ++marked;
-            EXPECT_FALSE(cells->at(i).getBool("ok"));
-        }
-    }
-    EXPECT_EQ(marked, killed.timed_out);
-
-    // Timed-out cells are never memoized or stored: the same matrix
-    // without the budget must recompute and succeed.
-    const SweepSubmitResult retried = submitSweep(
-        daemon.socket(),
-        "{\"schema\": \"bauvm.sweep-request/1\","
-        " \"bench\": \"hardto\", \"workloads\": [\"BFS-TWC\"],"
-        " \"policies\": [\"BASELINE\", \"TO+UE\"],"
-        " \"scale\": \"tiny\"}");
-    ASSERT_TRUE(retried.ok) << retried.error;
-    EXPECT_EQ(retried.failed, 0u);
-    EXPECT_EQ(retried.timed_out, 0u);
-}
-
-TEST(SweepServiceTest, KillAndResumeMatchesSerial)
-{
-    const std::string cache_dir = tempPath("svc_resume");
-    const std::string sock = tempPath("svc4.sock");
-    std::filesystem::remove_all(cache_dir);
-
-    const std::string request = requestJson(
-        "\"jobs\": 1, \"chunk_cells\": 1, \"flush_cells\": 1");
-
-    SweepRequest req;
-    std::string error;
-    ASSERT_TRUE(parseSweepRequest(parseOrDie(request), &req, &error))
-        << error;
-    const std::string serial =
-        runRequestSerial(req).toJson(/*pretty=*/false);
-
-    // First daemon generation runs in a forked child so it can be
-    // SIGKILLed mid-matrix — the crash the checkpoint/resume design
-    // exists for. flush_cells=1 makes every completed cell durable
-    // before its "cell" event reaches the client.
-    const pid_t daemon_pid = fork();
-    ASSERT_GE(daemon_pid, 0);
-    if (daemon_pid == 0) {
-        SweepServiceOptions opt;
-        opt.socket_path = sock;
-        opt.cache_dir = cache_dir;
-        opt.verbose = false;
-        SweepService svc(std::move(opt));
-        std::string err;
-        if (!svc.start(&err))
-            _exit(9);
-        svc.run();
-        _exit(0);
-    }
-    ASSERT_TRUE(waitForService(sock, 10.0));
-
-    std::atomic<std::uint64_t> seen{0};
-    const SweepSubmitResult interrupted = submitSweep(
-        sock, request, [&](const JsonValue &event) {
-            if (event.getString("op") != "cell")
-                return;
-            // Two cells durably finished: kill the daemon dead.
-            if (++seen == 2)
-                ::kill(daemon_pid, SIGKILL);
-        });
-    int status = 0;
-    ASSERT_EQ(::waitpid(daemon_pid, &status, 0), daemon_pid);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    EXPECT_FALSE(interrupted.ok);
-    EXPECT_GE(seen.load(), 2u);
-
-    const std::size_t checkpointed = cacheEntryCount(cache_dir);
-    EXPECT_GE(checkpointed, 2u);
-    EXPECT_LT(checkpointed, 4u) << "kill landed after the matrix";
-
-    // Second generation on the same cache: the resubmitted sweep must
-    // replay every checkpointed cell and match serial bit-for-bit on
-    // deterministic fields.
-    SweepServiceOptions opt;
-    opt.socket_path = sock;
-    opt.cache_dir = cache_dir;
-    opt.verbose = false;
-    ServiceFixture daemon(std::move(opt));
-
-    const SweepSubmitResult resumed = submitSweep(sock, request);
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    EXPECT_EQ(resumed.cells, 4u);
-    EXPECT_EQ(resumed.failed, 0u);
-    EXPECT_GE(resumed.cached, checkpointed);
-    EXPECT_EQ(strippedDoc(resumed.sweep_json), strippedDoc(serial));
-    EXPECT_EQ(cacheEntryCount(cache_dir), 4u);
-}
-
 } // namespace
 } // namespace bauvm

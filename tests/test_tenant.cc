@@ -19,6 +19,7 @@
 #include "src/mem/tenant_directory.h"
 #include "src/runner/cell_spec.h"
 #include "src/runner/job.h"
+#include "src/runner/json_writer.h"
 #include "src/runner/sweep_runner.h"
 #include "src/serve/cell_json.h"
 #include "src/serve/json.h"
@@ -262,27 +263,6 @@ TEST(MultiTenant, MtPolicyIsADeclarativeKnob)
     // ...and it is part of the canonical config string.
     const std::string canon = canonicalConfigString(config);
     EXPECT_NE(canon.find("mt.policy=2;"), std::string::npos);
-}
-
-TEST(MultiTenant, CellSpecTenantsRoundTripThroughJson)
-{
-    CellSpec spec;
-    spec.workload = "BFS-HYB+PR";
-    spec.scale = WorkloadScale::Tiny;
-    spec.tenants = twoTenants(0.7, 0.3);
-
-    JsonWriter w(/*pretty=*/false);
-    writeCellSpec(w, spec);
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(JsonValue::parse(w.str(), &doc, &error)) << error;
-    CellSpec parsed;
-    ASSERT_TRUE(parseCellSpec(doc, &parsed, &error)) << error;
-    ASSERT_EQ(parsed.tenants.size(), 2u);
-    EXPECT_EQ(parsed.tenants[0].workload, "BFS-HYB");
-    EXPECT_DOUBLE_EQ(parsed.tenants[0].quota, 0.7);
-    EXPECT_EQ(parsed.tenants[1].workload, "PR");
-    EXPECT_EQ(parsed.tenants[0].scale, WorkloadScale::Tiny);
 }
 
 /** "name=value;" for every kExported field of @p s, in table order,
