@@ -39,8 +39,8 @@ class CsrGraph
 
     /**
      * Adopts pre-built CSR arrays (validated, then moved in). Used by
-     * the external-memory builder, which assembles the arrays without
-     * ever holding an edge list.
+     * the R-MAT builder (buildRmatCsr), which assembles the arrays
+     * without ever holding an edge list.
      */
     static CsrGraph fromCsrArrays(std::vector<std::uint64_t> row_offsets,
                                   std::vector<VertexId> col_indices,

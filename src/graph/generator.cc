@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/graph/stream/rmat_stream.h"
+#include "src/graph/rmat_draw.h"
 #include "src/sim/log.h"
 #include "src/sim/parallel_units.h"
 
@@ -39,129 +39,35 @@ appendEdge(std::vector<std::pair<VertexId, VertexId>> &edges,
     }
 }
 
-} // namespace
+/** Raw draws per block. Drawing a block into buffers that stay in
+ *  cache, then counting or scattering it, keeps the random stores of
+ *  a block in flight together; drawn and stored one edge at a time,
+ *  the ~20 RNG steps between stores starve them of memory
+ *  parallelism (the Large scatter took twice as long). */
+constexpr std::uint64_t kBlockEdges = 4096;
 
-std::size_t
-BuildThreads::chunksFor(std::uint64_t edges) const
+/** Draws @p raw_edges raw edges from @p rng a block at a time, and
+ *  hands @p use each block's surviving edges, in draw order, as
+ *  (src, dst, weight, count) arrays. */
+template <typename Use>
+void
+drawBlocks(const RmatDraw &draw, Rng &rng, std::uint64_t raw_edges,
+           Use &&use)
 {
-    const std::uint64_t workers =
-        threads != 0 ? threads
-                     : std::max(1u, std::thread::hardware_concurrency());
-    const std::uint64_t by_size =
-        edges / std::max<std::uint64_t>(min_chunk_edges, 1);
-    return static_cast<std::size_t>(
-        std::clamp<std::uint64_t>(by_size, 1, workers));
+    VertexId src[kBlockEdges], dst[kBlockEdges];
+    std::uint32_t weight[kBlockEdges];
+    while (raw_edges > 0) {
+        const std::uint64_t take = std::min(raw_edges, kBlockEdges);
+        std::size_t kept = 0;
+        for (std::uint64_t e = 0; e < take; ++e)
+            kept += draw(rng, &src[kept], &dst[kept], &weight[kept]);
+        use(src, dst, weight, kept);
+        raw_edges -= take;
+    }
 }
 
-CsrGraph
-generateRmat(const RmatParams &params, const BuildThreads &threads)
-{
-    validateRmatParams(params);
-    const VertexId n = rmatVertexCount(params);
-    // A weighted edge draws its weight only when it is not a self
-    // loop, so where a later edge starts in the draw sequence depends
-    // on the edges before it: a weighted graph draws in one chunk.
-    // Each chunk's row counters take 4n bytes. Keeping n raw edges or
-    // more in every chunk holds them to at most half of the chunk's
-    // own edge data, however many cores the host has.
-    const std::size_t chunks =
-        params.weighted
-            ? 1
-            : std::min<std::uint64_t>(
-                  threads.chunksFor(params.num_edges),
-                  std::max<std::uint64_t>(params.num_edges / n, 1));
-
-    // The graph's own arrays are reserved before the draw buffers, at
-    // their most (every draw survives), so the draw buffers lie above
-    // them in the heap: freed, they leave one block at its top that
-    // relabelByDegree's arrays reuse. Reserved after them, the freed
-    // draws would leave a hole too small for the relabel's columns: a
-    // second Large build in one process then peaks at 103 MiB, not 72.
-    const std::uint64_t most_edges =
-        params.num_edges * (params.undirected ? 2 : 1);
-    std::vector<std::uint64_t> row(static_cast<std::size_t>(n) + 1, 0);
-    std::vector<VertexId> cols;
-    std::vector<std::uint32_t> weights;
-    cols.reserve(most_edges);
-    weights.reserve(params.weighted ? most_edges : 0);
-
-    // An unweighted raw edge takes exactly log2(n) draws, so chunk c,
-    // which starts at raw edge e, starts e * log2(n) draws into the
-    // sequence: one jump. Each chunk keeps only its surviving raw
-    // draws (and one weight per draw) and counts them per row, at both
-    // ends if the graph is undirected, on its own thread. The calling
-    // thread reserves every buffer (without touching it), so the big
-    // blocks come from its heap and go back there, not to per-thread
-    // malloc arenas.
-    RmatParams draws = params;
-    draws.undirected = false; // reverse edges are written at scatter
-    const std::uint64_t draws_per_edge = std::countr_zero(n);
-    const auto first_edge = [&](std::size_t c) {
-        return params.num_edges * c / chunks;
-    };
-    std::vector<RmatStreamBlock> chunk(chunks);
-    std::vector<std::vector<std::uint32_t>> in_row(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::uint64_t raw = first_edge(c + 1) - first_edge(c);
-        chunk[c].edges.reserve(raw);
-        chunk[c].weights.reserve(params.weighted ? raw : 0);
-        in_row[c].reserve(n);
-    }
-    runUnits(chunks, chunks, [&](std::size_t c) {
-        Rng rng(params.seed);
-        rng.jump(first_edge(c) * draws_per_edge);
-        appendRmatEdges(draws, rng, first_edge(c + 1) - first_edge(c),
-                        &chunk[c]);
-        std::vector<std::uint32_t> &counts = in_row[c];
-        counts.assign(n, 0);
-        for (const auto &[src, dst] : chunk[c].edges) {
-            ++counts[src];
-            if (params.undirected)
-                ++counts[dst];
-        }
-    });
-
-    // The row lengths, and each chunk's counts turned in place into the
-    // offset of its first edge within the row. Chunk c's edges of a row
-    // then land after those of chunks 0..c-1, in draw order: the stable
-    // order CsrGraph::fromEdges keeps. A row holds fewer than 2^32
-    // edges (validateRmatParams), so the 32-bit offsets cannot wrap.
-    for (VertexId v = 0; v < n; ++v) {
-        std::uint32_t at = 0;
-        for (std::vector<std::uint32_t> &counts : in_row) {
-            const std::uint32_t k = counts[v];
-            counts[v] = at;
-            at += k;
-        }
-        row[v + 1] = row[v] + at;
-    }
-
-    // Each draw (src, dst) writes its forward edge, then its reverse
-    // edge (dst, src): the order of the doubled list appendRmatEdges
-    // builds for an undirected graph. A weight goes to both.
-    cols.resize(row[n]);
-    weights.resize(params.weighted ? row[n] : 0);
-    runUnits(chunks, chunks, [&](std::size_t c) {
-        std::vector<std::uint32_t> &at = in_row[c];
-        const RmatStreamBlock &drawn = chunk[c];
-        for (std::size_t i = 0; i < drawn.edges.size(); ++i) {
-            const auto [src, dst] = drawn.edges[i];
-            const std::uint64_t fwd = row[src] + at[src]++;
-            cols[fwd] = dst;
-            if (params.weighted)
-                weights[fwd] = drawn.weights[i];
-            if (params.undirected) {
-                const std::uint64_t rev = row[dst] + at[dst]++;
-                cols[rev] = src;
-                if (params.weighted)
-                    weights[rev] = drawn.weights[i];
-            }
-        }
-    });
-    return CsrGraph::fromCsrArrays(std::move(row), std::move(cols),
-                                   std::move(weights));
-}
-
+/** The relabelByDegree order as an old-id -> new-id map over
+ *  per-vertex out-degrees: descending degree, ties in old-id order. */
 std::vector<VertexId>
 degreeDescendingIds(std::span<const std::uint64_t> degree)
 {
@@ -178,6 +84,190 @@ degreeDescendingIds(std::span<const std::uint64_t> degree)
     for (std::size_t v = 0; v < degree.size(); ++v)
         new_id[v] = next[max_degree - degree[v]]++;
     return new_id;
+}
+
+} // namespace
+
+std::size_t
+BuildThreads::chunksFor(std::uint64_t edges) const
+{
+    const std::uint64_t workers =
+        threads != 0 ? threads
+                     : std::max(1u, std::thread::hardware_concurrency());
+    const std::uint64_t by_size =
+        edges / std::max<std::uint64_t>(min_chunk_edges, 1);
+    return static_cast<std::size_t>(
+        std::clamp<std::uint64_t>(by_size, 1, workers));
+}
+
+void
+validateRmatParams(const RmatParams &params)
+{
+    if (params.a < 0.0 || params.b < 0.0 || params.c < 0.0) {
+        fatal("RmatParams: negative partition probability "
+              "(a=%g b=%g c=%g)",
+              params.a, params.b, params.c);
+    }
+    if (params.a + params.b + params.c >= 1.0) {
+        fatal("RmatParams: partition probabilities must satisfy "
+              "a + b + c < 1 (got %g)",
+              params.a + params.b + params.c);
+    }
+    if (params.num_edges == 0)
+        fatal("RmatParams: num_edges must be non-zero");
+    // buildRmatCsr counts and places a row's edges in 32 bits.
+    const std::uint64_t most_edges =
+        params.undirected ? UINT32_MAX / 2 : UINT32_MAX;
+    if (params.num_edges > most_edges) {
+        fatal("RmatParams: num_edges %llu makes 2^32 or more directed "
+              "edges (the 32-bit in-row edge counters would wrap)",
+              static_cast<unsigned long long>(params.num_edges));
+    }
+    if (params.num_vertices < 2)
+        fatal("RmatParams: need at least two vertices");
+    if (params.num_vertices > kMaxRmatVertices) {
+        fatal("RmatParams: num_vertices %u exceeds the 2^31 limit (the "
+              "power-of-two round-up must fit a 32-bit vertex id)",
+              params.num_vertices);
+    }
+}
+
+VertexId
+rmatVertexCount(const RmatParams &params)
+{
+    return std::bit_ceil(params.num_vertices);
+}
+
+CsrGraph
+buildRmatCsr(const RmatParams &params, RmatOrder order,
+             const BuildThreads &threads)
+{
+    validateRmatParams(params);
+    const VertexId n = rmatVertexCount(params);
+    const RmatDraw draw(params);
+    // Each chunk's row counters take 4n bytes. Keeping n raw edges or
+    // more in every chunk holds them to the bytes of the columns the
+    // chunk writes (half of them if undirected), however many cores
+    // the host has.
+    const std::size_t chunks = std::min<std::uint64_t>(
+        threads.chunksFor(params.num_edges),
+        std::max<std::uint64_t>(params.num_edges / n, 1));
+    const auto first_edge = [&](std::size_t c) {
+        return params.num_edges * c / chunks;
+    };
+    const auto raw_edges = [&](std::size_t c) {
+        return first_edge(c + 1) - first_edge(c);
+    };
+
+    // Pass 1: each chunk draws its edges and counts them per row, at
+    // both ends if the graph is undirected, keeping no draw. The
+    // calling thread reserves the counters (without touching them), so
+    // the blocks come from its heap, not from per-thread malloc arenas.
+    std::vector<std::vector<std::uint32_t>> next(chunks);
+    for (std::vector<std::uint32_t> &counts : next)
+        counts.reserve(n);
+    const auto count = [&](std::size_t c, Rng &rng) {
+        std::vector<std::uint32_t> &counts = next[c];
+        counts.assign(n, 0);
+        drawBlocks(draw, rng, raw_edges(c),
+                   [&](const VertexId *src, const VertexId *dst,
+                       const std::uint32_t *, std::size_t kept) {
+                       for (std::size_t i = 0; i < kept; ++i) {
+                           ++counts[src[i]];
+                           if (params.undirected)
+                               ++counts[dst[i]];
+                       }
+                   });
+    };
+    std::vector<Rng> start(chunks, Rng(params.seed));
+    if (params.weighted) {
+        // A weighted edge draws its weight only when it is not a self
+        // loop, so where a chunk starts in the draw sequence depends
+        // on the chunks before it: pass 1 runs serially and records
+        // each chunk's start. Pass 2 still runs the chunks in parallel.
+        Rng rng(params.seed);
+        for (std::size_t c = 0; c < chunks; ++c) {
+            start[c] = rng;
+            count(c, rng);
+        }
+    } else {
+        // An unweighted raw edge takes exactly log2(n) draws, so chunk
+        // c, which starts at raw edge e, starts e * log2(n) draws into
+        // the sequence: one jump.
+        const std::uint64_t draws_per_edge = std::countr_zero(n);
+        runUnits(chunks, chunks, [&](std::size_t c) {
+            start[c].jump(first_edge(c) * draws_per_edge);
+            Rng rng = start[c];
+            count(c, rng);
+        });
+    }
+
+    // The row lengths give the new ids and the row offsets. Then each
+    // chunk's counts become the position of its next edge in each row:
+    // chunk c's edges of a row land after those of chunks 0..c-1, in
+    // draw order, the order CsrGraph::fromEdges and relabelByDegree
+    // keep. The graph has fewer than 2^32 edges (validateRmatParams),
+    // so 32-bit positions cannot wrap.
+    std::vector<VertexId> new_id;
+    std::vector<std::uint64_t> row(static_cast<std::size_t>(n) + 1, 0);
+    {
+        std::vector<std::uint64_t> degree(n, 0);
+        for (const std::vector<std::uint32_t> &counts : next)
+            for (VertexId v = 0; v < n; ++v)
+                degree[v] += counts[v];
+        if (order == RmatOrder::ByDegree) {
+            new_id = degreeDescendingIds(degree);
+        } else {
+            new_id.resize(n);
+            std::iota(new_id.begin(), new_id.end(), VertexId{0});
+        }
+        for (VertexId v = 0; v < n; ++v)
+            row[new_id[v] + 1] = degree[v];
+    }
+    std::partial_sum(row.begin(), row.end(), row.begin());
+    for (VertexId v = 0; v < n; ++v) {
+        auto at = static_cast<std::uint32_t>(row[new_id[v]]);
+        for (std::vector<std::uint32_t> &counts : next) {
+            const std::uint32_t k = counts[v];
+            counts[v] = at;
+            at += k;
+        }
+    }
+
+    // Pass 2: each chunk draws its edges again and writes each draw
+    // (src, dst) as the forward edge, then the reverse edge (dst, src)
+    // if undirected, the order of the doubled edge list. A weight goes
+    // to both.
+    std::vector<VertexId> cols(row[n]);
+    std::vector<std::uint32_t> weights(params.weighted ? row[n] : 0);
+    runUnits(chunks, chunks, [&](std::size_t c) {
+        std::vector<std::uint32_t> &at = next[c];
+        Rng rng = start[c];
+        drawBlocks(draw, rng, raw_edges(c),
+                   [&](const VertexId *src, const VertexId *dst,
+                       const std::uint32_t *weight, std::size_t kept) {
+                       for (std::size_t i = 0; i < kept; ++i) {
+                           const std::uint32_t fwd = at[src[i]]++;
+                           cols[fwd] = new_id[dst[i]];
+                           if (params.weighted)
+                               weights[fwd] = weight[i];
+                           if (params.undirected) {
+                               const std::uint32_t rev = at[dst[i]]++;
+                               cols[rev] = new_id[src[i]];
+                               if (params.weighted)
+                                   weights[rev] = weight[i];
+                           }
+                       }
+                   });
+    });
+    return CsrGraph::fromCsrArrays(std::move(row), std::move(cols),
+                                   std::move(weights));
+}
+
+CsrGraph
+generateRmat(const RmatParams &params, const BuildThreads &threads)
+{
+    return buildRmatCsr(params, RmatOrder::Raw, threads);
 }
 
 CsrGraph

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/graph/csr_graph.h"
@@ -42,7 +41,7 @@ struct BuildThreads {
     /** Edges (raw R-MAT draws, or CSR edges for the relabel) below
      *  which a chunk is not worth a thread. Tests lower it to split
      *  small graphs. */
-    std::uint64_t min_chunk_edges = std::uint64_t{1} << 16;
+    std::uint64_t min_chunk_edges = std::uint64_t{1} << 13;
 
     /** Contiguous chunks to split @p edges raw edges into: one per
      *  thread, but none smaller than min_chunk_edges, and at least
@@ -50,11 +49,42 @@ struct BuildThreads {
     std::size_t chunksFor(std::uint64_t edges) const;
 };
 
+/** Largest num_vertices whose power-of-two round-up fits a VertexId. */
+constexpr VertexId kMaxRmatVertices = VertexId{1} << 31;
+
+/** Fatal()s unless @p params describes a generatable graph: partition
+ *  probabilities must be non-negative with a + b + c < 1, num_edges
+ *  must be non-zero and make fewer than 2^32 directed edges (twice
+ *  num_edges if undirected), and num_vertices must be in
+ *  [2, kMaxRmatVertices]. */
+void validateRmatParams(const RmatParams &params);
+
+/** Vertex count of the graph @p params generates: num_vertices rounded
+ *  up to a power of two. @pre validateRmatParams(params) passed. */
+VertexId rmatVertexCount(const RmatParams &params);
+
+/** The vertex ids an R-MAT build gives its CSR rows. */
+enum class RmatOrder {
+    Raw,      //!< the drawn ids (generateRmat)
+    ByDegree, //!< relabelByDegree's ids, without building Raw first
+};
+
 /**
- * Generates an R-MAT graph. Its raw edges are drawn and counting-
- * sorted in contiguous chunks on @p threads (one chunk if weighted;
- * see generator.cc), each undirected draw placed in both rows.
+ * Builds the CSR graph of @p params: every R-MAT graph is built here.
+ * The raw edges are cut into contiguous chunks on @p threads, and each
+ * chunk draws its edges twice. Pass 1 counts them per row and keeps
+ * no draw; the counts give the rows in @p order and each chunk's
+ * write position in every row. Pass 2 draws them again and writes each
+ * edge (both directions if undirected) straight into the final
+ * arrays. So the build holds the CSR arrays, the new ids and one
+ * 4-byte counter per vertex and chunk, never an edge list or a second
+ * CSR copy. See generator.cc.
  */
+CsrGraph buildRmatCsr(const RmatParams &params, RmatOrder order,
+                      const BuildThreads &threads = {});
+
+/** The R-MAT graph of @p params in its drawn ids:
+ *  buildRmatCsr(params, RmatOrder::Raw, threads). */
 CsrGraph generateRmat(const RmatParams &params,
                       const BuildThreads &threads = {});
 
@@ -62,22 +92,13 @@ CsrGraph generateRmat(const RmatParams &params,
  * Relabels vertices by descending degree (stable; ties keep old-id
  * order). Real GraphBIG inputs (crawled social/web graphs) have strong
  * id locality — hot hub data clusters on few pages — whereas raw R-MAT
- * ids scatter maximally; the relabeling restores that property. Used
- * by every graph workload build and matched bit for bit by the
- * external-memory builder (src/graph/stream/csr_stream_builder). The
- * scatter runs on @p threads, split by old-vertex range.
+ * ids scatter maximally; the relabeling restores that property. A
+ * graph workload builds its relabeled graph directly, with
+ * buildRmatCsr(params, RmatOrder::ByDegree), which matches this bit
+ * for bit. The scatter runs on @p threads, split by old-vertex range.
  */
 CsrGraph relabelByDegree(const CsrGraph &raw,
                          const BuildThreads &threads = {});
-
-/**
- * The relabelByDegree order as an old-id -> new-id map over per-vertex
- * out-degrees: descending degree, ties in old-id order. A counting sort,
- * so it is stable by construction; the external-memory builder uses it
- * too.
- */
-std::vector<VertexId> degreeDescendingIds(
-    std::span<const std::uint64_t> degree);
 
 /** Generates a uniform random graph with the same knobs. */
 CsrGraph generateUniform(VertexId num_vertices, std::uint64_t num_edges,

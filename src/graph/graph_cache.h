@@ -42,9 +42,10 @@ class GraphBuildCache
 {
   public:
     /** Everything a build depends on; equal key => identical graph.
-     *  The stream parameters are part of the key even though streamed
-     *  and in-core builds are bit-identical: keying on the full build
-     *  configuration keeps cache transparency trivially auditable. */
+     *  streamed and edges_per_block record the stream parameters of
+     *  the retired external-memory builder (graphStreamConfig()); every
+     *  graph now builds one way, and they stay so that keys do not
+     *  move. */
     struct Key {
         std::uint64_t vertices = 0;
         std::uint64_t edges = 0;

@@ -155,11 +155,9 @@ cellKey(const std::string &workload, WorkloadScale scale,
         const SimConfig &config, const std::string &git_rev,
         const std::vector<TenantSpec> &tenants)
 {
-    // /2: the graph-stream parameters joined the key. Streamed and
-    // in-core builds are differential-tested bit-identical, but the
-    // stream config is still build provenance — folding it keeps the
-    // result cache honest if that guarantee ever regresses, at the
-    // cost of re-keying every cell when the config changes.
+    // /2: the graph-stream parameters joined the key. They no longer
+    // choose how a graph is built (one builder builds every graph),
+    // but they stay so that every pinned cell key keeps its value.
     // /3: the tenant mix joined the key (and mt.policy joined the
     // canonical config) — a multi-tenant cell can never alias the
     // single-tenant cell that shares its label.

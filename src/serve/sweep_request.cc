@@ -1,6 +1,9 @@
 #include "src/serve/sweep_request.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/runner/cell_spec.h"
@@ -20,6 +23,31 @@ failParse(std::string *error, const std::string &what)
     if (error)
         *error = what;
     return false;
+}
+
+/** The keys a request object may hold; anything else is refused by
+ *  name, so a misspelled key cannot silently run its default. */
+constexpr const char *kRequestKeys[] = {
+    "schema", "bench", "workloads", "policies", "variants",
+    "scale", "ratio", "seed", "audit", "tenants", "share_policy",
+    "timeout_s", "jobs"};
+constexpr const char *kVariantKeys[] = {"label", "overrides"};
+constexpr const char *kTenantKeys[] = {"workload", "quota"};
+
+/** Fails on the first member of @p obj not in @p known, naming it and
+ *  @p where it sits ("" for the request object itself). */
+bool
+rejectUnknownKeys(const JsonValue &obj, std::span<const char *const> known,
+                  const std::string &where, std::string *error)
+{
+    for (const auto &member : obj.members()) {
+        const std::string &key = member.first;
+        if (std::none_of(known.begin(), known.end(),
+                         [&](const char *k) { return key == k; }))
+            return failParse(error, "sweep request: unknown key '" + key +
+                                        "'" + where);
+    }
+    return true;
 }
 
 /** Expands one workloads[] entry: "@irregular"/"@regular"/"@frontier"/
@@ -76,6 +104,8 @@ parseSweepRequest(const JsonValue &v, SweepSpec *out,
             return failParse(error, std::string("sweep request: '") +
                                         retired +
                                         "' is no longer supported");
+    if (!rejectUnknownKeys(v, kRequestKeys, "", error))
+        return false;
     *out = SweepSpec();
     out->bench = v.getString("bench", "sweep");
     BenchOptions &opt = out->opt;
@@ -125,6 +155,11 @@ parseSweepRequest(const JsonValue &v, SweepSpec *out,
                 return failParse(
                     error, "sweep request: variants[] entries are "
                            "objects");
+            if (!rejectUnknownKeys(entry, kVariantKeys,
+                                   " in variants[" + std::to_string(i) +
+                                       "]",
+                                   error))
+                return false;
             std::vector<ConfigOverride> overrides;
             std::string why;
             if (const JsonValue *ov = entry.find("overrides"))
@@ -164,6 +199,11 @@ parseSweepRequest(const JsonValue &v, SweepSpec *out,
         const WorkloadRegistry &reg = WorkloadRegistry::instance();
         for (std::size_t i = 0; i < tenants->size(); ++i) {
             const JsonValue &t = tenants->at(i);
+            if (!rejectUnknownKeys(t, kTenantKeys,
+                                   " in tenants[" + std::to_string(i) +
+                                       "]",
+                                   error))
+                return false;
             TenantSpec spec;
             spec.workload = t.getString("workload");
             if (!reg.contains(spec.workload))

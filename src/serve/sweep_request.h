@@ -46,8 +46,10 @@ inline constexpr const char *kSweepRequestSchema =
  * "audit" and "share_policy" after each variant's overrides.
  * @p out starts from a default SweepSpec; the caller sets resume_dir
  * and verbose. @return false with a reason in @p error on any invalid
- * field, including the retired keys "hard_timeout_s", "chunk_cells"
- * and "flush_cells".
+ * field and on any key the request, a variants[] entry or a tenants[]
+ * entry does not define, naming the key; the retired keys
+ * "hard_timeout_s", "chunk_cells" and "flush_cells" get a message of
+ * their own.
  */
 bool parseSweepRequest(const JsonValue &v, SweepSpec *out,
                        std::string *error);

@@ -29,35 +29,12 @@ graphScale(WorkloadScale scale)
         // Paper-scale tier: ~2M vertices, ~21M raw edges (~42M
         // directed after undirected doubling) put the shared CSR at
         // 349 MB+ of unified memory — the paper's largest real
-        // dataset regime. Builds at this tier go through the
-        // external-memory path (src/graph/stream), never holding the
-        // edge list in host RAM.
+        // dataset regime. The build holds the CSR arrays and per-chunk
+        // row counters, never the edge list (buildRmatCsr).
         return GraphScale{2097152, 20971520, 2};
     }
     fatal("graphScale: bad scale");
 }
-
-namespace
-{
-
-/** Generates the R-MAT input and degree-relabels it, choosing the
- *  in-core or external-memory path by edge count (both paths are
- *  bit-identical; the streamed one bounds host RAM). */
-CsrGraph
-buildRelabeledRmat(const RmatParams &params, bool streamed)
-{
-    if (streamed) {
-        const GraphStreamConfig &cfg = graphStreamConfig();
-        StreamCsrOptions opt;
-        opt.edges_per_block = cfg.edges_per_block;
-        opt.scratch_bytes = cfg.scratch_bytes;
-        opt.relabel_by_degree = true;
-        return buildCsrStreamed(params, opt);
-    }
-    return relabelByDegree(generateRmat(params));
-}
-
-} // namespace
 
 void
 GraphWorkloadBase::buildGraph(WorkloadScale scale, std::uint64_t seed,
@@ -74,7 +51,9 @@ GraphWorkloadBase::buildGraph(WorkloadScale scale, std::uint64_t seed,
 
     // Memoized across sweep cells: every policy cell of a workload
     // uses the same (workload, seed)-derived seed by design, so the
-    // generated+relabeled graph is identical and shareable.
+    // generated+relabeled graph is identical and shareable. The key
+    // keeps the stream fields of the retired external-memory builder,
+    // so that keys stay as they were; they no longer choose a builder.
     const GraphStreamConfig &stream_cfg = graphStreamConfig();
     const bool streamed =
         params.num_edges >= stream_cfg.stream_threshold_edges;
@@ -86,7 +65,7 @@ GraphWorkloadBase::buildGraph(WorkloadScale scale, std::uint64_t seed,
         streamed,
         streamed ? stream_cfg.edges_per_block : 0};
     graph_ = GraphBuildCache::instance().getOrBuild(
-        key, [&] { return buildRelabeledRmat(params, streamed); });
+        key, [&] { return buildRmatCsr(params, RmatOrder::ByDegree); });
 
     d_row_ = DeviceView<std::uint64_t>(alloc_, graph_->rowOffsets(),
                                        "row_offsets");

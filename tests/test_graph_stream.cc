@@ -1,11 +1,10 @@
 /**
  * @file
- * The streamed graph pipeline: seed-addressable R-MAT block stream,
- * external-memory CSR builder, parameter validation, build-cache
- * keying, the bounded-RSS guarantee that makes WorkloadScale::Huge
- * viable, and the in-core build's peak RSS at WorkloadScale::Large.
- * The differential tests pin the central contract: a streamed build
- * is bit-identical to the in-core build it replaces.
+ * The R-MAT graph build (buildRmatCsr) against its oracles: the legacy
+ * block stream and floating-point quadrant draw (tests/oracles), the
+ * pinned graph digests, relabelByDegree over a raw build; parameter
+ * validation, build-cache keying, and the build's peak RSS at
+ * WorkloadScale::Large and WorkloadScale::Huge.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -22,11 +22,10 @@
 
 #include "src/graph/generator.h"
 #include "src/graph/graph_cache.h"
+#include "src/graph/rmat_draw.h"
 #include "src/graph/stream/csr_stream_builder.h"
-#include "src/graph/stream/rmat_stream.h"
 #include "src/sim/log.h"
-#include "src/workloads/workload.h"
-#include "src/workloads/workload_registry.h"
+#include "tests/oracles/legacy_rmat_stream.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define BAUVM_SANITIZED 1
@@ -60,13 +59,7 @@ expectGraphsEqual(const CsrGraph &got, const CsrGraph &want)
     EXPECT_EQ(got.weights(), want.weights());
 }
 
-/** Restores the process-wide stream policy on scope exit. */
-struct ScopedStreamConfig {
-    GraphStreamConfig saved = graphStreamConfig();
-    ~ScopedStreamConfig() { graphStreamConfig() = saved; }
-};
-
-// ---- block stream ---------------------------------------------------
+// ---- the legacy block stream as oracle ------------------------------
 
 TEST(RmatStream, BlocksAreOrderIndependent)
 {
@@ -107,9 +100,11 @@ TEST(RmatStream, GranularityDoesNotChangeTheStream)
 
     // And CsrGraph::fromEdges() over the concatenation is exactly what
     // generateRmat() builds, on any thread count. A real differential:
-    // generateRmat() never calls fromEdges(), draws in chunks that
-    // start by jump and writes each reverse edge itself; the blocks
-    // replay the sequence from captured RNG states.
+    // generateRmat() never calls fromEdges(), draws on integer
+    // thresholds in chunks that start by jump (or, if weighted, at
+    // states its own serial pass found), and writes each edge and its
+    // reverse itself; the blocks replay the floating-point draw from
+    // captured RNG states.
     const RmatParams undirected = smallParams(/*seed=*/9);
     RmatParams directed = undirected;
     directed.undirected = false;
@@ -137,6 +132,125 @@ TEST(RmatStream, TailBlockHoldsTheRemainder)
     EXPECT_EQ(gen.rawEdgesInBlock(0), 400u);
     EXPECT_EQ(gen.rawEdgesInBlock(1), 400u);
     EXPECT_EQ(gen.rawEdgesInBlock(2), 200u);
+}
+
+// ---- the integer-threshold draw against the oracle draw -------------
+
+/** A generator whose next Rng::next() returns @p out: xoshiro256**
+ *  outputs rotl(s[1] * 5, 7) * 9, so s[1] follows from @p out (5 and 9
+ *  are odd, so invertible mod 2^64); the other words come from
+ *  @p seed. */
+Rng
+rngYielding(std::uint64_t out, std::uint64_t seed)
+{
+    const auto inverse = [](std::uint64_t odd) {
+        std::uint64_t inv = odd; // Newton: each step doubles the bits
+        for (int i = 0; i < 6; ++i)
+            inv *= 2 - odd * inv;
+        return inv;
+    };
+    const std::uint64_t rotated = out * inverse(9);
+    Rng::State state = Rng(seed).state();
+    state[1] = ((rotated >> 7) | (rotated << 57)) * inverse(5);
+    Rng rng(state);
+    EXPECT_EQ(Rng(state).next(), out);
+    return rng;
+}
+
+TEST(RmatDrawDifferential, MatchesTheOracleDrawEdgeByEdge)
+{
+    struct Case {
+        const char *name;
+        double a, b, c;
+        VertexId n;
+        bool weighted;
+    };
+    const double just_under_one = std::nextafter(1.0, 0.0);
+    const Case cases[] = {
+        {"default", 0.57, 0.19, 0.19, 4096, false},
+        {"default-weighted", 0.57, 0.19, 0.19, 4096, true},
+        {"all-zero", 0.0, 0.0, 0.0, 1000, true},
+        // (a + b) + c is exactly the largest double below 1.
+        {"sum-just-under-one", 0.5, 0.25, just_under_one - 0.75, 1000,
+         true},
+        // t * 2^53 integral at every threshold (0.5, 0.75, 0.875 and
+        // 0.25, 0.5, 0.75) ...
+        {"dyadic", 0.5, 0.25, 0.125, 1000, false},
+        {"quarters", 0.25, 0.25, 0.25, 1000, false},
+        // ... and not: 1/3 * 2^53, like 0.1 * 2^53 below, has a
+        // fraction.
+        {"third", 1.0 / 3, 0.25, 1.0 / 3, 1000, true},
+        {"skewed", 0.9, 0.04, 0.04, 4096, false},
+        {"asymmetric", 0.1, 0.2, 0.3, 4096, true},
+        {"n2", 0.57, 0.19, 0.19, 2, true},
+        {"n3", 0.57, 0.19, 0.19, 3, false},
+        {"n1000", 0.57, 0.19, 0.19, 1000, true},
+        {"n2^31", 0.45, 0.22, 0.22, kMaxRmatVertices, true},
+    };
+    ASSERT_EQ(0.5 + 0.25 + (just_under_one - 0.75), just_under_one);
+    ASSERT_NE(std::ldexp(1.0 / 3, 53), std::floor(std::ldexp(1.0 / 3, 53)));
+    ASSERT_NE(std::ldexp(0.1, 53), std::floor(std::ldexp(0.1, 53)));
+    for (const Case &k : cases) {
+        SCOPED_TRACE(k.name);
+        RmatParams p;
+        p.num_vertices = k.n;
+        p.a = k.a;
+        p.b = k.b;
+        p.c = k.c;
+        p.weighted = k.weighted;
+        validateRmatParams(p);
+        const QuadrantDraw oracle(p, rmatVertexCount(p));
+        const RmatDraw draw(p);
+        Rng want_rng(k.n), got_rng(k.n);
+        std::uint64_t kept = 0;
+        for (int e = 0; e < 20000; ++e) {
+            VertexId want_src = 0, want_dst = 0, got_src = 0, got_dst = 0;
+            std::uint32_t want_w = 0, got_w = 0;
+            const bool want =
+                oracle(want_rng, &want_src, &want_dst, &want_w);
+            const bool got = draw(got_rng, &got_src, &got_dst, &got_w);
+            ASSERT_EQ(got, want) << "edge " << e;
+            ASSERT_EQ(got_rng.state(), want_rng.state()) << "edge " << e;
+            if (!want)
+                continue;
+            ++kept;
+            ASSERT_EQ(got_src, want_src) << "edge " << e;
+            ASSERT_EQ(got_dst, want_dst) << "edge " << e;
+            ASSERT_EQ(got_w, want_w) << "edge " << e;
+        }
+        // Quadrant d alone draws only self loops; every other case
+        // must draw real edges for the comparison to mean anything.
+        EXPECT_EQ(kept == 0, k.a + k.b + k.c == 0.0);
+
+        // Random draws almost never land next to a threshold, so start
+        // an edge's first quadrant draw on each side of each one: the
+        // top 53 bits of the output at ceil(t * 2^53) and one below,
+        // with the low 11 bits, which both draws drop, clear and set.
+        for (const double t : {k.a, k.a + k.b, k.a + k.b + k.c}) {
+            const auto at = static_cast<std::uint64_t>(
+                std::ceil(std::ldexp(t, 53)));
+            for (const std::uint64_t x : {at - 1, at}) {
+                if (x >= std::uint64_t{1} << 53)
+                    continue; // at == 0: nothing lies below
+                for (const std::uint64_t low : {0x000ull, 0x7ffull}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "threshold " << t << ", x " << x);
+                    Rng want_rng = rngYielding(x << 11 | low, k.n);
+                    Rng got_rng = want_rng;
+                    VertexId want_src = 0, want_dst = 0, got_src = 0,
+                             got_dst = 0;
+                    std::uint32_t want_w = 0, got_w = 0;
+                    ASSERT_EQ(draw(got_rng, &got_src, &got_dst, &got_w),
+                              oracle(want_rng, &want_src, &want_dst,
+                                     &want_w));
+                    EXPECT_EQ(got_rng.state(), want_rng.state());
+                    EXPECT_EQ(got_src, want_src);
+                    EXPECT_EQ(got_dst, want_dst);
+                    EXPECT_EQ(got_w, want_w);
+                }
+            }
+        }
+    }
 }
 
 // ---- pinned graph digests -------------------------------------------
@@ -169,16 +283,15 @@ rmat(VertexId n, std::uint64_t edges, std::uint64_t seed)
 
 TEST(GraphDigest, PinnedAcrossEveryBuildPath)
 {
-    // The in-core and streamed paths share the quadrant draw, so the
-    // differential tests cannot see a change to the draw itself; these
-    // fixed digests can. Every build path must reproduce them.
+    // Fixed digests, recorded from the original generator, pin the
+    // draw itself and the order within every row. Every build path
+    // must reproduce them: the raw build, relabelByDegree over it, and
+    // the direct relabeled build through the buildCsrStreamed shim.
     struct Row {
         const char *name;
         RmatParams params;
-        std::uint32_t edges_per_block; //!< streamed build
-        std::uint64_t scratch_bytes;   //!< streamed build
-        std::uint64_t raw;             //!< generateRmat
-        std::uint64_t relabeled;       //!< relabelByDegree, streamed
+        std::uint64_t raw;       //!< generateRmat
+        std::uint64_t relabeled; //!< relabelByDegree, buildCsrStreamed
     };
     RmatParams sssp = rmat(4096, 32768, 2);
     sssp.weighted = true;
@@ -197,26 +310,22 @@ TEST(GraphDigest, PinnedAcrossEveryBuildPath)
     asymmetric.c = 0.3;
     asymmetric.weighted = true;
     const Row rows[] = {
-        {"bfs-tiny", rmat(4096, 32768, 1), 1000, 16 << 10,
+        {"bfs-tiny", rmat(4096, 32768, 1),
          0x3c85a30de3392fadull, 0x59a3e864886bcd37ull},
-        {"bfs-small", rmat(32768, 524288, 1), 1u << 14, 1 << 20,
+        {"bfs-small", rmat(32768, 524288, 1),
          0x9e057e5648144cb9ull, 0x814bb3bb7cebd6a1ull},
-        {"bfs-large", rmat(262144, 4 << 20, 12345), 1u << 16, 16 << 20,
+        {"bfs-large", rmat(262144, 4 << 20, 12345),
          0x04f03ccdb4ada9ddull, 0x62e455b7dd7d84e5ull},
-        {"sssp-weighted", sssp, 1000, 16 << 10, 0xe29ae324b714028dull,
-         0x8ce30ba79a2f7b6dull},
-        {"directed", directed, 1000, 16 << 10, 0xbde48369a9177a1cull,
-         0x67fc4344c47c423eull},
-        {"n3", rmat(3, 64, 5), 10, 64, 0x94ad4d0eec55c525ull,
-         0x94ad4d0eec55c525ull},
-        {"n1000", rmat(1000, 8192, 6), 1000, 4 << 10, 0x0b721d158f21980bull,
-         0x90faf377fc623ba9ull},
-        {"all-self-loops", self_loops, 1000, 4 << 10, 0x93856c9d96ea8799ull,
-         0x93856c9d96ea8799ull},
-        {"skewed", skewed, 1000, 16 << 10, 0x07738ab28706be27ull,
-         0x3c832e8997014fa1ull},
-        {"asymmetric", asymmetric, 1000, 16 << 10, 0x84f1b632fd8194b5ull,
-         0x86fa666f527861dfull},
+        {"sssp-weighted", sssp, 0xe29ae324b714028dull, 0x8ce30ba79a2f7b6dull},
+        {"directed", directed, 0xbde48369a9177a1cull, 0x67fc4344c47c423eull},
+        {"n3", rmat(3, 64, 5), 0x94ad4d0eec55c525ull, 0x94ad4d0eec55c525ull},
+        {"n1000", rmat(1000, 8192, 6),
+         0x0b721d158f21980bull, 0x90faf377fc623ba9ull},
+        {"all-self-loops", self_loops,
+         0x93856c9d96ea8799ull, 0x93856c9d96ea8799ull},
+        {"skewed", skewed, 0x07738ab28706be27ull, 0x3c832e8997014fa1ull},
+        {"asymmetric", asymmetric,
+         0x84f1b632fd8194b5ull, 0x86fa666f527861dfull},
     };
     // Every thread count, with chunks down to one edge so that even
     // the smallest rows split: the bytes must not depend on either.
@@ -227,8 +336,6 @@ TEST(GraphDigest, PinnedAcrossEveryBuildPath)
             const BuildThreads bt{threads, /*min_chunk_edges=*/1};
             const CsrGraph raw = generateRmat(row.params, bt);
             StreamCsrOptions opt;
-            opt.edges_per_block = row.edges_per_block;
-            opt.scratch_bytes = row.scratch_bytes;
             opt.threads = bt;
             const std::uint64_t got[] = {
                 graphDigest(raw), graphDigest(relabelByDegree(raw, bt)),
@@ -264,7 +371,6 @@ TEST(GraphBuildThreads, UnweightedSelfLoopsOnlyBuildAnEmptyGraph)
         EXPECT_EQ(raw.numEdges(), 0u);
         expectGraphsEqual(relabelByDegree(raw, bt), raw);
         StreamCsrOptions opt;
-        opt.edges_per_block = 100;
         opt.threads = bt;
         expectGraphsEqual(buildCsrStreamed(p, opt), raw);
     }
@@ -366,7 +472,7 @@ TEST(RmatParamValidation, GenerateRmatRejectsThroughTheSamePath)
     EXPECT_THROW(generateRmat(p), SimAbort);
 }
 
-// ---- streamed CSR builder: differential vs in-core ------------------
+// ---- direct relabeled build vs relabelByDegree over a raw build -----
 
 TEST(StreamCsrBuilder, MatchesInCoreRelabeledBuild)
 {
@@ -396,15 +502,6 @@ TEST(StreamCsrBuilder, WeightedMatchesInCore)
     expectGraphsEqual(streamed, relabelByDegree(generateRmat(p)));
 }
 
-TEST(StreamCsrBuilder, TinyScratchBudgetIsEquivalent)
-{
-    const RmatParams p = smallParams(/*seed=*/19);
-    StreamCsrOptions tiny;
-    tiny.scratch_bytes = 1u << 12; // forces many partition passes
-    tiny.edges_per_block = 1u << 8;
-    expectGraphsEqual(buildCsrStreamed(p, tiny), buildCsrStreamed(p));
-}
-
 // ---- build cache keying ---------------------------------------------
 
 TEST(GraphStreamCache, StreamedBuildsShareOneGraphPerKey)
@@ -426,10 +523,11 @@ TEST(GraphStreamCache, StreamedBuildsShareOneGraphPerKey)
     EXPECT_EQ(g1.get(), g2.get()) << "one shared build per key";
     EXPECT_EQ(cache.builds() - builds0, 1u);
 
-    // Cache transparency: the shared graph is the fresh in-core build.
+    // Cache transparency: the shared graph is the fresh raw build,
+    // relabeled.
     expectGraphsEqual(*g1, relabelByDegree(generateRmat(p)));
 
-    // The stream layout is part of the key: a different block size is
+    // The stream fields are part of the key: a different block size is
     // a distinct entry (same bits, built separately).
     GraphBuildCache::Key key2 = key;
     key2.edges_per_block = 1u << 8;
@@ -443,32 +541,7 @@ TEST(GraphStreamCache, StreamedBuildsShareOneGraphPerKey)
     expectGraphsEqual(*g3, *g1);
 }
 
-// ---- workload build path --------------------------------------------
-
-TEST(GraphStreamWorkloadPath, ThresholdZeroStreamsEveryGraphWorkload)
-{
-    // Force every graph build through the external-memory path and
-    // check the full frontier suite still validates against its host
-    // references — end-to-end proof the streamed graph is the graph.
-    ScopedStreamConfig guard;
-    graphStreamConfig().stream_threshold_edges = 0;
-    for (const std::string &name :
-         WorkloadRegistry::instance().enumerate(WorkloadKind::Frontier)) {
-        auto streamed = WorkloadRegistry::instance().create(name);
-        streamed->build(WorkloadScale::Tiny, /*seed=*/1);
-        runFunctional(*streamed);
-        streamed->validate();
-
-        graphStreamConfig() = guard.saved; // in-core control build
-        auto in_core = WorkloadRegistry::instance().create(name);
-        in_core->build(WorkloadScale::Tiny, /*seed=*/1);
-        EXPECT_EQ(streamed->footprintBytes(), in_core->footprintBytes())
-            << name;
-        graphStreamConfig().stream_threshold_edges = 0;
-    }
-}
-
-// ---- bounded-RSS guarantee ------------------------------------------
+// ---- peak RSS of a build --------------------------------------------
 
 /** Runs @p build in a forked child and returns the child's peak RSS
  *  in bytes; fails the test if @p build returns false. */
@@ -492,10 +565,11 @@ forkedPeakRssBytes(const std::function<bool()> &build)
     return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024; // KiB
 }
 
-/** Builds the WorkloadScale::Huge graph with @p opt in a forked child
- *  and expects its peak RSS under the size of its edge list. */
+/** Builds the WorkloadScale::Huge graph on @p threads in a forked
+ *  child, the way a Huge graph workload does, and expects its peak RSS
+ *  under the size of its edge list. */
 void
-expectHugeStreamedBuildUnderTheEdgeList(const StreamCsrOptions &opt)
+expectHugeBuildUnderTheEdgeList(const BuildThreads &threads)
 {
     // WorkloadScale::Huge graph parameters (src/workloads/workload.cc).
     RmatParams p;
@@ -505,12 +579,14 @@ expectHugeStreamedBuildUnderTheEdgeList(const StreamCsrOptions &opt)
 
     // The materialized undirected edge list, both directions of every
     // raw edge as 8-byte (src, dst) pairs (what CsrGraph::fromEdges
-    // takes), is 2 * num_edges * 8 bytes. The streamed build of the
-    // *whole graph* must stay under that.
+    // takes), is 2 * num_edges * 8 bytes: 320 MiB. The build of the
+    // whole graph must stay under that. Peaks measured on a 4-CPU host:
+    // 218 MiB at the default threads, 267 MiB on 64 threads (10 chunks,
+    // the cap at Huge: their row counters take 80 MiB).
     const std::uint64_t edge_list_bytes = 2 * p.num_edges * 8;
 
     const std::uint64_t maxrss_bytes = forkedPeakRssBytes([&] {
-        const CsrGraph g = buildCsrStreamed(p, opt);
+        const CsrGraph g = buildRmatCsr(p, RmatOrder::ByDegree, threads);
         return g.numVertices() == p.num_vertices &&
                g.numEdges() > p.num_edges &&
                g.numEdges() <= 2 * p.num_edges;
@@ -520,40 +596,35 @@ expectHugeStreamedBuildUnderTheEdgeList(const StreamCsrOptions &opt)
         << (edge_list_bytes >> 20) << " MiB edge-list footprint";
 }
 
-TEST(StreamCsrBuilderRss, HugeBuildNeverMaterializesTheEdgeList)
+TEST(HugeBuildRss, StaysUnderTheEdgeList)
 {
 #ifdef BAUVM_SANITIZED
     GTEST_SKIP() << "sanitizer shadow memory distorts RSS accounting";
 #endif
-    expectHugeStreamedBuildUnderTheEdgeList({});
+    expectHugeBuildUnderTheEdgeList({});
 }
 
-TEST(StreamCsrBuilderRss, HugeBuildOn64ThreadsStaysUnderTheEdgeList)
+TEST(HugeBuildRss, On64ThreadsStaysUnderTheEdgeList)
 {
 #ifdef BAUVM_SANITIZED
     GTEST_SKIP() << "sanitizer shadow memory distorts RSS accounting";
 #endif
-    // Each capture thread past the first counts degrees into its own
-    // 16 MiB array at this n: uncapped, 64 threads would add ~1 GiB.
-    StreamCsrOptions opt;
-    opt.threads = BuildThreads{64};
-    expectHugeStreamedBuildUnderTheEdgeList(opt);
+    expectHugeBuildUnderTheEdgeList(BuildThreads{64});
 }
 
-// At Large the raw draws (8 B each) and the CSR columns (4 B per
-// directed edge) take 32 MiB each, and the relabel holds two CSR
-// copies of 34 MiB each. Peaks measured on a 4-CPU host, each test in
-// a process of its own: 74 MiB at the default threads, 85 MiB on 64
-// threads (16 chunks, the cap at Large, which any host with 16 or more
-// cores also reaches by default). Chunk lists that hold both
-// directions of every draw peak at 105 and 165 MiB; uncapped chunks
-// peak at 133 MiB on 64 threads. The bound leaves 9 MiB
-// over the capped build and 11 MiB under the doubled lists.
-constexpr std::uint64_t kLargeInCoreBuildBoundMiB = 94;
+// At Large the CSR columns take 32 MiB (4 B per directed edge), the row
+// offsets 2 MiB, and each chunk's row counters 1 MiB. Peaks measured
+// on a 4-CPU host, each test in a process of its own: 41 MiB at the
+// default threads, 54 MiB on 64 threads (16 chunks, the cap at Large,
+// which any host with 16 or more cores also reaches by default).
+// Building the raw graph and then relabeling it, which holds two CSR
+// copies, peaks at 73 MiB. The bound leaves 10 MiB over the 64-thread
+// build and 9 MiB under the two copies.
+constexpr std::uint64_t kLargeInCoreBuildBoundMiB = 64;
 
-/** Builds the WorkloadScale::Large graph in core, the way a Large
- *  graph workload does (generateRmat, then relabelByDegree), on
- *  @p threads in a forked child and expects its peak RSS under
+/** Builds the WorkloadScale::Large graph the way a Large graph
+ *  workload does (buildRmatCsr in RmatOrder::ByDegree) on @p threads
+ *  in a forked child and expects its peak RSS under
  *  kLargeInCoreBuildBoundMiB. */
 void
 expectLargeInCoreBuildUnder(const BuildThreads &threads)
@@ -563,8 +634,7 @@ expectLargeInCoreBuildUnder(const BuildThreads &threads)
     p.num_edges = 4 << 20;
     p.seed = 2;
     const std::uint64_t maxrss_bytes = forkedPeakRssBytes([&] {
-        const CsrGraph g = relabelByDegree(generateRmat(p, threads),
-                                           threads);
+        const CsrGraph g = buildRmatCsr(p, RmatOrder::ByDegree, threads);
         return g.numVertices() == p.num_vertices &&
                g.numEdges() > p.num_edges &&
                g.numEdges() <= 2 * p.num_edges;
@@ -573,7 +643,7 @@ expectLargeInCoreBuildUnder(const BuildThreads &threads)
         << "peak RSS " << (maxrss_bytes >> 20) << " MiB";
 }
 
-TEST(InCoreBuildRss, LargeBuildKeepsOnlyTheRawDraws)
+TEST(InCoreBuildRss, LargeBuildHoldsOneCsrAndTheRowCounters)
 {
 #ifdef BAUVM_SANITIZED
     GTEST_SKIP() << "sanitizer shadow memory distorts RSS accounting";

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/core/presets.h"
@@ -652,6 +653,34 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
             &req, &error))
             << retired;
         EXPECT_NE(error.find(retired), std::string::npos) << error;
+        EXPECT_NE(error.find("no longer supported"), std::string::npos)
+            << error;
+    }
+
+    // Any other key the request, a variant or a tenant does not define
+    // is refused by name: a misspelled "policies" used to run all six
+    // policies.
+    for (const auto &[doc, key] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"\"workloads\": [\"PR\"], \"polices\": [\"BASELINE\"]",
+              "polices"},
+             {"\"workloads\": [\"PR\"], \"variants\":"
+              " [{\"label\": \"v\", \"override\": []}]",
+              "override"},
+             {"\"workloads\": [\"mix\"], \"tenants\":"
+              " [{\"workload\": \"PR\"},"
+              " {\"workload\": \"BFS-HYB\", \"quote\": 0.5}]",
+              "quote"},
+         }) {
+        error.clear();
+        EXPECT_FALSE(parseSweepRequest(
+            parseOrDie("{\"schema\": \"bauvm.sweep-request/1\", " + doc +
+                       "}"),
+            &req, &error))
+            << key;
+        EXPECT_NE(error.find("unknown key '" + key + "'"),
+                  std::string::npos)
+            << error;
     }
 
     // Override values are checked against the knob's type where the
