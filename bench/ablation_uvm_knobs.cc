@@ -7,7 +7,7 @@
  * All four knob groups run as one SweepRunner matrix (the knob setting
  * is a config variant labelled "group/setting"), so every cell
  * parallelizes across --jobs workers and a single --json PATH export
- * carries the whole ablation.
+ * carries the whole ablation. Exits 2 when a cell failed.
  */
 
 #include <cstdio>
@@ -73,13 +73,7 @@ main(int argc, char **argv)
     }
     spec.opt = opt;
 
-    SweepRunner runner(spec);
-    const SweepResult sweep = runner.run();
-    std::fprintf(stderr,
-                 "ablation: %zu-cell matrix on %zu worker(s) in %.2fs\n",
-                 sweep.cells.size(), sweep.jobs, sweep.elapsed_s);
-    if (!opt.json_path.empty())
-        sweep.writeJson(opt.json_path);
+    const SweepResult sweep = runBenchSweep(spec);
 
     for (const auto &group : groups) {
         printBanner(group.title);
@@ -103,5 +97,5 @@ main(int argc, char **argv)
         }
         t.emit(opt.csv);
     }
-    return 0;
+    return sweep.failedCells() == 0 ? 0 : 2;
 }

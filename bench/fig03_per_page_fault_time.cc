@@ -16,6 +16,7 @@
 
 #include "src/core/experiment.h"
 #include "src/core/report.h"
+#include "src/runner/sweep_runner.h"
 
 int
 main(int argc, char **argv)
@@ -23,8 +24,13 @@ main(int argc, char **argv)
     using namespace bauvm;
     const BenchOptions opt = parseBenchArgs(argc, argv);
 
-    std::fprintf(stderr, "  running BFS-TTC / BASELINE ...\n");
-    const RunResult r = runCell("BFS-TTC", Policy::Baseline, opt);
+    SweepSpec spec;
+    spec.bench = "fig03_per_page_fault_time";
+    spec.workloads = {"BFS-TTC"};
+    spec.policies = {Policy::Baseline};
+    spec.opt = opt;
+    const SweepResult sweep = runBenchSweep(spec);
+    const RunResult &r = sweep.require("BFS-TTC", Policy::Baseline);
 
     printBanner("Figure 3: per-page fault handling time vs batch size "
                 "(BFS)");

@@ -13,6 +13,7 @@
 
 #include "src/core/experiment.h"
 #include "src/core/report.h"
+#include "src/runner/sweep_runner.h"
 #include "src/workloads/workload_registry.h"
 
 int
@@ -21,18 +22,26 @@ main(int argc, char **argv)
     using namespace bauvm;
     const BenchOptions opt = parseBenchArgs(argc, argv);
 
+    SweepSpec spec;
+    spec.bench = "fig08_ideal_eviction";
+    spec.workloads = opt.workloadsOr(
+        WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular));
+    spec.policies = {Policy::Unlimited, Policy::Baseline,
+                     Policy::IdealEviction};
+    spec.opt = opt;
+    const SweepResult sweep = runBenchSweep(spec);
+
     printBanner("Figure 8: performance normalized to unlimited memory "
                 "(50% oversubscription)");
     Table t({"workload", "BASELINE", "IDEAL EVICTION"});
 
     std::vector<double> base_rel, ideal_rel;
-    for (const auto &name : WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular)) {
-        std::fprintf(stderr, "  running %s ...\n", name.c_str());
-        const RunResult unlimited =
-            runCell(name, Policy::Unlimited, opt);
-        const RunResult baseline = runCell(name, Policy::Baseline, opt);
-        const RunResult ideal =
-            runCell(name, Policy::IdealEviction, opt);
+    for (const auto &name : spec.workloads) {
+        const RunResult &unlimited =
+            sweep.require(name, Policy::Unlimited);
+        const RunResult &baseline = sweep.require(name, Policy::Baseline);
+        const RunResult &ideal =
+            sweep.require(name, Policy::IdealEviction);
 
         const double b = static_cast<double>(unlimited.cycles) /
                          static_cast<double>(baseline.cycles);

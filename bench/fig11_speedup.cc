@@ -10,7 +10,9 @@
  * adds another 61%; BFS-DWC gains 4.13x from UE.
  *
  * The (workload x policy) matrix runs on the parallel SweepRunner
- * (--jobs N); pass --json PATH for the structured export.
+ * (--jobs N); pass --json PATH for the structured export. Under
+ * --tenants the policies a tenant mix cannot run (ETC) are dropped up
+ * front, with one stderr line. Exits 2 when a cell failed.
  */
 
 #include <cstdio>
@@ -35,46 +37,14 @@ main(int argc, char **argv)
             WorkloadKind::Irregular));
     spec.policies = allPolicies();
     spec.opt = opt;
-
-    SweepRunner runner(spec);
-    const SweepResult sweep = runner.run();
-    std::fprintf(stderr,
-                 "fig11: %zu-cell matrix on %zu worker(s) in %.2fs\n",
-                 sweep.cells.size(), sweep.jobs, sweep.elapsed_s);
-    if (!opt.json_path.empty())
-        sweep.writeJson(opt.json_path);
+    dropRefusedTenantPolicies(&spec); // --tenants: no ETC column
+    const SweepResult sweep = runBenchSweep(spec);
 
     printBanner("Figure 11: speedup over BASELINE "
                 "(50% memory oversubscription)");
-    std::vector<std::string> headers = {"workload"};
-    for (Policy p : spec.policies)
-        headers.push_back(policyName(p));
-    Table t(headers);
-
     std::map<Policy, std::vector<double>> speedups;
-    for (const auto &w : spec.workloads) {
-        const CellOutcome *base = sweep.find(w, Policy::Baseline);
-        if (!base || !base->ok) {
-            warn("fig11: skipping %s (baseline cell failed)",
-                 w.c_str());
-            continue;
-        }
-        const double base_cycles =
-            static_cast<double>(base->result.cycles);
-        std::vector<std::string> row = {w};
-        for (Policy p : spec.policies) {
-            const CellOutcome *cell = sweep.find(w, p);
-            if (!cell || !cell->ok) {
-                row.push_back("FAIL");
-                continue;
-            }
-            const double s =
-                base_cycles / static_cast<double>(cell->result.cycles);
-            speedups[p].push_back(s);
-            row.push_back(Table::num(s, 2));
-        }
-        t.addRow(row);
-    }
+    Table t = speedupTable(sweep, spec.workloads, spec.policies,
+                           &speedups);
     // The paper reports arithmetic-average speedups (the BFS-DWC
     // outlier pulls its 2x headline up); print both means.
     std::vector<std::string> avg = {"AVERAGE"};
@@ -102,5 +72,5 @@ main(int argc, char **argv)
                 amean(speedups[Policy::To]));
     std::printf("  UE alone:                     %.2fx\n",
                 amean(speedups[Policy::Ue]));
-    return 0;
+    return sweep.failedCells() == 0 ? 0 : 2;
 }

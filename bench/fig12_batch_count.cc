@@ -10,6 +10,7 @@
 
 #include "src/core/experiment.h"
 #include "src/core/report.h"
+#include "src/runner/sweep_runner.h"
 #include "src/workloads/workload_registry.h"
 
 int
@@ -18,15 +19,22 @@ main(int argc, char **argv)
     using namespace bauvm;
     const BenchOptions opt = parseBenchArgs(argc, argv);
 
+    SweepSpec spec;
+    spec.bench = "fig12_batch_count";
+    spec.workloads = opt.workloadsOr(
+        WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular));
+    spec.policies = {Policy::Baseline, Policy::To};
+    spec.opt = opt;
+    const SweepResult sweep = runBenchSweep(spec);
+
     printBanner("Figure 12: relative number of batches (TO vs "
                 "BASELINE)");
     Table t({"workload", "BASELINE batches", "TO batches", "relative"});
 
     std::vector<double> rel;
-    for (const auto &name : WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular)) {
-        std::fprintf(stderr, "  running %s ...\n", name.c_str());
-        const RunResult rb = runCell(name, Policy::Baseline, opt);
-        const RunResult rt = runCell(name, Policy::To, opt);
+    for (const auto &name : spec.workloads) {
+        const RunResult &rb = sweep.require(name, Policy::Baseline);
+        const RunResult &rt = sweep.require(name, Policy::To);
         const double r = rb.batches
                              ? static_cast<double>(rt.batches) /
                                    static_cast<double>(rb.batches)

@@ -9,6 +9,7 @@
 
 #include "src/core/experiment.h"
 #include "src/core/report.h"
+#include "src/runner/sweep_runner.h"
 #include "src/workloads/workload_registry.h"
 
 int
@@ -17,16 +18,23 @@ main(int argc, char **argv)
     using namespace bauvm;
     const BenchOptions opt = parseBenchArgs(argc, argv);
 
+    SweepSpec spec;
+    spec.bench = "fig13_batch_size";
+    spec.workloads = opt.workloadsOr(
+        WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular));
+    spec.policies = {Policy::Baseline, Policy::To};
+    spec.opt = opt;
+    const SweepResult sweep = runBenchSweep(spec);
+
     printBanner("Figure 13: relative average batch size (TO vs "
                 "BASELINE)");
     Table t({"workload", "BASELINE faults/batch", "TO faults/batch",
              "relative"});
 
     std::vector<double> rel;
-    for (const auto &name : WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular)) {
-        std::fprintf(stderr, "  running %s ...\n", name.c_str());
-        const RunResult rb = runCell(name, Policy::Baseline, opt);
-        const RunResult rt = runCell(name, Policy::To, opt);
+    for (const auto &name : spec.workloads) {
+        const RunResult &rb = sweep.require(name, Policy::Baseline);
+        const RunResult &rt = sweep.require(name, Policy::To);
         const double r = rb.avg_batch_pages > 0.0
                              ? rt.avg_batch_pages / rb.avg_batch_pages
                              : 1.0;

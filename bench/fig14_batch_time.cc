@@ -11,6 +11,7 @@
 
 #include "src/core/experiment.h"
 #include "src/core/report.h"
+#include "src/runner/sweep_runner.h"
 #include "src/workloads/workload_registry.h"
 
 int
@@ -19,16 +20,23 @@ main(int argc, char **argv)
     using namespace bauvm;
     const BenchOptions opt = parseBenchArgs(argc, argv);
 
+    SweepSpec spec;
+    spec.bench = "fig14_batch_time";
+    spec.workloads = opt.workloadsOr(
+        WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular));
+    spec.policies = {Policy::Baseline, Policy::To, Policy::ToUe};
+    spec.opt = opt;
+    const SweepResult sweep = runBenchSweep(spec);
+
     printBanner("Figure 14: average batch processing time, normalized "
                 "to BASELINE");
     Table t({"workload", "BASELINE", "TO", "TO+UE"});
 
     std::vector<double> to_rel, toue_rel;
-    for (const auto &name : WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular)) {
-        std::fprintf(stderr, "  running %s ...\n", name.c_str());
-        const RunResult rb = runCell(name, Policy::Baseline, opt);
-        const RunResult rt = runCell(name, Policy::To, opt);
-        const RunResult ru = runCell(name, Policy::ToUe, opt);
+    for (const auto &name : spec.workloads) {
+        const RunResult &rb = sweep.require(name, Policy::Baseline);
+        const RunResult &rt = sweep.require(name, Policy::To);
+        const RunResult &ru = sweep.require(name, Policy::ToUe);
         const double b = rb.avg_batch_time;
         const double to = b > 0.0 ? rt.avg_batch_time / b : 1.0;
         const double toue = b > 0.0 ? ru.avg_batch_time / b : 1.0;

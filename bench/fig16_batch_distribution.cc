@@ -7,11 +7,13 @@
  * GPU-runtime fault handling time is amortized.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "src/core/experiment.h"
 #include "src/core/report.h"
+#include "src/runner/sweep_runner.h"
 #include "src/workloads/workload_registry.h"
 
 namespace
@@ -19,30 +21,31 @@ namespace
 
 using namespace bauvm;
 
+constexpr std::size_t kBuckets = 13;
+constexpr std::uint32_t kBucketPages = 8; // 0.5 MB per bucket
+
 struct Dist {
     std::vector<std::uint64_t> counts;
     std::vector<double> per_page_sum;
     std::uint64_t total = 0;
 };
 
+/** Adds up @p policy's batches over @p workloads, in their order (the
+ *  per-page sums are floating point). */
 Dist
-distribution(const std::vector<std::string> &workloads, Policy policy,
-             const BenchOptions &opt, std::size_t buckets,
-             std::uint32_t bucket_pages)
+distribution(const SweepResult &sweep,
+             const std::vector<std::string> &workloads, Policy policy)
 {
     Dist d;
-    d.counts.assign(buckets, 0);
-    d.per_page_sum.assign(buckets, 0.0);
+    d.counts.assign(kBuckets, 0);
+    d.per_page_sum.assign(kBuckets, 0.0);
     for (const auto &w : workloads) {
-        std::fprintf(stderr, "  running %s / %s ...\n", w.c_str(),
-                     policyName(policy).c_str());
-        const RunResult r = runCell(w, policy, opt);
-        for (const auto &b : r.batch_records) {
+        for (const auto &b : sweep.require(w, policy).batch_records) {
             if (b.totalPages() == 0)
                 continue;
-            std::size_t idx = b.totalPages() / bucket_pages;
-            if (idx >= buckets)
-                idx = buckets - 1;
+            const std::size_t idx =
+                std::min<std::size_t>(b.totalPages() / kBucketPages,
+                                      kBuckets - 1);
             ++d.counts[idx];
             d.per_page_sum[idx] +=
                 static_cast<double>(b.processingTime()) /
@@ -61,14 +64,17 @@ main(int argc, char **argv)
     using namespace bauvm;
     const BenchOptions opt = parseBenchArgs(argc, argv);
 
-    constexpr std::size_t kBuckets = 13;
-    constexpr std::uint32_t kBucketPages = 8; // 0.5 MB per bucket
+    SweepSpec spec;
+    spec.bench = "fig16_batch_distribution";
+    spec.workloads = opt.workloadsOr(
+        WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular));
+    spec.policies = {Policy::Baseline, Policy::To};
+    spec.opt = opt;
+    const SweepResult sweep = runBenchSweep(spec);
 
-    const auto &workloads = WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular);
-    const Dist base = distribution(workloads, Policy::Baseline, opt,
-                                   kBuckets, kBucketPages);
-    const Dist to =
-        distribution(workloads, Policy::To, opt, kBuckets, kBucketPages);
+    const Dist base =
+        distribution(sweep, spec.workloads, Policy::Baseline);
+    const Dist to = distribution(sweep, spec.workloads, Policy::To);
 
     printBanner("Figure 16: batch size distribution and efficiency");
     Table t({"batch size (MB)", "BASELINE", "TO", "efficiency"});

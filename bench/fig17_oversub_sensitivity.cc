@@ -19,6 +19,7 @@
  * with the ratio as a config variant, so all cells parallelize across
  * --jobs workers; pass --json PATH for the structured export and
  * --workloads A,B,C (e.g. the @frontier family) to change the suite.
+ * Exits 2 when a cell failed.
  */
 
 #include <cstdio>
@@ -55,13 +56,7 @@ main(int argc, char **argv)
     const std::uint64_t page_bytes =
         paperConfig(opt.ratio, opt.seed).uvm.page_bytes;
 
-    SweepRunner runner(spec);
-    const SweepResult sweep = runner.run();
-    std::fprintf(stderr,
-                 "fig17: %zu-cell matrix on %zu worker(s) in %.2fs\n",
-                 sweep.cells.size(), sweep.jobs, sweep.elapsed_s);
-    if (!opt.json_path.empty())
-        sweep.writeJson(opt.json_path);
+    const SweepResult sweep = runBenchSweep(spec);
 
     printBanner("Figure 17: sensitivity to oversubscription ratio");
     Table t({"ratio", "resident MB", "eff ratio",
@@ -106,5 +101,5 @@ main(int argc, char **argv)
 
     std::printf("\npaper: UE speedup 1.0 at ratio 1.0, growing to "
                 "1.63x at ratio 0.1\n");
-    return 0;
+    return sweep.failedCells() == 0 ? 0 : 2;
 }

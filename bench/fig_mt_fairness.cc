@@ -14,10 +14,12 @@
  *    tenant slowed down equally, 1/n means one tenant starved.
  *
  * Default mix: BFS-HYB and PR at equal (50/50) quotas; override with
- * --tenants A:Q,B:Q and --ratio. Cells run through the shared
- * executeCell() path, so --json exports the bauvm.sweep/1.3
- * per-tenant result array and the outcomes are bit-identical to a
- * sweep request (bauvm_submit) running the same mix.
+ * --tenants A:Q,B:Q and --ratio. Each share policy runs as a
+ * one-cell SweepRunner sweep (the policy set in its options, the cell
+ * labelled by a config variant), so --jobs, --cell-threads, --resume
+ * and --trace apply; --json concatenates the three cells into one
+ * bauvm.sweep/1.4 document, bit-identical to a sweep request
+ * (bauvm_submit) running the same mix.
  */
 
 #include <cstdio>
@@ -28,9 +30,7 @@
 #include "src/core/report.h"
 #include "src/core/tenant.h"
 #include "src/graph/graph_cache.h"
-#include "src/runner/cell_spec.h"
-#include "src/runner/job.h"
-#include "src/runner/sweep_result.h"
+#include "src/runner/sweep_runner.h"
 
 int
 main(int argc, char **argv)
@@ -51,7 +51,7 @@ main(int argc, char **argv)
         SharePolicy::Proportional,
     };
 
-    // Share graph builds across the solo anchors and the mixes.
+    // Share graph builds across the three sweeps.
     GraphBuildCache::Scope graph_scope;
 
     SweepResult sweep;
@@ -59,30 +59,18 @@ main(int argc, char **argv)
     sweep.base_seed = opt.seed;
     sweep.scale = opt.scale;
     sweep.ratio = opt.ratio;
-    sweep.jobs = 1;
     for (SharePolicy policy : policies) {
-        CellExecArgs args;
-        args.workload = mix;
-        args.policy = Policy::Baseline;
-        args.variant = sharePolicyName(policy);
-        args.job_seed = deriveJobSeed(opt.seed, mix, Policy::Baseline,
-                                      args.variant);
-        args.scale = opt.scale;
-        SimConfig config = paperConfig(
-            opt.ratio, deriveWorkloadSeed(opt.seed, mix));
-        opt.applyTo(config);
-        config.mt.policy = policy;
-        args.config = std::move(config);
-        args.soft_timeout_s = opt.timeout_s;
-        args.tenants = opt.tenants;
-
-        const CellOutcome out = executeCell(args);
-        if (!out.ok) {
-            fatal("fig_mt_fairness: %s mix failed under %s: %s",
-                  mix.c_str(), args.variant.c_str(),
-                  out.error.c_str());
-        }
-        sweep.cells.push_back(out);
+        SweepSpec spec;
+        spec.bench = sweep.bench;
+        spec.workloads = {mix};
+        spec.policies = {Policy::Baseline};
+        spec.variants = {{sharePolicyName(policy), nullptr}};
+        spec.opt = opt;
+        spec.opt.share_policy = policy;
+        const SweepResult one = SweepRunner(spec).run();
+        one.require(mix, Policy::Baseline, sharePolicyName(policy));
+        sweep.cells.push_back(one.cells.front());
+        sweep.elapsed_s += one.elapsed_s;
     }
     if (!opt.json_path.empty())
         sweep.writeJson(opt.json_path);

@@ -11,6 +11,8 @@
  * policy) matrix runs on the parallel SweepRunner, so stdout is
  * byte-identical for any --jobs value; pass --json PATH for the
  * structured export and --audit for per-cell reference validation.
+ * Under --tenants the policies a tenant mix cannot run (ETC) are
+ * dropped up front, with one stderr line. Exits 2 when a cell failed.
  */
 
 #include <cstdio>
@@ -35,49 +37,17 @@ main(int argc, char **argv)
             WorkloadKind::Frontier));
     spec.policies = allPolicies();
     spec.opt = opt;
-
-    SweepRunner runner(spec);
-    const SweepResult sweep = runner.run();
-    std::fprintf(
-        stderr, "frontier_suite: %zu-cell matrix on %zu worker(s) in %.2fs\n",
-        sweep.cells.size(), sweep.jobs, sweep.elapsed_s);
-    if (!opt.json_path.empty())
-        sweep.writeJson(opt.json_path);
+    dropRefusedTenantPolicies(&spec); // --tenants: no ETC column
+    const SweepResult sweep = runBenchSweep(spec);
 
     printBanner("Frontier suite: speedup over BASELINE");
-    std::vector<std::string> headers = {"workload"};
-    for (Policy p : spec.policies)
-        headers.push_back(policyName(p));
-    Table t(headers);
-
     std::map<Policy, std::vector<double>> speedups;
-    for (const auto &w : spec.workloads) {
-        const CellOutcome *base = sweep.find(w, Policy::Baseline);
-        if (!base || !base->ok) {
-            warn("frontier_suite: skipping %s (baseline cell failed)",
-                 w.c_str());
-            continue;
-        }
-        const double base_cycles =
-            static_cast<double>(base->result.cycles);
-        std::vector<std::string> row = {w};
-        for (Policy p : spec.policies) {
-            const CellOutcome *cell = sweep.find(w, p);
-            if (!cell || !cell->ok) {
-                row.push_back("FAIL");
-                continue;
-            }
-            const double s =
-                base_cycles / static_cast<double>(cell->result.cycles);
-            speedups[p].push_back(s);
-            row.push_back(Table::num(s, 2));
-        }
-        t.addRow(row);
-    }
+    Table t = speedupTable(sweep, spec.workloads, spec.policies,
+                           &speedups);
     std::vector<std::string> gmean = {"GEOMEAN"};
     for (Policy p : spec.policies)
         gmean.push_back(Table::num(geomean(speedups[p]), 2));
     t.addRow(gmean);
     t.emit(opt.csv);
-    return 0;
+    return sweep.failedCells() == 0 ? 0 : 2;
 }

@@ -26,7 +26,7 @@ import json
 import sys
 
 # Fields that legitimately differ between executions of the same cell:
-# timings, parallelism, process identity (executeCell stamps
+# timings, parallelism, process identity (the sweep runner stamps
 # worker_pid and hostname), and cache attribution.
 PROVENANCE = {
     "wall_s",

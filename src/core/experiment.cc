@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "src/runner/job.h"
-#include "src/runner/sweep_runner.h"
 #include "src/sim/log.h"
 #include "src/workloads/workload_registry.h"
 
@@ -223,48 +221,6 @@ scaleName(WorkloadScale scale)
         return "huge";
     }
     fatal("scaleName: bad scale");
-}
-
-RunResult
-runCell(const std::string &workload, Policy policy,
-        const BenchOptions &opt)
-{
-    // Same seed derivation as SweepRunner, so a direct runCell() call
-    // reproduces the matching runMatrix() cell bit-for-bit.
-    SimConfig config =
-        paperConfig(opt.ratio, deriveWorkloadSeed(opt.seed, workload));
-    config = applyPolicy(config, policy);
-    opt.applyTo(config);
-    return runWorkload(config, workload, opt.scale);
-}
-
-std::map<std::string, std::map<Policy, RunResult>>
-runMatrix(const std::vector<std::string> &workloads,
-          const std::vector<Policy> &policies, const BenchOptions &opt,
-          bool verbose)
-{
-    SweepSpec spec;
-    spec.bench = "runMatrix";
-    spec.workloads = workloads;
-    spec.policies = policies;
-    spec.opt = opt;
-    spec.verbose = verbose;
-
-    SweepRunner runner(std::move(spec));
-    const SweepResult sweep = runner.run();
-
-    std::map<std::string, std::map<Policy, RunResult>> results;
-    for (const auto &cell : sweep.cells) {
-        if (!cell.ok) {
-            warn("runMatrix: cell %s/%s failed: %s",
-                 cell.workload.c_str(),
-                 policyName(cell.policy).c_str(), cell.error.c_str());
-            results[cell.workload][cell.policy] = RunResult{};
-            continue;
-        }
-        results[cell.workload][cell.policy] = cell.result;
-    }
-    return results;
 }
 
 double

@@ -1,21 +1,17 @@
 /**
  * @file
- * Experiment harness shared by the bench binaries: runs (workload x
- * policy) matrices, computes normalized speedups and geometric means,
- * and parses the common bench command line (--scale / --csv / --ratio
- * / --seed / --jobs / --json / --timeout).
- *
- * runMatrix() delegates to the parallel SweepRunner (src/runner): the
- * matrix executes on opt.jobs worker threads with per-cell seeds
- * derived deterministically from (seed, workload), so the results are
- * bit-identical for any --jobs value.
+ * Bench-binary helpers: the common command line (--scale / --csv /
+ * --ratio / --seed / --jobs / --json / --resume / --trace / --audit /
+ * --workloads / --tenants ...) parsed into BenchOptions, and the means
+ * the figures report. A bench runs its cells by lowering these options
+ * into a SweepSpec for SweepRunner (src/runner/sweep_runner.h), which
+ * derives each cell's config and seed.
  */
 
 #ifndef BAUVM_CORE_EXPERIMENT_H_
 #define BAUVM_CORE_EXPERIMENT_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -66,9 +62,10 @@ struct BenchOptions {
 
     /**
      * Applies the options that live inside SimConfig — the audit
-     * flag (check.enabled) and the tenant share policy (mt.policy) —
-     * so every execution path (runCell, SweepRunner, benches) maps
-     * BenchOptions to the config the same way.
+     * flag (check.enabled) and the tenant share policy (mt.policy).
+     * The last step of a cell's config recipe (cellConfig() in
+     * src/runner/sweep_runner.h), so the options win over a config
+     * variant that sets the same field.
      */
     void applyTo(SimConfig &config) const;
 
@@ -96,26 +93,6 @@ BenchOptions parseBenchArgs(int argc, char **argv);
 
 /** Lower-case scale name ("tiny" ... "large") as --scale accepts it. */
 std::string scaleName(WorkloadScale scale);
-
-/** Runs one (workload, policy) cell of the evaluation matrix. */
-RunResult runCell(const std::string &workload, Policy policy,
-                  const BenchOptions &opt);
-
-/**
- * Runs @p policies for every workload in @p workloads on opt.jobs
- * worker threads (see file doc for the determinism guarantee).
- *
- * A failed cell (fatal/panic/exception inside the simulation) is
- * warn()ed and left default-constructed in the returned map instead of
- * aborting the process; callers needing per-cell error detail should
- * drive SweepRunner directly.
- *
- * @return results[workload][policy].
- */
-std::map<std::string, std::map<Policy, RunResult>> runMatrix(
-    const std::vector<std::string> &workloads,
-    const std::vector<Policy> &policies, const BenchOptions &opt,
-    bool verbose = true);
 
 /**
  * Geometric mean of @p values. Returns 0.0 (with a warn) on an empty

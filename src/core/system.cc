@@ -169,22 +169,31 @@ struct TenantRun {
 
 } // namespace
 
+std::string
+multiTenantRefusal(const SimConfig &config, std::size_t tenants)
+{
+    if (config.etc.enabled)
+        return "ETC is not supported in multi-tenant runs";
+    if (config.uvm.preload)
+        return "preload is not supported in multi-tenant runs";
+    if (!(config.memory_ratio > 0.0))
+        return "multi-tenant runs need a finite memory ratio";
+    if (config.gpu.num_sms < tenants)
+        return std::to_string(tenants) + " tenants need at least " +
+               std::to_string(tenants) + " SMs";
+    return "";
+}
+
 RunResult
 GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
 {
     if (specs.empty())
         fatal("GpuUvmSystem: empty tenant mix");
-    if (config_.etc.enabled)
-        fatal("GpuUvmSystem: ETC is not supported in multi-tenant runs");
-    if (config_.uvm.preload)
-        fatal("GpuUvmSystem: preload is not supported in multi-tenant "
-              "runs");
-    if (!(config_.memory_ratio > 0.0))
-        fatal("GpuUvmSystem: multi-tenant runs need a finite memory "
-              "ratio");
+    const std::string refusal =
+        multiTenantRefusal(config_, specs.size());
+    if (!refusal.empty())
+        fatal("GpuUvmSystem: %s", refusal.c_str());
     const auto n = static_cast<std::uint32_t>(specs.size());
-    if (config_.gpu.num_sms < n)
-        fatal("GpuUvmSystem: %u tenants need at least %u SMs", n, n);
 
     // --- Build every tenant into its own VA slice. Slices are aligned
     // to both the prefetch-tree span and the eviction chunk, so no

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/check/model_auditor.h"
@@ -154,9 +155,10 @@ class GpuUvmSystem
      * run bit-for-bit.
      *
      * Per-tenant statistics land in RunResult::tenants (slowdown is
-     * left 0; callers with a solo reference fill it in). Not
-     * compatible with ETC or preload mode. Each tenant's functional
-     * results stay in its workload (tenantWorkloads()) for validation.
+     * left 0; callers with a solo reference fill it in). fatal()s on a
+     * config that multiTenantRefusal() refuses. Each tenant's
+     * functional results stay in its workload (tenantWorkloads()) for
+     * validation.
      */
     RunResult run(const std::vector<TenantSpec> &specs);
 
@@ -212,6 +214,15 @@ class GpuUvmSystem
     std::vector<std::unique_ptr<Gpu>> tenant_gpus_;
     std::vector<std::unique_ptr<Workload>> tenant_workloads_;
 };
+
+/**
+ * Why @p config cannot run a mix of @p tenants tenants, or "" when it
+ * can: ETC, preload and unlimited memory (a memory ratio of 0) are
+ * single-tenant only, and every tenant needs an SM of its own. A pure
+ * function of the config, so a sweep can refuse a cell before it runs.
+ */
+std::string multiTenantRefusal(const SimConfig &config,
+                               std::size_t tenants);
 
 /**
  * Convenience wrapper: build the named workload, run it under

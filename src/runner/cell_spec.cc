@@ -1,23 +1,13 @@
 #include "src/runner/cell_spec.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <limits>
-#include <memory>
 
 #include "src/core/experiment.h"
-#include "src/core/system.h"
 #include "src/graph/stream/csr_stream_builder.h"
-#include "src/sim/parallel_units.h"
-#include "src/sim/log.h"
-#include "src/trace/trace_export.h"
-#include "src/workloads/workload_registry.h"
 
 #ifndef BAUVM_GIT_REV
 #define BAUVM_GIT_REV "unknown"
@@ -28,14 +18,6 @@ namespace bauvm
 
 namespace
 {
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /**
  * Stores @p value in the knob @p field if its type can hold it:
@@ -122,21 +104,6 @@ knownOverrideKeys()
     return keys;
 }
 
-SimConfig
-cellConfig(const CellSpec &spec)
-{
-    SimConfig config = paperConfig(
-        spec.ratio, deriveWorkloadSeed(spec.base_seed, spec.workload));
-    config = applyPolicy(config, spec.policy);
-    for (const ConfigOverride &o : spec.overrides) {
-        std::string error;
-        if (!applyConfigOverride(config, o.key, o.value, &error))
-            fatal("cellConfig: %s", error.c_str());
-    }
-    config.check.enabled = spec.audit;
-    return config;
-}
-
 std::string
 canonicalConfigString(const SimConfig &c)
 {
@@ -217,155 +184,6 @@ gitRev()
         if (*env)
             return env;
     return BAUVM_GIT_REV;
-}
-
-std::string
-hostName()
-{
-    static const std::string cached = [] {
-        char buf[256] = {0};
-        if (gethostname(buf, sizeof buf - 1) != 0)
-            return std::string("unknown");
-        return std::string(buf);
-    }();
-    return cached;
-}
-
-CellOutcome
-executeCell(const CellExecArgs &args)
-{
-    CellOutcome out;
-    out.workload = args.workload;
-    out.policy = args.policy;
-    out.variant = args.variant;
-    out.seed = args.config.seed;
-    out.job_seed = args.job_seed;
-    out.digest = digestHex(
-        cellKey(args.workload, args.scale, args.config,
-                args.git_rev.empty() ? gitRev() : args.git_rev,
-                args.tenants));
-    out.worker_pid = static_cast<std::uint64_t>(getpid());
-    out.hostname = hostName();
-
-    const bool tracing = !args.trace_dir.empty();
-    // The system outlives the try block so an aborted cell's partial
-    // trace buffer can still be flushed to disk below.
-    std::unique_ptr<GpuUvmSystem> system;
-    bool aborted = false;
-
-    const auto t0 = Clock::now();
-    try {
-        ScopedAbortCapture capture;
-        SimConfig config = args.config;
-        config.trace.enabled = tracing;
-        if (!args.tenants.empty()) {
-            // A multi-tenant cell is several independent simulations:
-            // one solo anchor per tenant (each tenant alone on the
-            // whole GPU, same ratio/policy/scale and the seed its mix
-            // build will use, so the builds share the graph cache)
-            // plus the mix itself. They are units on the intra-cell
-            // pool: args.cell_threads > 1 overlaps them, and the
-            // fixed-order merge below keeps any thread count
-            // bit-identical to the serial run. Each unit installs its
-            // own abort capture — the depth is thread-local.
-            const std::size_t n = args.tenants.size();
-            std::vector<Cycle> solo(n, 0);
-            RunResult mix_result;
-            std::unique_ptr<GpuUvmSystem> mix_system;
-            runUnits(n + 1, args.cell_threads, [&](std::size_t u) {
-                ScopedAbortCapture unit_capture;
-                if (u == n) {
-                    mix_system =
-                        std::make_unique<GpuUvmSystem>(config);
-                    mix_result = mix_system->run(args.tenants);
-                    return;
-                }
-                SimConfig solo_config = config;
-                solo_config.seed =
-                    deriveTenantSeed(config.seed,
-                                     static_cast<std::uint32_t>(u));
-                solo_config.mt = MtConfig{};
-                solo_config.trace.enabled = false;
-                auto workload = WorkloadRegistry::instance().create(
-                    args.tenants[u].workload);
-                GpuUvmSystem solo_system(solo_config);
-                solo[u] =
-                    solo_system.run(*workload, args.tenants[u].scale)
-                        .cycles;
-            });
-            system = std::move(mix_system);
-            out.result = std::move(mix_result);
-            for (std::size_t i = 0; i < out.result.tenants.size();
-                 ++i) {
-                TenantResult &t = out.result.tenants[i];
-                t.slowdown = solo[i]
-                                 ? static_cast<double>(t.cycles) /
-                                       static_cast<double>(solo[i])
-                                 : 0.0;
-            }
-            if (config.check.enabled) {
-                for (const auto &workload : system->tenantWorkloads())
-                    workload->validate();
-            }
-        } else {
-            auto workload =
-                WorkloadRegistry::instance().create(args.workload);
-            system = std::make_unique<GpuUvmSystem>(config);
-            out.result = system->run(*workload, args.scale);
-            // --audit cells also check the functional result against
-            // the workload's host-side reference implementation; a
-            // mismatch panics and fails the cell like any
-            // model-invariant breach.
-            if (config.check.enabled)
-                workload->validate();
-        }
-        out.ok = true;
-    } catch (const SimAbort &e) {
-        aborted = true;
-        out.error = e.what();
-    } catch (const std::exception &e) {
-        aborted = true;
-        out.error = e.what();
-    } catch (...) {
-        aborted = true;
-        out.error = "unknown exception";
-    }
-    out.wall_s = secondsSince(t0);
-
-    if (tracing && system && system->trace()) {
-        TraceMeta meta;
-        meta.bench = args.trace_bench;
-        meta.workload = args.workload;
-        meta.policy = policyName(args.policy);
-        meta.variant = args.variant;
-        meta.scale = scaleName(args.scale);
-        meta.seed = args.config.seed;
-        meta.ratio = args.trace_ratio;
-        meta.partial = aborted;
-        // A cell that died mid-run still flushes whatever the ring
-        // holds; the .partial suffix keeps it out of tooling that
-        // expects complete timelines.
-        const std::string suffix = aborted ? ".partial" : "";
-        const std::string base =
-            args.trace_dir + "/" + args.trace_stem;
-        writeChromeTrace(*system->trace(), meta,
-                         base + ".trace.json" + suffix);
-        writeCounterCsv(*system->trace(),
-                        base + ".counters.csv" + suffix);
-    }
-
-    if (out.ok && args.soft_timeout_s > 0.0 &&
-        out.wall_s > args.soft_timeout_s) {
-        out.ok = false;
-        out.timed_out = true;
-        char buf[128];
-        std::snprintf(buf, sizeof buf,
-                      "soft timeout: cell took %.2fs (budget %.2fs), "
-                      "result discarded",
-                      out.wall_s, args.soft_timeout_s);
-        out.error = buf;
-    }
-    return out;
 }
 
 } // namespace bauvm

@@ -32,6 +32,14 @@ mixString(std::uint64_t h, const std::string &s)
 
 } // namespace
 
+std::string
+cellName(const std::string &workload, Policy policy,
+         const std::string &variant)
+{
+    return workload + "/" + policyName(policy) +
+           (variant.empty() ? "" : " " + variant);
+}
+
 std::uint64_t
 deriveWorkloadSeed(std::uint64_t base_seed, const std::string &workload)
 {

@@ -80,6 +80,10 @@ struct CellOutcome {
 std::uint64_t deriveWorkloadSeed(std::uint64_t base_seed,
                                  const std::string &workload);
 
+/** "<workload>/<policy>[ <variant>]": how messages name a cell. */
+std::string cellName(const std::string &workload, Policy policy,
+                     const std::string &variant);
+
 /** Globally unique per-job seed; exported in SweepResult JSON. */
 std::uint64_t deriveJobSeed(std::uint64_t base_seed,
                             const std::string &workload,

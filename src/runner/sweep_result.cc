@@ -31,6 +31,18 @@ SweepResult::find(const std::string &workload, Policy policy,
     return nullptr;
 }
 
+const RunResult &
+SweepResult::require(const std::string &workload, Policy policy,
+                     const std::string &variant) const
+{
+    const CellOutcome *cell = find(workload, policy, variant);
+    if (!cell || !cell->ok)
+        fatal("%s: cell %s failed: %s", bench.c_str(),
+              cellName(workload, policy, variant).c_str(),
+              cell ? cell->error.c_str() : "not in the sweep");
+    return cell->result;
+}
+
 namespace
 {
 
@@ -143,6 +155,42 @@ SweepResult::writeJson(const std::string &path) const
         return false;
     inform("sweep: wrote %zu cells to %s", cells.size(), path.c_str());
     return true;
+}
+
+Table
+speedupTable(const SweepResult &sweep,
+             const std::vector<std::string> &workloads,
+             const std::vector<Policy> &policies,
+             std::map<Policy, std::vector<double>> *speedups)
+{
+    std::vector<std::string> headers = {"workload"};
+    for (Policy p : policies)
+        headers.push_back(policyName(p));
+    Table t(headers);
+    for (const auto &w : workloads) {
+        const CellOutcome *base = sweep.find(w, Policy::Baseline);
+        if (!base || !base->ok) {
+            warn("%s: skipping %s (baseline cell failed)",
+                 sweep.bench.c_str(), w.c_str());
+            continue;
+        }
+        const double base_cycles =
+            static_cast<double>(base->result.cycles);
+        std::vector<std::string> row = {w};
+        for (Policy p : policies) {
+            const CellOutcome *cell = sweep.find(w, p);
+            if (!cell || !cell->ok) {
+                row.push_back("FAIL");
+                continue;
+            }
+            const double s =
+                base_cycles / static_cast<double>(cell->result.cycles);
+            (*speedups)[p].push_back(s);
+            row.push_back(Table::num(s, 2));
+        }
+        t.addRow(row);
+    }
+    return t;
 }
 
 } // namespace bauvm

@@ -42,9 +42,11 @@
 #define BAUVM_RUNNER_SWEEP_RESULT_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "src/core/report.h"
 #include "src/runner/job.h"
 #include "src/workloads/workload.h"
 
@@ -90,6 +92,15 @@ struct SweepResult {
     const CellOutcome *find(const std::string &workload, Policy policy,
                             const std::string &variant = "") const;
 
+    /**
+     * The result of the cell at these coordinates, for a figure that
+     * needs every cell: fatal()s, naming the cell and its error, when
+     * the cell is absent or failed.
+     */
+    const RunResult &require(const std::string &workload,
+                             Policy policy,
+                             const std::string &variant = "") const;
+
     /** Serializes the whole sweep as schema-versioned JSON.
      *  @param pretty  false = single-line form for NDJSON embedding. */
     std::string toJson(bool pretty = true) const;
@@ -100,6 +111,17 @@ struct SweepResult {
      */
     bool writeJson(const std::string &path) const;
 };
+
+/**
+ * A speedup table over BASELINE: one row per workload of BASELINE
+ * cycles / each policy's cycles, "FAIL" for a failed cell; a workload
+ * whose BASELINE cell failed is skipped with a warn. Every speedup is
+ * also appended to (*speedups)[policy] for the caller's mean rows.
+ */
+Table speedupTable(const SweepResult &sweep,
+                   const std::vector<std::string> &workloads,
+                   const std::vector<Policy> &policies,
+                   std::map<Policy, std::vector<double>> *speedups);
 
 } // namespace bauvm
 

@@ -1,5 +1,7 @@
 #include "src/runner/sweep_runner.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -8,11 +10,15 @@
 #include <memory>
 #include <mutex>
 
+#include "src/core/system.h"
 #include "src/graph/graph_cache.h"
 #include "src/runner/cell_spec.h"
 #include "src/runner/thread_pool.h"
 #include "src/serve/result_cache.h"
 #include "src/sim/log.h"
+#include "src/sim/parallel_units.h"
+#include "src/trace/trace_export.h"
+#include "src/workloads/workload_registry.h"
 
 namespace bauvm
 {
@@ -48,76 +54,256 @@ cellFileStem(const SweepSpec &spec, const SweepJob &job)
     return stem;
 }
 
+/** Cached gethostname(), "unknown" on failure. */
+std::string
+hostName()
+{
+    static const std::string cached = [] {
+        char buf[256] = {0};
+        if (gethostname(buf, sizeof buf - 1) != 0)
+            return std::string("unknown");
+        return std::string(buf);
+    }();
+    return cached;
+}
+
+/** multiTenantRefusal() of @p job's config; "" for a single-tenant
+ *  sweep. */
+std::string
+tenantRefusal(const SweepSpec &spec, const SweepJob &job)
+{
+    return spec.opt.tenants.empty()
+               ? ""
+               : multiTenantRefusal(cellConfig(spec, job),
+                                    spec.opt.tenants.size());
+}
+
 /**
- * Runs one cell through executeCell(). The config is paperConfig +
- * applyPolicy + the variant's mutation + BenchOptions::applyTo, in
- * that order, so the options win over a variant that sets the same
- * field. With a resume cache, finished ok cells load by content
- * address instead of recomputing, and fresh ok results are stored for
- * the next run.
+ * Runs one cell on its cellConfig() with abort capture; never throws.
+ * Stamps provenance: digest (a pure function of the config), worker
+ * pid, hostname, and the soft-timeout verdict. With a resume cache,
+ * finished ok cells load by content address instead of recomputing,
+ * and fresh ok results are stored for the next run.
  */
 CellOutcome
 executeJob(const SweepJob &job, const SweepSpec &spec,
            ResultCache *cache)
 {
-    CellExecArgs args;
-    args.workload = job.workload;
-    args.policy = job.policy;
-    args.variant = job.variant;
-    args.job_seed = job.job_seed;
-    args.scale = spec.opt.scale;
+    const BenchOptions &opt = spec.opt;
+    SimConfig config = cellConfig(spec, job);
+    std::vector<TenantSpec> tenants = opt.tenants;
+    for (TenantSpec &t : tenants)
+        t.scale = opt.scale;
+    const std::string key =
+        cellKey(job.workload, opt.scale, config, gitRev(), tenants);
+    const std::string digest = digestHex(key);
 
-    SimConfig config = paperConfig(spec.opt.ratio, job.seed);
-    config = applyPolicy(config, job.policy);
-    if (job.variant_index < spec.variants.size() &&
-        spec.variants[job.variant_index].mutate)
-        spec.variants[job.variant_index].mutate(config);
-    spec.opt.applyTo(config);
-    args.config = std::move(config);
-
-    args.tenants = spec.opt.tenants;
-    for (TenantSpec &t : args.tenants)
-        t.scale = spec.opt.scale;
-
-    args.soft_timeout_s = spec.opt.timeout_s;
-    args.cell_threads = spec.opt.cell_threads;
-    if (!spec.opt.trace_dir.empty()) {
-        args.trace_dir = spec.opt.trace_dir;
-        args.trace_stem = cellFileStem(spec, job);
-        args.trace_bench = spec.bench;
-        args.trace_ratio = spec.opt.ratio;
+    CellOutcome cached;
+    if (cache && cache->lookup(digest, key, &cached)) {
+        // The stored outcome may carry a different producer
+        // coordinate that digests identically; re-label it as
+        // this cell. The simulated payload is digest-covered.
+        cached.workload = job.workload;
+        cached.policy = job.policy;
+        cached.variant = job.variant;
+        cached.seed = job.seed;
+        cached.job_seed = job.job_seed;
+        cached.digest = digest;
+        cached.result.workload = job.workload;
+        cached.result.seed = job.seed;
+        return cached;
     }
 
-    std::string digest;
-    std::string key;
-    if (cache) {
-        key = cellKey(args.workload, args.scale, args.config,
-                      gitRev(), args.tenants);
-        digest = digestHex(key);
-        CellOutcome cached;
-        if (cache->lookup(digest, key, &cached)) {
-            // The stored outcome may carry a different producer
-            // coordinate that digests identically; re-label it as
-            // this cell. The simulated payload is digest-covered.
-            cached.workload = job.workload;
-            cached.policy = job.policy;
-            cached.variant = job.variant;
-            cached.seed = job.seed;
-            cached.job_seed = job.job_seed;
-            cached.digest = digest;
-            cached.result.workload = job.workload;
-            cached.result.seed = job.seed;
-            return cached;
+    CellOutcome out;
+    out.workload = job.workload;
+    out.policy = job.policy;
+    out.variant = job.variant;
+    out.seed = config.seed;
+    out.job_seed = job.job_seed;
+    out.digest = digest;
+    out.worker_pid = static_cast<std::uint64_t>(getpid());
+    out.hostname = hostName();
+
+    const bool tracing = !opt.trace_dir.empty();
+    config.trace.enabled = tracing;
+    // The system outlives the try block so an aborted cell's partial
+    // trace buffer can still be flushed to disk below.
+    std::unique_ptr<GpuUvmSystem> system;
+    bool aborted = false;
+
+    const auto t0 = Clock::now();
+    try {
+        ScopedAbortCapture capture;
+        if (!tenants.empty()) {
+            // A multi-tenant cell is several independent simulations:
+            // one solo anchor per tenant (each tenant alone on the
+            // whole GPU, same ratio/policy/scale and the seed its mix
+            // build will use, so the builds share the graph cache)
+            // plus the mix itself. They are units on the intra-cell
+            // pool: opt.cell_threads > 1 overlaps them, and the
+            // fixed-order merge below keeps any thread count
+            // bit-identical to the serial run. Each unit installs its
+            // own abort capture — the depth is thread-local.
+            const std::size_t n = tenants.size();
+            std::vector<Cycle> solo(n, 0);
+            RunResult mix_result;
+            std::unique_ptr<GpuUvmSystem> mix_system;
+            runUnits(n + 1, opt.cell_threads, [&](std::size_t u) {
+                ScopedAbortCapture unit_capture;
+                if (u == n) {
+                    mix_system =
+                        std::make_unique<GpuUvmSystem>(config);
+                    mix_result = mix_system->run(tenants);
+                    return;
+                }
+                SimConfig solo_config = config;
+                solo_config.seed =
+                    deriveTenantSeed(config.seed,
+                                     static_cast<std::uint32_t>(u));
+                solo_config.mt = MtConfig{};
+                solo_config.trace.enabled = false;
+                auto workload = WorkloadRegistry::instance().create(
+                    tenants[u].workload);
+                GpuUvmSystem solo_system(solo_config);
+                solo[u] =
+                    solo_system.run(*workload, tenants[u].scale)
+                        .cycles;
+            });
+            system = std::move(mix_system);
+            out.result = std::move(mix_result);
+            for (std::size_t i = 0; i < out.result.tenants.size();
+                 ++i) {
+                TenantResult &t = out.result.tenants[i];
+                t.slowdown = solo[i]
+                                 ? static_cast<double>(t.cycles) /
+                                       static_cast<double>(solo[i])
+                                 : 0.0;
+            }
+            if (config.check.enabled) {
+                for (const auto &workload : system->tenantWorkloads())
+                    workload->validate();
+            }
+        } else {
+            auto workload =
+                WorkloadRegistry::instance().create(job.workload);
+            system = std::make_unique<GpuUvmSystem>(config);
+            out.result = system->run(*workload, opt.scale);
+            // --audit cells also check the functional result against
+            // the workload's host-side reference implementation; a
+            // mismatch panics and fails the cell like any
+            // model-invariant breach.
+            if (config.check.enabled)
+                workload->validate();
         }
+        out.ok = true;
+    } catch (const SimAbort &e) {
+        aborted = true;
+        out.error = e.what();
+    } catch (const std::exception &e) {
+        aborted = true;
+        out.error = e.what();
+    } catch (...) {
+        aborted = true;
+        out.error = "unknown exception";
+    }
+    out.wall_s = secondsSince(t0);
+
+    if (tracing && system && system->trace()) {
+        TraceMeta meta;
+        meta.bench = spec.bench;
+        meta.workload = job.workload;
+        meta.policy = policyName(job.policy);
+        meta.variant = job.variant;
+        meta.scale = scaleName(opt.scale);
+        meta.seed = config.seed;
+        meta.ratio = opt.ratio;
+        meta.partial = aborted;
+        // A cell that died mid-run still flushes whatever the ring
+        // holds; the .partial suffix keeps it out of tooling that
+        // expects complete timelines.
+        const std::string suffix = aborted ? ".partial" : "";
+        const std::string base =
+            opt.trace_dir + "/" + cellFileStem(spec, job);
+        writeChromeTrace(*system->trace(), meta,
+                         base + ".trace.json" + suffix);
+        writeCounterCsv(*system->trace(),
+                        base + ".counters.csv" + suffix);
     }
 
-    CellOutcome out = executeCell(args);
+    if (out.ok && opt.timeout_s > 0.0 &&
+        out.wall_s > opt.timeout_s) {
+        out.ok = false;
+        out.timed_out = true;
+        char buf[128];
+        std::snprintf(buf, sizeof buf,
+                      "soft timeout: cell took %.2fs (budget %.2fs), "
+                      "result discarded",
+                      out.wall_s, opt.timeout_s);
+        out.error = buf;
+    }
     if (cache && out.ok)
         cache->store(digest, key, out);
     return out;
 }
 
 } // namespace
+
+std::vector<SweepJob>
+expandSweep(const SweepSpec &spec)
+{
+    const std::size_t variants =
+        spec.variants.empty() ? 1 : spec.variants.size();
+    std::vector<SweepJob> jobs;
+    jobs.reserve(variants * spec.workloads.size() *
+                 spec.policies.size());
+    for (std::size_t v = 0; v < variants; ++v) {
+        const std::string label =
+            spec.variants.empty() ? "" : spec.variants[v].label;
+        for (const auto &w : spec.workloads) {
+            for (Policy p : spec.policies) {
+                SweepJob job;
+                job.index = jobs.size();
+                job.workload = w;
+                job.policy = p;
+                job.variant = label;
+                job.variant_index = v;
+                job.seed = deriveWorkloadSeed(spec.opt.seed, w);
+                job.job_seed =
+                    deriveJobSeed(spec.opt.seed, w, p, label);
+                jobs.push_back(std::move(job));
+            }
+        }
+    }
+    return jobs;
+}
+
+SimConfig
+cellConfig(const SweepSpec &spec, const SweepJob &job)
+{
+    SimConfig config = paperConfig(spec.opt.ratio, job.seed);
+    config = applyPolicy(config, job.policy);
+    if (job.variant_index < spec.variants.size() &&
+        spec.variants[job.variant_index].mutate)
+        spec.variants[job.variant_index].mutate(config);
+    spec.opt.applyTo(config);
+    return config;
+}
+
+void
+dropRefusedTenantPolicies(SweepSpec *spec)
+{
+    std::string dropped;
+    for (const SweepJob &job : expandSweep(*spec)) {
+        const std::string why = tenantRefusal(*spec, job);
+        if (why.empty() || std::erase(spec->policies, job.policy) == 0)
+            continue;
+        dropped += (dropped.empty() ? "" : "; ") +
+                   policyName(job.policy) + " (" + why + ")";
+    }
+    if (!dropped.empty())
+        std::fprintf(stderr, "%s: a tenant mix cannot run %s\n",
+                     spec->bench.c_str(), dropped.c_str());
+}
 
 SweepRunner::SweepRunner(SweepSpec spec)
     : spec_(std::move(spec))
@@ -135,41 +321,18 @@ SweepRunner::setProgress(ProgressFn fn)
     progress_overridden_ = true;
 }
 
-std::size_t
-SweepRunner::cellCount() const
-{
-    const std::size_t variants =
-        spec_.variants.empty() ? 1 : spec_.variants.size();
-    return variants * spec_.workloads.size() * spec_.policies.size();
-}
-
 SweepResult
 SweepRunner::run()
 {
-    // Expand the matrix in deterministic order: variant-major, then
-    // workload, then policy. Result slots are preallocated so workers
-    // write by index and completion order never matters.
-    const std::size_t variants =
-        spec_.variants.empty() ? 1 : spec_.variants.size();
-    std::vector<SweepJob> jobs;
-    jobs.reserve(cellCount());
-    for (std::size_t v = 0; v < variants; ++v) {
-        const std::string label =
-            spec_.variants.empty() ? "" : spec_.variants[v].label;
-        for (const auto &w : spec_.workloads) {
-            for (Policy p : spec_.policies) {
-                SweepJob job;
-                job.index = jobs.size();
-                job.workload = w;
-                job.policy = p;
-                job.variant = label;
-                job.variant_index = v;
-                job.seed = deriveWorkloadSeed(spec_.opt.seed, w);
-                job.job_seed =
-                    deriveJobSeed(spec_.opt.seed, w, p, label);
-                jobs.push_back(std::move(job));
-            }
-        }
+    // Result slots are preallocated so workers write by index and
+    // completion order never matters.
+    const std::vector<SweepJob> jobs = expandSweep(spec_);
+    for (const SweepJob &job : jobs) {
+        const std::string why = tenantRefusal(spec_, job);
+        if (!why.empty())
+            fatal("SweepRunner: cell %s: %s",
+                  cellName(job.workload, job.policy, job.variant).c_str(),
+                  why.c_str());
     }
 
     if (!spec_.opt.trace_dir.empty()) {
@@ -209,11 +372,10 @@ SweepRunner::run()
                           : elapsed / static_cast<double>(done) *
                                 static_cast<double>(total - done);
             std::fprintf(
-                stderr,
-                "  [%zu/%zu] %s/%s%s%s %s%s %.2fs | ETA %.0fs\n", done,
-                total, cell.workload.c_str(),
-                policyName(cell.policy).c_str(),
-                cell.variant.empty() ? "" : " ", cell.variant.c_str(),
+                stderr, "  [%zu/%zu] %s %s%s %.2fs | ETA %.0fs\n", done,
+                total,
+                cellName(cell.workload, cell.policy, cell.variant)
+                    .c_str(),
                 cell.ok ? "ok" : "FAILED",
                 cell.from_cache ? " (cached)" : "", cell.wall_s, eta);
         };
@@ -279,6 +441,15 @@ SweepRunner::run()
         }
     }
     return result;
+}
+
+SweepResult
+runBenchSweep(const SweepSpec &spec)
+{
+    const SweepResult sweep = SweepRunner(spec).run();
+    if (!spec.opt.json_path.empty())
+        sweep.writeJson(spec.opt.json_path);
+    return sweep;
 }
 
 } // namespace bauvm

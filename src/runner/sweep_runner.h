@@ -19,6 +19,9 @@
  *    spends.
  *  - **Progress.** After every cell a progress callback fires exactly
  *    once (default: an stderr [done/total] line with rate and ETA).
+ *  - **Refusal up front.** Before any cell runs, a tenant-mix cell
+ *    that multiTenantRefusal() refuses fatal()s the sweep, naming
+ *    the cell.
  */
 
 #ifndef BAUVM_RUNNER_SWEEP_RUNNER_H_
@@ -48,6 +51,25 @@ struct SweepSpec {
     bool verbose = true;                //!< default progress reporter
 };
 
+/** The cells @p spec expands to, in matrix order: variant-major,
+ *  then workload, then policy. */
+std::vector<SweepJob> expandSweep(const SweepSpec &spec);
+
+/**
+ * The one recipe for a cell's final config, which its content address
+ * covers: paperConfig(ratio, job.seed) + applyPolicy + the variant's
+ * mutation + BenchOptions::applyTo, so the options win over a variant
+ * that sets the same field.
+ */
+SimConfig cellConfig(const SweepSpec &spec, const SweepJob &job);
+
+/**
+ * Removes from spec->policies every policy with a cell that
+ * multiTenantRefusal() refuses under spec->opt.tenants, and names them
+ * and the reasons in one stderr line.
+ */
+void dropRefusedTenantPolicies(SweepSpec *spec);
+
 class SweepRunner
 {
   public:
@@ -63,9 +85,6 @@ class SweepRunner
     /** Replaces the default stderr reporter (nullptr = silent). */
     void setProgress(ProgressFn fn);
 
-    /** Number of cells the spec expands to. */
-    std::size_t cellCount() const;
-
     /** Runs the whole matrix; blocks until every cell finished. */
     SweepResult run();
 
@@ -74,6 +93,12 @@ class SweepRunner
     ProgressFn progress_;
     bool progress_overridden_ = false;
 };
+
+/**
+ * Runs @p spec and writes its sweep JSON to spec.opt.json_path (when
+ * set): the one sweep a bench runs.
+ */
+SweepResult runBenchSweep(const SweepSpec &spec);
 
 } // namespace bauvm
 

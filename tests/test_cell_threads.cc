@@ -14,7 +14,7 @@
 
 #include "src/core/presets.h"
 #include "src/core/tenant.h"
-#include "src/runner/cell_spec.h"
+#include "src/runner/sweep_runner.h"
 #include "src/sim/parallel_units.h"
 
 namespace bauvm
@@ -25,15 +25,17 @@ namespace
 CellOutcome
 runMixCell(WorkloadScale scale, std::size_t cell_threads, bool audit)
 {
-    CellExecArgs args;
-    args.workload = "mix";
-    args.scale = scale;
-    args.config = paperConfig(/*ratio=*/0.5, /*seed=*/1);
-    args.config.check.enabled = audit;
-    args.cell_threads = cell_threads;
-    args.tenants = {TenantSpec{"BFS-TWC", 0.5, scale},
-                    TenantSpec{"PR", 0.5, scale}};
-    return executeCell(args);
+    SweepSpec spec;
+    spec.bench = "cell_threads";
+    spec.workloads = {"mix"};
+    spec.policies = {Policy::Baseline};
+    spec.opt.scale = scale;
+    spec.opt.audit = audit;
+    spec.opt.cell_threads = cell_threads;
+    spec.opt.tenants = {TenantSpec{"BFS-TWC", 0.5, scale},
+                        TenantSpec{"PR", 0.5, scale}};
+    spec.verbose = false;
+    return SweepRunner(spec).run().cells.front();
 }
 
 void

@@ -160,20 +160,20 @@ tinyOptions(std::size_t jobs)
 
 TEST(SweepRunner, ParallelMatrixMatchesSerial)
 {
-    const std::vector<std::string> workloads = {"BFS-TTC", "PR",
-                                                "SSSP-TWC"};
-    const std::vector<Policy> policies = {Policy::Baseline, Policy::To,
-                                          Policy::Ue};
+    SweepSpec spec;
+    spec.bench = "test";
+    spec.workloads = {"BFS-TTC", "PR", "SSSP-TWC"};
+    spec.policies = {Policy::Baseline, Policy::To, Policy::Ue};
+    spec.verbose = false;
+    spec.opt = tinyOptions(1);
+    const SweepResult serial = SweepRunner(spec).run();
+    spec.opt = tinyOptions(4);
+    const SweepResult parallel = SweepRunner(spec).run();
 
-    auto serial = runMatrix(workloads, policies, tinyOptions(1),
-                            /*verbose=*/false);
-    auto parallel = runMatrix(workloads, policies, tinyOptions(4),
-                              /*verbose=*/false);
-
-    for (const auto &w : workloads) {
-        for (Policy p : policies) {
+    for (const auto &w : spec.workloads) {
+        for (Policy p : spec.policies) {
             SCOPED_TRACE(w + "/" + policyName(p));
-            expectSameResult(serial[w][p], parallel[w][p]);
+            expectSameResult(serial.require(w, p), parallel.require(w, p));
         }
     }
 }
@@ -218,7 +218,7 @@ TEST(SweepRunner, ProgressFiresExactlyOncePerCell)
     spec.verbose = false;
 
     SweepRunner runner(spec);
-    ASSERT_EQ(runner.cellCount(), 4u);
+    ASSERT_EQ(expandSweep(spec).size(), 4u);
 
     std::vector<std::size_t> dones;
     std::set<std::string> cells_seen;

@@ -222,52 +222,56 @@ perturb(T &v)
         v = v + 1;
 }
 
+/** The config SweepRunner gives the first cell of @p spec. */
+SimConfig
+firstCellConfig(const SweepSpec &spec)
+{
+    return cellConfig(spec, expandSweep(spec).front());
+}
+
+/** The content address of that cell under @p rev. */
+std::string
+firstCellDigest(const SweepSpec &spec, const std::string &rev = "rev1")
+{
+    return digestHex(cellKey(spec.workloads.front(), spec.opt.scale,
+                             firstCellConfig(spec), rev));
+}
+
 TEST(CellDigest, StableUniqueAndInvalidating)
 {
-    CellSpec spec;
-    spec.workload = "BFS-TWC";
-    spec.policy = Policy::Baseline;
-    spec.scale = WorkloadScale::Tiny;
+    SweepSpec spec;
+    spec.workloads = {"BFS-TWC"};
+    spec.policies = {Policy::Baseline};
+    spec.opt.scale = WorkloadScale::Tiny;
 
-    const std::string key =
-        cellKey(spec.workload, spec.scale, cellConfig(spec), "rev1");
-    const std::string digest = digestHex(key);
+    const std::string digest = firstCellDigest(spec);
     EXPECT_EQ(digest.size(), 32u);
-    EXPECT_EQ(digest, digestHex(key)); // pure function
+    EXPECT_EQ(digest, firstCellDigest(spec)); // pure function
 
     // Every coordinate that changes simulated behaviour must change
     // the address: policy, any config knob, the seed, the code rev.
-    CellSpec to = spec;
-    to.policy = Policy::ToUe;
-    EXPECT_NE(digestHex(cellKey(to.workload, to.scale, cellConfig(to),
-                                "rev1")),
-              digest);
+    SweepSpec to = spec;
+    to.policies = {Policy::ToUe};
+    EXPECT_NE(firstCellDigest(to), digest);
 
-    CellSpec knob = spec;
-    knob.overrides.push_back({"uvm.fault_buffer_entries", 1000.0});
-    EXPECT_NE(digestHex(cellKey(knob.workload, knob.scale,
-                                cellConfig(knob), "rev1")),
-              digest);
+    SweepSpec knob = spec;
+    knob.variants = {{"fb1000", [](SimConfig &c) {
+                          ASSERT_TRUE(applyConfigOverride(
+                              c, "uvm.fault_buffer_entries", 1000.0));
+                      }}};
+    EXPECT_NE(firstCellDigest(knob), digest);
 
-    CellSpec seeded = spec;
-    seeded.base_seed = 2;
-    EXPECT_NE(digestHex(cellKey(seeded.workload, seeded.scale,
-                                cellConfig(seeded), "rev1")),
-              digest);
+    SweepSpec seeded = spec;
+    seeded.opt.seed = 2;
+    EXPECT_NE(firstCellDigest(seeded), digest);
 
-    EXPECT_NE(digestHex(cellKey(spec.workload, spec.scale,
-                                cellConfig(spec), "rev2")),
-              digest);
+    EXPECT_NE(firstCellDigest(spec, "rev2"), digest);
 
     // Pinned before the key was derived from the field table: every
     // existing result cache must keep its addresses.
-    CellSpec toue = spec;
-    toue.policy = Policy::ToUe;
-    EXPECT_EQ(digestHex(canonicalConfigString(cellConfig(toue))),
+    EXPECT_EQ(digestHex(canonicalConfigString(firstCellConfig(to))),
               "72ead01a022a7c4ccb0b602622bbe1c8");
-    EXPECT_EQ(digestHex(cellKey(toue.workload, toue.scale,
-                                cellConfig(toue), "rev1")),
-              "d24c575d01547842a9c927cecc1fcae7");
+    EXPECT_EQ(firstCellDigest(to), "d24c575d01547842a9c927cecc1fcae7");
     EXPECT_EQ(digest, "49421768b439a4f42873230909735e60");
 
     // Perturbing any keyed leaf changes the key; trace.* are the only
@@ -499,7 +503,7 @@ TEST(SweepRequestParse, FullDocumentRoundTrips)
     EXPECT_TRUE(spec.opt.audit);
     EXPECT_DOUBLE_EQ(spec.opt.timeout_s, 9.5);
     EXPECT_TRUE(spec.opt.tenants.empty());
-    EXPECT_EQ(SweepRunner(spec).cellCount(), 8u);
+    EXPECT_EQ(expandSweep(spec).size(), 8u);
 
     // Each variant's overrides become its config mutation.
     ASSERT_EQ(spec.variants.size(), 2u);

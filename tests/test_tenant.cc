@@ -301,14 +301,15 @@ memberNames(const JsonValue &v)
 
 TEST(MultiTenant, TenantResultsRoundTripThroughCellJson)
 {
-    GraphBuildCache::Scope graph_scope;
-    CellExecArgs args;
-    args.workload = "BFS-HYB+PR";
-    args.scale = WorkloadScale::Tiny;
-    args.config = mixConfig(0.4, SharePolicy::StrictQuota,
-                            /*audit=*/false);
-    args.tenants = twoTenants();
-    const CellOutcome out = executeCell(args);
+    SweepSpec spec;
+    spec.workloads = {"BFS-HYB+PR"}; // label only
+    spec.policies = {Policy::Baseline};
+    spec.opt.scale = WorkloadScale::Tiny;
+    spec.opt.ratio = 0.4;
+    spec.opt.share_policy = SharePolicy::StrictQuota;
+    spec.opt.tenants = twoTenants();
+    spec.verbose = false;
+    const CellOutcome out = SweepRunner(spec).run().cells.front();
     ASSERT_TRUE(out.ok) << out.error;
     ASSERT_EQ(out.result.tenants.size(), 2u);
     EXPECT_GT(out.result.tenants[0].slowdown, 0.0);
@@ -401,6 +402,51 @@ TEST(MultiTenant, RejectsUnsupportedConfigurations)
             },
             SimAbort);
     }
+}
+
+TEST(MultiTenant, RefusalNamesEachUnsupportedConfiguration)
+{
+    SimConfig c = mixConfig(0.5, SharePolicy::FreeForAll);
+    c.gpu.num_sms = 2;
+    EXPECT_EQ(multiTenantRefusal(c, 2), "");
+    EXPECT_EQ(multiTenantRefusal(c, 3), "3 tenants need at least 3 SMs");
+    c.memory_ratio = 0.0;
+    EXPECT_EQ(multiTenantRefusal(c, 2),
+              "multi-tenant runs need a finite memory ratio");
+    c.uvm.preload = true;
+    EXPECT_EQ(multiTenantRefusal(c, 2),
+              "preload is not supported in multi-tenant runs");
+    c.etc.enabled = true;
+    EXPECT_EQ(multiTenantRefusal(c, 2),
+              "ETC is not supported in multi-tenant runs");
+}
+
+TEST(MultiTenant, UnsupportedMixIsRefusedBeforeAnyCellRuns)
+{
+    SweepSpec spec;
+    spec.workloads = {"BFS-HYB+PR"}; // label only
+    spec.policies = {Policy::Baseline, Policy::Etc};
+    spec.opt.scale = WorkloadScale::Tiny;
+    spec.opt.tenants = twoTenants();
+    SweepRunner runner(spec);
+    std::size_t fired = 0;
+    runner.setProgress([&](const CellOutcome &, std::size_t,
+                           std::size_t) { ++fired; });
+    try {
+        ScopedAbortCapture capture;
+        runner.run();
+        ADD_FAILURE() << "an ETC tenant mix ran";
+    } catch (const SimAbort &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "cell BFS-HYB+PR/ETC: ETC is not supported"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(fired, 0u);
+
+    // The benches drop what the check would refuse, and run the rest.
+    dropRefusedTenantPolicies(&spec);
+    EXPECT_EQ(spec.policies, std::vector<Policy>{Policy::Baseline});
 }
 
 } // namespace
