@@ -12,9 +12,11 @@
  * The (workload x policy) matrix runs on the parallel SweepRunner
  * (--jobs N); pass --json PATH for the structured export. Under
  * --tenants the policies a tenant mix cannot run (ETC) are dropped up
- * front, with one stderr line. Exits 2 when a cell failed.
+ * front, with one stderr line, and the TO+UE vs ETC summary line
+ * reads n/a. Exits 2 when a cell failed.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <vector>
@@ -66,8 +68,12 @@ main(int argc, char **argv)
                 toue);
     std::printf("  TO+UE vs BASELINE+PCIeC:      %.2fx (1.81x)\n",
                 pciec > 0.0 ? toue / pciec : 0.0);
-    std::printf("  TO+UE vs ETC:                 %.2fx (1.79x)\n",
-                etc > 0.0 ? toue / etc : 0.0);
+    std::printf("  TO+UE vs ETC:                 ");
+    if (std::find(spec.policies.begin(), spec.policies.end(),
+                  Policy::Etc) == spec.policies.end())
+        std::printf("n/a (ETC not run)\n"); // --tenants dropped it
+    else
+        std::printf("%.2fx (1.79x)\n", etc > 0.0 ? toue / etc : 0.0);
     std::printf("  TO alone:                     %.2fx (1.22x)\n",
                 amean(speedups[Policy::To]));
     std::printf("  UE alone:                     %.2fx\n",

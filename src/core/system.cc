@@ -120,7 +120,6 @@ GpuUvmSystem::run(Workload &workload, WorkloadScale scale)
     r.avg_handling_time = runtime_.averageHandlingTime();
     r.demand_pages = runtime_.demandFaultPages();
     r.prefetched_pages = runtime_.prefetchedPages();
-    r.batch_records = runtime_.batchRecords();
     r.migrations = manager_.migrations();
     r.evictions = manager_.evictions();
     r.premature_evictions = manager_.prematureEvictions();
@@ -139,6 +138,8 @@ GpuUvmSystem::run(Workload &workload, WorkloadScale scale)
         audit_->finalize(r, manager_.committedFrames(),
                          manager_.pageTable().residentPages());
     }
+    // Last: the runtime hands its batch records over, not a copy.
+    r.batch_records = runtime_.takeBatchLog();
     return r;
 }
 
@@ -351,7 +352,6 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
     r.avg_handling_time = runtime_.averageHandlingTime();
     r.demand_pages = runtime_.demandFaultPages();
     r.prefetched_pages = runtime_.prefetchedPages();
-    r.batch_records = runtime_.batchRecords();
     r.migrations = manager_.migrations();
     r.evictions = manager_.evictions();
     r.premature_evictions = manager_.prematureEvictions();
@@ -411,6 +411,8 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
         audit_->finalize(r, manager_.committedFrames(),
                          manager_.pageTable().residentPages());
     }
+    // Last: the runtime hands its batch records over, not a copy.
+    r.batch_records = runtime_.takeBatchLog();
     return r;
 }
 

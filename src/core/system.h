@@ -47,7 +47,7 @@ struct RunResult {
     double avg_handling_time = 0.0;    //!< cycles
     std::uint64_t demand_pages = 0;
     std::uint64_t prefetched_pages = 0;
-    std::vector<BatchRecord> batch_records;
+    BatchLog batch_records; //!< shared by copies of this result
 
     // Eviction statistics (Figs 8, 15, 17).
     std::uint64_t migrations = 0;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/sim/log.h"
+#include "src/sim/parallel_units.h"
 
 namespace bauvm
 {
@@ -46,18 +47,19 @@ CsrGraph::fromEdges(
 CsrGraph
 CsrGraph::fromCsrArrays(std::vector<std::uint64_t> row_offsets,
                         std::vector<VertexId> col_indices,
-                        std::vector<std::uint32_t> weights)
+                        std::vector<std::uint32_t> weights,
+                        std::size_t check_parts)
 {
     CsrGraph g;
     g.row_offsets_ = std::move(row_offsets);
     g.col_indices_ = std::move(col_indices);
     g.weights_ = std::move(weights);
-    g.validate();
+    g.validate(check_parts);
     return g;
 }
 
 void
-CsrGraph::validate() const
+CsrGraph::validate(std::size_t parts) const
 {
     if (row_offsets_.empty())
         panic("CsrGraph: empty row offsets");
@@ -69,11 +71,23 @@ CsrGraph::validate() const
         if (row_offsets_[i] < row_offsets_[i - 1])
             panic("CsrGraph: non-monotonic offsets");
     }
-    const VertexId v = numVertices();
-    for (VertexId c : col_indices_) {
-        if (c >= v)
-            panic("CsrGraph: column index out of range");
-    }
+    // Each part finds the largest column of its range; the panic is
+    // raised here after the join, where the caller's abort capture
+    // (thread-local) applies.
+    parts = std::max<std::size_t>(parts, 1);
+    std::vector<VertexId> part_max(parts, 0);
+    const std::uint64_t edges = col_indices_.size();
+    runUnits(parts, parts, [&](std::size_t p) {
+        const std::uint64_t last = edges * (p + 1) / parts;
+        VertexId hi = 0;
+        for (std::uint64_t e = edges * p / parts; e < last; ++e)
+            hi = std::max(hi, col_indices_[e]);
+        part_max[p] = hi;
+    });
+    if (edges != 0 &&
+        *std::max_element(part_max.begin(), part_max.end()) >=
+            numVertices())
+        panic("CsrGraph: column index out of range");
     if (!weights_.empty() && weights_.size() != col_indices_.size())
         panic("CsrGraph: weight array size mismatch");
 }

@@ -6,6 +6,7 @@
 #ifndef BAUVM_GRAPH_CSR_GRAPH_H_
 #define BAUVM_GRAPH_CSR_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -40,11 +41,13 @@ class CsrGraph
     /**
      * Adopts pre-built CSR arrays (validated, then moved in). Used by
      * the R-MAT builder (buildRmatCsr), which assembles the arrays
-     * without ever holding an edge list.
+     * without ever holding an edge list, and passes its build's part
+     * count as @p check_parts (see validate()).
      */
     static CsrGraph fromCsrArrays(std::vector<std::uint64_t> row_offsets,
                                   std::vector<VertexId> col_indices,
-                                  std::vector<std::uint32_t> weights = {});
+                                  std::vector<std::uint32_t> weights = {},
+                                  std::size_t check_parts = 1);
 
     VertexId numVertices() const
     {
@@ -80,8 +83,12 @@ class CsrGraph
     }
     const std::vector<std::uint32_t> &weights() const { return weights_; }
 
-    /** Structural sanity check; calls panic() on inconsistency. */
-    void validate() const;
+    /**
+     * Structural sanity check; calls panic() on inconsistency, always
+     * from the calling thread. The column check runs as @p parts
+     * contiguous ranges on as many threads (1 = serial).
+     */
+    void validate(std::size_t parts = 1) const;
 
   private:
     std::vector<std::uint64_t> row_offsets_; //!< size V+1

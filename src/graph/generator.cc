@@ -86,6 +86,20 @@ degreeDescendingIds(std::span<const std::uint64_t> degree)
     return new_id;
 }
 
+/** Parts for CsrGraph::validate's check of @p columns. A part gets at
+ *  least min_chunk_edges and at least 2^18 columns: the check is one
+ *  compare per column, and below that starting a thread costs more
+ *  than it saves, so a tiny graph (65 K columns) checks serially. */
+std::size_t
+columnCheckParts(const BuildThreads &threads, std::uint64_t columns)
+{
+    constexpr std::uint64_t kMinCheckColumns = std::uint64_t{1} << 18;
+    return BuildThreads{threads.threads,
+                        std::max(threads.min_chunk_edges,
+                                 kMinCheckColumns)}
+        .chunksFor(columns);
+}
+
 } // namespace
 
 std::size_t
@@ -260,8 +274,9 @@ buildRmatCsr(const RmatParams &params, RmatOrder order,
                        }
                    });
     });
+    const std::size_t check_parts = columnCheckParts(threads, row[n]);
     return CsrGraph::fromCsrArrays(std::move(row), std::move(cols),
-                                   std::move(weights));
+                                   std::move(weights), check_parts);
 }
 
 CsrGraph
@@ -315,8 +330,9 @@ relabelByDegree(const CsrGraph &raw, const BuildThreads &threads)
             }
         }
     });
-    return CsrGraph::fromCsrArrays(std::move(row), std::move(cols),
-                                   std::move(weights));
+    return CsrGraph::fromCsrArrays(
+        std::move(row), std::move(cols), std::move(weights),
+        columnCheckParts(threads, raw.numEdges()));
 }
 
 CsrGraph

@@ -60,7 +60,9 @@ writeFields(JsonWriter &w, const S &s)
         using T = std::remove_cvref_t<decltype(v)>;
         if (!(flags & kExported))
             return;
-        if constexpr (kIsVector<T>) {
+        if constexpr (kSerializedApart<T>) {
+            return;
+        } else if constexpr (kIsVector<T>) {
             if (v.empty())
                 return;
             w.beginArray(name);

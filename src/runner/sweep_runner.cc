@@ -403,9 +403,8 @@ SweepRunner::run()
             pool.submit([this, &job, &result, &progress,
                          &progress_mutex, &done, &cache,
                          total = jobs.size()] {
-                CellOutcome cell =
-                    executeJob(job, spec_, cache.get());
-                result.cells[job.index] = cell;
+                CellOutcome &cell = result.cells[job.index];
+                cell = executeJob(job, spec_, cache.get());
                 std::lock_guard<std::mutex> lock(progress_mutex);
                 ++done;
                 if (progress)

@@ -32,7 +32,9 @@ parseFields(const JsonValue &v, S &s, std::string *error)
         const JsonValue *j = v.find(name);
         if (!ok || !(flags & kExported) || !j)
             return;
-        if constexpr (kIsVector<T>) {
+        if constexpr (kSerializedApart<T>) {
+            return;
+        } else if constexpr (kIsVector<T>) {
             ok = j->isArray() ||
                  failParse(error, std::string("cell outcome: ") + name +
                                       " is not an array");
@@ -151,14 +153,13 @@ parseCellOutcome(const JsonValue &v, CellOutcome *out,
         if (!records->isArray())
             return failParse(
                 error, "cell outcome: batch_records is not an array");
-        res.batch_records.resize(records->size());
+        std::vector<BatchRecord> log(records->size());
         for (std::size_t i = 0; i < records->size(); ++i) {
             // One positional row per batch, in table order.
             const JsonValue &row = records->at(i);
             std::size_t column = 0;
-            forEachField(res.batch_records[i], [&](const char *,
-                                                   auto &field,
-                                                   unsigned flags) {
+            forEachField(log[i], [&](const char *, auto &field,
+                                     unsigned flags) {
                 using T = std::remove_cvref_t<decltype(field)>;
                 if (!(flags & kExported))
                     return;
@@ -170,6 +171,7 @@ parseCellOutcome(const JsonValue &v, CellOutcome *out,
                 return failParse(error,
                                  "cell outcome: malformed batch record");
         }
+        res.batch_records = BatchLog(std::move(log));
     }
     return true;
 }

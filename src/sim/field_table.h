@@ -41,6 +41,12 @@ inline constexpr bool kIsVector = false;
 template <class T, class A>
 inline constexpr bool kIsVector<std::vector<T, A>> = true;
 
+/** Leaf types the generic field loops (the cell JSON writer and
+ *  parser, and the tests' field dumps) pass over because their owner
+ *  serializes them itself; a type opts in by specializing this. */
+template <class T>
+inline constexpr bool kSerializedApart = false;
+
 /**
  * Calls f(dotted_name, leaf, flags) for every leaf under @p s in
  * declaration order, descending into nested tables, e.g.

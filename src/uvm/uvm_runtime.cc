@@ -9,6 +9,22 @@
 namespace bauvm
 {
 
+BatchLog::BatchLog(std::vector<BatchRecord> records)
+{
+    if (records.empty())
+        return;
+    records.shrink_to_fit();
+    rep_ = new Rep{.records = std::move(records)};
+}
+
+void
+BatchLog::release() noexcept
+{
+    if (--rep_->refs == 0)
+        delete rep_;
+    rep_ = nullptr;
+}
+
 UvmRuntime::UvmRuntime(const UvmConfig &config, EventQueue &events,
                        GpuMemoryManager &manager,
                        MemoryHierarchy &hierarchy, const SimHooks &hooks)
@@ -132,39 +148,6 @@ UvmRuntime::enableProactiveEviction(double target)
     proactive_target_ = target;
 }
 
-double
-UvmRuntime::averageBatchPages() const
-{
-    if (records_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &r : records_)
-        sum += r.fault_pages;
-    return sum / static_cast<double>(records_.size());
-}
-
-double
-UvmRuntime::averageProcessingTime() const
-{
-    if (records_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &r : records_)
-        sum += static_cast<double>(r.processingTime());
-    return sum / static_cast<double>(records_.size());
-}
-
-double
-UvmRuntime::averageHandlingTime() const
-{
-    if (records_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &r : records_)
-        sum += static_cast<double>(r.handlingTime());
-    return sum / static_cast<double>(records_.size());
-}
-
 void
 UvmRuntime::onPageFault(PageNum vpn, WakeFn waiter)
 {
@@ -269,7 +252,7 @@ UvmRuntime::batchBegin()
     }
     BAUVM_DLOG("UvmRuntime: batch %llu begins at cycle %llu: %u demand "
                "+ %u prefetch pages (%u duplicate faults)",
-               static_cast<unsigned long long>(records_.size() + 1),
+               static_cast<unsigned long long>(batches_ + 1),
                static_cast<unsigned long long>(current_.begin),
                current_.fault_pages, current_.prefetch_pages,
                current_.duplicate_faults);
@@ -431,12 +414,16 @@ UvmRuntime::batchEnd()
     }
     BAUVM_DLOG("UvmRuntime: batch %llu ends at cycle %llu "
                "(handling %llu, processing %llu cycles)",
-               static_cast<unsigned long long>(records_.size() + 1),
+               static_cast<unsigned long long>(batches_ + 1),
                static_cast<unsigned long long>(current_.end),
                static_cast<unsigned long long>(current_.handlingTime()),
                static_cast<unsigned long long>(
                    current_.processingTime()));
     records_.push_back(current_);
+    ++batches_;
+    fault_page_sum_ += current_.fault_pages;
+    processing_sum_ += static_cast<double>(current_.processingTime());
+    handling_sum_ += static_cast<double>(current_.handlingTime());
 
     const OversubAdvice advice =
         manager_.lifetimeTracker().update(events_.now());

@@ -43,8 +43,11 @@
 #ifndef BAUVM_UVM_UVM_RUNTIME_H_
 #define BAUVM_UVM_UVM_RUNTIME_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/check/sim_hooks.h"
@@ -97,6 +100,74 @@ forEachField(S &b, F &&f)
     f("migrated_bytes", b.migrated_bytes, kExported);
 }
 BAUVM_FIELD_TABLE_COMPLETE(BatchRecord);
+
+/**
+ * The batch records of a finished run: immutable and reference
+ * counted, so every copy of a RunResult shares one buffer instead of
+ * duplicating tens of thousands of records. Copying a handle, or
+ * destroying or resetting one (`log = {}`), moves only that handle's
+ * reference; the buffer goes with the last handle. Handles may be
+ * copied and destroyed on any threads at once (the count is atomic);
+ * the records are never written after construction.
+ *
+ * Hand-rolled rather than a std::shared_ptr: RunResult's field table
+ * check builds a RunResult in a constant expression, which needs a
+ * constexpr default constructor and destructor.
+ */
+class BatchLog
+{
+  public:
+    constexpr BatchLog() = default;
+    /** Adopts @p records, trimmed to their exact size. */
+    explicit BatchLog(std::vector<BatchRecord> records);
+    BatchLog(const BatchLog &other) noexcept : rep_(other.rep_)
+    {
+        if (rep_)
+            ++rep_->refs;
+    }
+    constexpr BatchLog(BatchLog &&other) noexcept
+        : rep_(std::exchange(other.rep_, nullptr))
+    {
+    }
+    BatchLog &
+    operator=(BatchLog other) noexcept
+    {
+        std::swap(rep_, other.rep_);
+        return *this;
+    }
+    constexpr ~BatchLog()
+    {
+        if (rep_)
+            release();
+    }
+
+    const BatchRecord *begin() const
+    {
+        return rep_ ? rep_->records.data() : nullptr;
+    }
+    const BatchRecord *end() const { return begin() + size(); }
+    std::size_t size() const { return rep_ ? rep_->records.size() : 0; }
+    bool empty() const { return size() == 0; }
+    const BatchRecord &operator[](std::size_t i) const
+    {
+        return rep_->records[i];
+    }
+
+  private:
+    struct Rep {
+        std::atomic<std::size_t> refs{1};
+        std::vector<BatchRecord> records;
+    };
+
+    /** Drops this handle's reference; the last one frees the buffer. */
+    void release() noexcept;
+
+    Rep *rep_ = nullptr; //!< nullptr for an empty log
+};
+/** The generic field loops pass over a BatchLog: writeCellJson
+ *  writes it apart from "result", and parseCellOutcome reads it. */
+template <>
+inline constexpr bool kSerializedApart<BatchLog> = true;
 
 /** The UVM runtime: fault intake, batching, migration, eviction. */
 class UvmRuntime
@@ -191,16 +262,28 @@ class UvmRuntime
      */
     void enableProactiveEviction(double target);
 
+    /** The records of the batches run since the last takeBatchLog(). */
     const std::vector<BatchRecord> &batchRecords() const
     {
         return records_;
+    }
+
+    /**
+     * Hands the batch records over as a BatchLog and leaves
+     * batchRecords() empty; batches() and the averages below keep
+     * counting every batch. GpuUvmSystem::run calls it once, at the end
+     * of a run, after every other read of the runtime.
+     */
+    BatchLog takeBatchLog()
+    {
+        return BatchLog(std::exchange(records_, {}));
     }
 
     const FaultBuffer &faultBuffer() const { return fault_buffer_; }
     PcieLink &pcie() { return pcie_; }
     const PcieLink &pcie() const { return pcie_; }
 
-    std::uint64_t batches() const { return records_.size(); }
+    std::uint64_t batches() const { return batches_; }
     std::uint64_t demandFaultPages() const { return demand_pages_; }
     std::uint64_t prefetchedPages() const { return prefetched_pages_; }
 
@@ -208,11 +291,14 @@ class UvmRuntime
     bool idle() const { return state_ == State::Idle; }
 
     /** Average number of demand pages per batch. */
-    double averageBatchPages() const;
+    double averageBatchPages() const { return perBatch(fault_page_sum_); }
     /** Average batch processing time in cycles. */
-    double averageProcessingTime() const;
+    double averageProcessingTime() const
+    {
+        return perBatch(processing_sum_);
+    }
     /** Average GPU-runtime fault handling time in cycles. */
-    double averageHandlingTime() const;
+    double averageHandlingTime() const { return perBatch(handling_sum_); }
 
   private:
     enum class State { Idle, InterruptPending, BatchActive };
@@ -233,6 +319,12 @@ class UvmRuntime
     void onPageArrived(PageNum vpn);
     void batchEnd();
     void maybeProactiveEvict();
+
+    /** @p sum over the batch count (0 before the first batch). */
+    double perBatch(double sum) const
+    {
+        return batches_ ? sum / static_cast<double>(batches_) : 0.0;
+    }
 
     /** Appends @p waiter to @p vpn's intrusive FIFO waiter list. */
     void appendWaiter(PageNum vpn, WakeFn waiter);
@@ -301,6 +393,12 @@ class UvmRuntime
     BatchRecord current_;
 
     std::vector<BatchRecord> records_;
+    // Running per-batch totals, summed in batch order as the records
+    // are appended, so they outlive the hand-over (takeBatchLog).
+    std::uint64_t batches_ = 0;
+    double fault_page_sum_ = 0.0;
+    double processing_sum_ = 0.0;
+    double handling_sum_ = 0.0;
     std::uint64_t demand_pages_ = 0;
     std::uint64_t prefetched_pages_ = 0;
 

@@ -13,6 +13,7 @@
 #include "src/graph/csr_graph.h"
 #include "src/graph/generator.h"
 #include "src/graph/reference_algorithms.h"
+#include "src/sim/log.h"
 
 namespace bauvm
 {
@@ -53,6 +54,41 @@ TEST(CsrGraph, WeightsParallelToEdges)
     EXPECT_TRUE(g.weighted());
     EXPECT_EQ(g.edgeWeights(0)[0], 7u);
     EXPECT_EQ(g.edgeWeights(1)[0], 9u);
+}
+
+TEST(CsrGraph, SplitColumnCheckPanicsOnTheCallingThread)
+{
+    // A ring of 64 vertices: row v holds the single column v + 1.
+    const VertexId n = 64;
+    std::vector<std::uint64_t> row(n + 1);
+    std::iota(row.begin(), row.end(), std::uint64_t{0});
+    std::vector<VertexId> cols(n);
+    for (VertexId v = 0; v < n; ++v)
+        cols[v] = (v + 1) % n;
+
+    ScopedAbortCapture capture;
+    for (std::size_t parts : {1, 2, 3, 4, 7}) {
+        EXPECT_EQ(CsrGraph::fromCsrArrays(row, cols, {}, parts).numEdges(),
+                  n);
+        // A bad column first, in the middle and last: whichever part
+        // holds it, the panic reaches this thread's capture.
+        for (std::size_t at : {std::size_t{0}, std::size_t{n / 2},
+                               std::size_t{n - 1}}) {
+            std::vector<VertexId> bad = cols;
+            bad[at] = n;
+            try {
+                CsrGraph::fromCsrArrays(row, bad, {}, parts);
+                ADD_FAILURE() << "column " << at << " out of range, "
+                              << parts << " parts";
+            } catch (const SimAbort &e) {
+                EXPECT_TRUE(e.isPanic());
+                EXPECT_NE(std::string(e.what()).find(
+                              "CsrGraph: column index out of range"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
 TEST(Generator, RmatIsDeterministic)

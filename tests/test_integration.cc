@@ -194,6 +194,52 @@ TEST(Integration, BatchesAreTimeOrdered)
     }
 }
 
+TEST(Integration, CopiedResultSharesItsBatchLog)
+{
+    const RunResult a = runTiny("SSSP-TWC", Policy::Baseline);
+    ASSERT_FALSE(a.batch_records.empty());
+    RunResult b = a;
+    EXPECT_EQ(&a.batch_records[0], &b.batch_records[0]);
+
+    // Resetting one copy's log leaves the other's whole.
+    b.batch_records = {};
+    EXPECT_TRUE(b.batch_records.empty());
+    EXPECT_EQ(a.batch_records.size(), a.batches);
+    EXPECT_EQ(b.batches, a.batches);
+}
+
+TEST(Integration, RuntimeCountsSurviveBatchLogHandOver)
+{
+    const SimConfig config =
+        applyPolicy(paperConfig(0.5, 1), Policy::ToUe);
+    auto workload = WorkloadRegistry::instance().create("SSSP-TWC");
+    GpuUvmSystem system(config);
+    const RunResult r = system.run(*workload, WorkloadScale::Tiny);
+    ASSERT_GT(r.batches, 0u);
+
+    // The runtime handed its records over and still counts them.
+    const UvmRuntime &runtime = system.runtime();
+    EXPECT_TRUE(runtime.batchRecords().empty());
+    EXPECT_EQ(runtime.batches(), r.batches);
+    EXPECT_EQ(runtime.averageBatchPages(), r.avg_batch_pages);
+    EXPECT_EQ(runtime.averageProcessingTime(), r.avg_batch_time);
+    EXPECT_EQ(runtime.averageHandlingTime(), r.avg_handling_time);
+
+    // The running sums equal a rescan of the log, summed in the same
+    // order, so they agree exactly.
+    ASSERT_EQ(r.batch_records.size(), r.batches);
+    double pages = 0.0, processing = 0.0, handling = 0.0;
+    for (const BatchRecord &b : r.batch_records) {
+        pages += b.fault_pages;
+        processing += static_cast<double>(b.processingTime());
+        handling += static_cast<double>(b.handlingTime());
+    }
+    const auto n = static_cast<double>(r.batches);
+    EXPECT_EQ(r.avg_batch_pages, pages / n);
+    EXPECT_EQ(r.avg_batch_time, processing / n);
+    EXPECT_EQ(r.avg_handling_time, handling / n);
+}
+
 TEST(Integration, PcieCompressionReducesBytesMoved)
 {
     const RunResult plain = runTiny("BFS-TTC", Policy::Baseline);

@@ -415,7 +415,7 @@ TEST(ResultCacheTest, BatchRecordsSurviveRoundTrip)
     b.end = 260;
     b.fault_pages = 9;
     b.migrated_bytes = 4096;
-    out.result.batch_records = {a, b};
+    out.result.batch_records = BatchLog({a, b});
 
     const std::string key = "bauvm.cell/1|rev|W|tiny|cfg-br";
     const std::string digest = digestHex(key);

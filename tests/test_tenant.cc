@@ -276,15 +276,17 @@ exportedText(const S &s)
         using T = std::remove_cvref_t<decltype(v)>;
         if (!(flags & kExported))
             return;
-        out += name;
-        out += '=';
-        if constexpr (kIsVector<T>) {
-            for (const auto &element : v)
-                out += "{" + exportedText(element) + "}";
-        } else {
-            out += fieldText(v);
+        if constexpr (!kSerializedApart<T>) {
+            out += name;
+            out += '=';
+            if constexpr (kIsVector<T>) {
+                for (const auto &element : v)
+                    out += "{" + exportedText(element) + "}";
+            } else {
+                out += fieldText(v);
+            }
+            out += ';';
         }
-        out += ';';
     });
     return out;
 }

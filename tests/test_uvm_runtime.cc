@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/mem/memory_hierarchy.h"
@@ -322,6 +324,68 @@ TEST_F(UvmRuntimeTest, ProactiveEvictionDrainsAtIdle)
     // Idle now: proactive eviction should have pushed occupancy to
     // <= 50% of 4 frames.
     EXPECT_LE(manager_->committedFrames(), 2u);
+}
+
+// ---- BatchLog: the shared, immutable log a run hands over ------------
+
+/** A log of @p n records whose begin field is its index. */
+BatchLog
+indexedLog(std::size_t n)
+{
+    std::vector<BatchRecord> records(n);
+    for (std::size_t i = 0; i < n; ++i)
+        records[i].begin = i;
+    return BatchLog(std::move(records));
+}
+
+TEST(BatchLog, MovedFromLogIsEmpty)
+{
+    BatchLog a = indexedLog(3);
+    const BatchRecord *first = &a[0];
+    BatchLog b(std::move(a));
+    EXPECT_TRUE(a.empty()); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(a.begin(), a.end());
+    EXPECT_EQ(&b[0], first);
+
+    BatchLog c;
+    c = std::move(b);
+    EXPECT_TRUE(b.empty()); // NOLINT(bugprone-use-after-move)
+    ASSERT_EQ(c.size(), 3u);
+    EXPECT_EQ(&c[0], first);
+    EXPECT_EQ(c[2].begin, 2u);
+}
+
+TEST(BatchLog, EmptyVectorMakesAnEmptyLog)
+{
+    const BatchLog log{std::vector<BatchRecord>{}};
+    EXPECT_TRUE(log.empty());
+    EXPECT_EQ(log.size(), 0u);
+    EXPECT_EQ(log.begin(), log.end());
+}
+
+TEST(BatchLog, ConcurrentCopiesLeaveTheLogIntact)
+{
+    constexpr std::size_t kRecords = 1000;
+    const BatchLog log = indexedLog(kRecords);
+    const BatchRecord *first = &log[0];
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&log, first] {
+            for (int i = 0; i < 20000; ++i) {
+                BatchLog copy = log;
+                BatchLog second = copy;
+                copy = {};
+                if (&second[0] != first || second.size() != kRecords)
+                    ADD_FAILURE() << "a copy lost the shared buffer";
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    ASSERT_EQ(log.size(), kRecords);
+    EXPECT_EQ(&log[0], first);
+    for (std::size_t i = 0; i < kRecords; ++i)
+        EXPECT_EQ(log[i].begin, i);
 }
 
 } // namespace
