@@ -5,6 +5,9 @@
  * ideal infinite-shared-memory cost (zero in our model, <1 us in the
  * paper's Eq.). Paper: overall execution time is insensitive, because
  * the switch cost is dwarfed by batch processing times.
+ *
+ * One SweepRunner sweep: the two switch costs are config variants of
+ * TO+UE.
  */
 
 #include <cstdio>
@@ -12,6 +15,7 @@
 
 #include "src/core/experiment.h"
 #include "src/core/report.h"
+#include "src/runner/sweep_runner.h"
 #include "src/workloads/workload_registry.h"
 
 int
@@ -20,21 +24,29 @@ main(int argc, char **argv)
     using namespace bauvm;
     const BenchOptions opt = parseBenchArgs(argc, argv);
 
+    SweepSpec spec;
+    spec.bench = "ablation_ctx_switch_cost";
+    spec.workloads = opt.workloadsOr(
+        WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular));
+    spec.policies = {Policy::ToUe};
+    spec.variants = {
+        {"global-switch", nullptr},
+        {"ideal-switch",
+         [](SimConfig &c) { c.to.ideal_ctx_switch = true; }},
+    };
+    spec.opt = opt;
+    const SweepResult sweep = runBenchSweep(spec);
+
     printBanner("Section 6.5: context switch cost sensitivity (TO+UE)");
     Table t({"workload", "global-memory switch", "ideal switch",
              "ideal/global", "switches"});
 
     std::vector<double> rel;
-    for (const auto &name : WorkloadRegistry::instance().enumerate(WorkloadKind::Irregular)) {
-        std::fprintf(stderr, "  running %s ...\n", name.c_str());
-        SimConfig global_cfg =
-            applyPolicy(paperConfig(opt.ratio, opt.seed), Policy::ToUe);
-        SimConfig ideal_cfg = global_cfg;
-        ideal_cfg.to.ideal_ctx_switch = true;
-
-        const RunResult rg =
-            runWorkload(global_cfg, name, opt.scale);
-        const RunResult ri = runWorkload(ideal_cfg, name, opt.scale);
+    for (const auto &name : spec.workloads) {
+        const RunResult &rg =
+            sweep.require(name, Policy::ToUe, "global-switch");
+        const RunResult &ri =
+            sweep.require(name, Policy::ToUe, "ideal-switch");
         const double r = static_cast<double>(rg.cycles) /
                          static_cast<double>(ri.cycles);
         rel.push_back(r);

@@ -228,9 +228,16 @@ class ModelAuditor
     ShadowPage &page(PageNum vpn) { return pages_[vpn]; }
     /** Drops @p vpn's entry when it returned to plain host residency. */
     void compact(PageNum vpn);
-    /** One invariant comparison; fails loudly on mismatch. */
-    void check(bool ok, const char *invariant, PageNum vpn,
-               const std::string &expected, const std::string &observed);
+    /**
+     * Counts one invariant comparison and returns @p ok. Each site
+     * reads `if (!holds(ok)) fail(...)`, so a passing check formats
+     * no diagnostic.
+     */
+    bool holds(bool ok)
+    {
+        ++checks_;
+        return ok;
+    }
     [[noreturn]] void fail(const char *invariant, PageNum vpn,
                            const std::string &expected,
                            const std::string &observed);

@@ -28,7 +28,7 @@ struct BenchOptions {
     bool csv = false;
     double ratio = 0.5; //!< oversubscription ratio
     std::uint64_t seed = 1;
-    /** Sweep worker threads; 0 = hardware_concurrency. */
+    /** Sweep worker threads; 0 = hardwareThreads(). */
     std::size_t jobs = 0;
     /** Host threads *inside* one cell (--cell-threads): a multi-tenant
      *  cell runs its per-tenant solo anchors and the mix itself as

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -106,8 +105,7 @@ std::size_t
 BuildThreads::chunksFor(std::uint64_t edges) const
 {
     const std::uint64_t workers =
-        threads != 0 ? threads
-                     : std::max(1u, std::thread::hardware_concurrency());
+        threads != 0 ? threads : hardwareThreads();
     const std::uint64_t by_size =
         edges / std::max<std::uint64_t>(min_chunk_edges, 1);
     return static_cast<std::size_t>(

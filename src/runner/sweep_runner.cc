@@ -13,7 +13,6 @@
 #include "src/core/system.h"
 #include "src/graph/graph_cache.h"
 #include "src/runner/cell_spec.h"
-#include "src/runner/thread_pool.h"
 #include "src/serve/result_cache.h"
 #include "src/sim/log.h"
 #include "src/sim/parallel_units.h"
@@ -324,8 +323,8 @@ SweepRunner::setProgress(ProgressFn fn)
 SweepResult
 SweepRunner::run()
 {
-    // Result slots are preallocated so workers write by index and
-    // completion order never matters.
+    // Result slots are preallocated so each cell writes its own slot
+    // and completion order never matters.
     const std::vector<SweepJob> jobs = expandSweep(spec_);
     for (const SweepJob &job : jobs) {
         const std::string why = tenantRefusal(spec_, job);
@@ -352,9 +351,8 @@ SweepRunner::run()
     result.ratio = spec_.opt.ratio;
     result.cells.resize(jobs.size());
 
-    std::size_t workers = spec_.opt.jobs == 0
-                              ? ThreadPool::hardwareJobs()
-                              : spec_.opt.jobs;
+    std::size_t workers =
+        spec_.opt.jobs == 0 ? hardwareThreads() : spec_.opt.jobs;
     workers = std::max<std::size_t>(
         1, std::min(workers, jobs.size()));
     result.jobs = workers;
@@ -397,22 +395,14 @@ SweepRunner::run()
     const std::uint64_t hits_before = graph_cache.hits();
     GraphBuildCache::Scope graph_scope;
 
-    {
-        ThreadPool pool(workers);
-        for (const SweepJob &job : jobs) {
-            pool.submit([this, &job, &result, &progress,
-                         &progress_mutex, &done, &cache,
-                         total = jobs.size()] {
-                CellOutcome &cell = result.cells[job.index];
-                cell = executeJob(job, spec_, cache.get());
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                ++done;
-                if (progress)
-                    progress(cell, done, total);
-            });
-        }
-        pool.wait();
-    }
+    runUnits(jobs.size(), workers, [&](std::size_t i) {
+        CellOutcome &cell = result.cells[i];
+        cell = executeJob(jobs[i], spec_, cache.get());
+        std::lock_guard<std::mutex> lock(progress_mutex);
+        ++done;
+        if (progress)
+            progress(cell, done, jobs.size());
+    });
 
     result.elapsed_s = secondsSince(t0);
 

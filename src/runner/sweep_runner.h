@@ -1,7 +1,7 @@
 /**
  * @file
  * SweepRunner: executes a (workload x policy x config-variant)
- * evaluation matrix on a ThreadPool.
+ * evaluation matrix, one runUnits() unit per cell (--jobs threads).
  *
  * Guarantees:
  *  - **Determinism.** Per-job seeds are pure functions of

@@ -1,5 +1,7 @@
 #include "src/serve/cell_json.h"
 
+#include <type_traits>
+
 #include "src/core/experiment.h"
 #include "src/sim/log.h"
 
@@ -54,6 +56,21 @@ parseFields(const JsonValue &v, S &s, std::string *error)
     return ok;
 }
 
+/** Whether @p key names a kKnob leaf that is not a bool. */
+bool
+isNonBoolKnob(const std::string &key)
+{
+    bool non_bool = false;
+    const SimConfig probe;
+    forEachLeaf(probe, [&](const std::string &name, const auto &field,
+                           unsigned flags) {
+        if ((flags & kKnob) && name == key)
+            non_bool =
+                !std::is_same_v<std::decay_t<decltype(field)>, bool>;
+    });
+    return non_bool;
+}
+
 } // namespace
 
 bool
@@ -67,10 +84,18 @@ parseConfigOverrides(const JsonValue &v,
     for (std::size_t i = 0; i < v.size(); ++i) {
         ConfigOverride o{v.at(i).getString("key"), 0.0};
         const JsonValue *value = v.at(i).find("value");
-        if (!value || !value->isNumber())
+        if (value && value->isBool()) {
+            if (isNonBoolKnob(o.key))
+                return failParse(error, "override '" + o.key +
+                                            "': a boolean value for a "
+                                            "knob that is not a bool");
+            o.value = value->asBool() ? 1.0 : 0.0;
+        } else if (value && value->isNumber()) {
+            o.value = value->asDouble();
+        } else {
             return failParse(error, "override '" + o.key +
                                         "': value is not a number");
-        o.value = value->asDouble();
+        }
         if (!applyConfigOverride(probe, o.key, o.value, error))
             return false;
         out->push_back(std::move(o));

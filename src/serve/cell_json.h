@@ -24,9 +24,9 @@
 namespace bauvm
 {
 
-/** Parses an "overrides" array, [{"key": str, "value": number}, ...];
- *  @return false with the reason in @p error unless
- *  applyConfigOverride() takes every entry. */
+/** Parses an "overrides" array, [{"key": str, "value": number}, ...]
+ *  (a bool knob also takes true/false); @return false with the reason
+ *  in @p error unless applyConfigOverride() takes every entry. */
 bool parseConfigOverrides(const JsonValue &v,
                           std::vector<ConfigOverride> *out,
                           std::string *error);

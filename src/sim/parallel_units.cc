@@ -52,4 +52,10 @@ runUnits(std::size_t count, std::size_t threads,
             std::rethrow_exception(errors[i]);
 }
 
+std::size_t
+hardwareThreads()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
 } // namespace bauvm

@@ -3,13 +3,15 @@
  * Deterministic fork-join over independent work units.
  *
  * runUnits() executes a fixed set of units on up to `threads` host
- * threads. Its two users: a sweep cell's independent simulations (a
- * multi-tenant cell runs one solo anchor per tenant plus the mix
- * itself, each on its own GpuUvmSystem and event queue), and the
- * chunks of one graph build (src/graph). Determinism is by
- * construction, not by locking discipline: units share no mutable
- * state (the simulations' only shared structure, the graph cache, is
- * internally synchronized and value-deterministic), every unit writes
+ * threads. Its users: the cells of a sweep (SweepRunner, one unit per
+ * cell), a sweep cell's independent simulations (a multi-tenant cell
+ * runs one solo anchor per tenant plus the mix itself, each on its own
+ * GpuUvmSystem and event queue), and the chunks of one graph build
+ * (src/graph). Determinism is by construction, not by locking
+ * discipline: units share no mutable simulation state (the graph
+ * cache and the result cache are internally synchronized and
+ * value-deterministic; a sweep's progress lines, serialized under a
+ * mutex, go to stderr only), every unit writes
  * results only into its own slots of caller-owned arrays, and the
  * caller merges them in fixed unit order after the join. Any thread
  * count therefore produces bit-identical output to the serial loop.
@@ -44,6 +46,10 @@ namespace bauvm
  */
 void runUnits(std::size_t count, std::size_t threads,
               const std::function<void(std::size_t)> &unit);
+
+/** The host's hardware thread count, at least 1: what a thread count
+ *  of 0 (a sweep's --jobs, a graph build's BuildThreads) means. */
+std::size_t hardwareThreads();
 
 } // namespace bauvm
 

@@ -13,9 +13,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -281,18 +283,27 @@ rmat(VertexId n, std::uint64_t edges, std::uint64_t seed)
     return p;
 }
 
-TEST(GraphDigest, PinnedAcrossEveryBuildPath)
+// Fixed digests, recorded from the original generator, pin the draw
+// itself and the order within every row. Every build path must
+// reproduce them: the raw build, relabelByDegree over it, and the
+// direct relabeled build through the buildCsrStreamed shim. One test
+// case per row, so ctest runs the rows in parallel.
+struct PinnedRow {
+    const char *name;
+    RmatParams params;
+    std::uint64_t raw;       //!< generateRmat
+    std::uint64_t relabeled; //!< relabelByDegree, buildCsrStreamed
+};
+
+void
+PrintTo(const PinnedRow &row, std::ostream *os)
 {
-    // Fixed digests, recorded from the original generator, pin the
-    // draw itself and the order within every row. Every build path
-    // must reproduce them: the raw build, relabelByDegree over it, and
-    // the direct relabeled build through the buildCsrStreamed shim.
-    struct Row {
-        const char *name;
-        RmatParams params;
-        std::uint64_t raw;       //!< generateRmat
-        std::uint64_t relabeled; //!< relabelByDegree, buildCsrStreamed
-    };
+    *os << row.name;
+}
+
+std::vector<PinnedRow>
+pinnedRows()
+{
     RmatParams sssp = rmat(4096, 32768, 2);
     sssp.weighted = true;
     RmatParams directed = rmat(4096, 32768, 3);
@@ -309,7 +320,7 @@ TEST(GraphDigest, PinnedAcrossEveryBuildPath)
     asymmetric.b = 0.2;
     asymmetric.c = 0.3;
     asymmetric.weighted = true;
-    const Row rows[] = {
+    return {
         {"bfs-tiny", rmat(4096, 32768, 1),
          0x3c85a30de3392fadull, 0x59a3e864886bcd37ull},
         {"bfs-small", rmat(32768, 524288, 1),
@@ -327,25 +338,39 @@ TEST(GraphDigest, PinnedAcrossEveryBuildPath)
         {"asymmetric", asymmetric,
          0x84f1b632fd8194b5ull, 0x86fa666f527861dfull},
     };
+}
+
+class GraphDigest : public testing::TestWithParam<PinnedRow>
+{
+};
+
+TEST_P(GraphDigest, PinnedAcrossEveryBuildPath)
+{
+    const PinnedRow &row = GetParam();
     // Every thread count, with chunks down to one edge so that even
     // the smallest rows split: the bytes must not depend on either.
-    for (const Row &row : rows) {
-        for (const std::size_t threads : {1, 2, 3, 4, 7}) {
-            SCOPED_TRACE(std::string(row.name) + " on " +
-                         std::to_string(threads) + " threads");
-            const BuildThreads bt{threads, /*min_chunk_edges=*/1};
-            const CsrGraph raw = generateRmat(row.params, bt);
-            StreamCsrOptions opt;
-            opt.threads = bt;
-            const std::uint64_t got[] = {
-                graphDigest(raw), graphDigest(relabelByDegree(raw, bt)),
-                graphDigest(buildCsrStreamed(row.params, opt))};
-            EXPECT_EQ(got[0], row.raw) << std::hex << got[0];
-            EXPECT_EQ(got[1], row.relabeled) << std::hex << got[1];
-            EXPECT_EQ(got[2], row.relabeled) << std::hex << got[2];
-        }
+    for (const std::size_t threads : {1, 2, 3, 4, 7}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        const BuildThreads bt{threads, /*min_chunk_edges=*/1};
+        const CsrGraph raw = generateRmat(row.params, bt);
+        StreamCsrOptions opt;
+        opt.threads = bt;
+        const std::uint64_t got[] = {
+            graphDigest(raw), graphDigest(relabelByDegree(raw, bt)),
+            graphDigest(buildCsrStreamed(row.params, opt))};
+        EXPECT_EQ(got[0], row.raw) << std::hex << got[0];
+        EXPECT_EQ(got[1], row.relabeled) << std::hex << got[1];
+        EXPECT_EQ(got[2], row.relabeled) << std::hex << got[2];
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, GraphDigest, testing::ValuesIn(pinnedRows()),
+    [](const testing::TestParamInfo<PinnedRow> &info) {
+        std::string name = info.param.name;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 TEST(GraphBuildThreads, ChunksAreOnePerThreadAndNeverTooSmall)
 {

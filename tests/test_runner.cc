@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -20,10 +19,8 @@
 #include "src/core/system.h"
 #include "src/graph/graph_cache.h"
 #include "src/runner/job.h"
-#include "src/runner/job_queue.h"
 #include "src/runner/json_writer.h"
 #include "src/runner/sweep_runner.h"
-#include "src/runner/thread_pool.h"
 #include "src/sim/log.h"
 #include "src/sim/write_file.h"
 
@@ -31,62 +28,6 @@ namespace bauvm
 {
 namespace
 {
-
-// ---------------------------------------------------------------------
-// Primitives
-// ---------------------------------------------------------------------
-
-TEST(JobQueue, PushPopFifo)
-{
-    JobQueue q;
-    std::vector<int> order;
-    ASSERT_TRUE(q.push([&] { order.push_back(1); }));
-    ASSERT_TRUE(q.push([&] { order.push_back(2); }));
-    EXPECT_EQ(q.size(), 2u);
-
-    JobQueue::Thunk t;
-    ASSERT_TRUE(q.pop(&t));
-    t();
-    ASSERT_TRUE(q.pop(&t));
-    t();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(JobQueue, CloseRejectsPushAndDrains)
-{
-    JobQueue q;
-    ASSERT_TRUE(q.push([] {}));
-    q.close();
-    EXPECT_TRUE(q.closed());
-    EXPECT_FALSE(q.push([] {}));
-
-    JobQueue::Thunk t;
-    EXPECT_TRUE(q.pop(&t)); // drains the pre-close thunk
-    EXPECT_FALSE(q.pop(&t)); // closed and empty
-}
-
-TEST(ThreadPool, RunsEveryThunkAcrossWorkers)
-{
-    std::atomic<int> count{0};
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.workerCount(), 4u);
-    for (int i = 0; i < 100; ++i)
-        ASSERT_TRUE(pool.submit([&count] { ++count; }));
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    std::atomic<int> count{0};
-    ThreadPool pool(2);
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 2);
-}
 
 // ---------------------------------------------------------------------
 // Seeding

@@ -21,6 +21,7 @@
 #include "src/runner/job.h"
 #include "src/runner/sweep_result.h"
 #include "src/runner/sweep_runner.h"
+#include "src/serve/cell_json.h"
 #include "src/serve/json.h"
 #include "src/serve/result_cache.h"
 #include "src/serve/sweep_request.h"
@@ -731,6 +732,35 @@ TEST(SweepRequestParse, RejectsInvalidDocuments)
         EXPECT_TRUE(parseSweepRequest(withOverride(good), &req, &error))
             << error;
     }
+}
+
+TEST(SweepRequestParse, BoolKnobsTakeJsonBooleans)
+{
+    std::vector<ConfigOverride> overrides;
+    std::string error;
+    ASSERT_TRUE(parseConfigOverrides(
+        parseOrDie("[{\"key\": \"etc.capacity_compression\","
+                   " \"value\": false},"
+                   " {\"key\": \"to.enabled\", \"value\": true}]"),
+        &overrides, &error))
+        << error;
+    SimConfig config;
+    ASSERT_TRUE(config.etc.capacity_compression);
+    ASSERT_FALSE(config.to.enabled);
+    for (const ConfigOverride &o : overrides)
+        ASSERT_TRUE(applyConfigOverride(config, o.key, o.value, &error))
+            << error;
+    EXPECT_FALSE(config.etc.capacity_compression);
+    EXPECT_TRUE(config.to.enabled);
+
+    // A boolean for a non-bool knob is refused, naming the key.
+    overrides.clear();
+    EXPECT_FALSE(parseConfigOverrides(
+        parseOrDie("[{\"key\": \"gpu.num_sms\", \"value\": true}]"),
+        &overrides, &error));
+    EXPECT_NE(error.find("override 'gpu.num_sms'"), std::string::npos)
+        << error;
+    EXPECT_TRUE(overrides.empty());
 }
 
 // ---------------------------------------------------------------------
