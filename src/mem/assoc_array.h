@@ -10,7 +10,13 @@
  * hottest loop, entered once per cache/TLB access — walks a dense key
  * array instead of striding over padded line structs, and set indexing
  * uses a mask instead of a modulo when the set count is a power of two
- * (it always is for the shipped geometries).
+ * (it always is for the shipped geometries). An invalid line holds the
+ * key kInvalidKey and last_use 0, so there is no separate valid array:
+ * a narrow set's scan compares every way without an early exit (a
+ * wide one stops at the match), and the victim is simply the
+ * lowest-index minimum of last_use (valid lines hold distinct positive
+ * ticks, so that is the first invalid way, else the least recently
+ * used one).
  *
  * Wide arrays (the TLBs and the page-walk cache) also keep an exact
  * absent-key filter: a table of counters indexed by a hash of the key,
@@ -58,8 +64,7 @@ class AssocArray
         sets_ = entries / ways_;
         sets_pow2_ = (sets_ & (sets_ - 1)) == 0;
         set_mask_ = sets_ - 1;
-        valid_.assign(entries, 0);
-        keys_.assign(entries, 0);
+        keys_.assign(entries, kInvalidKey);
         last_use_.assign(entries, 0);
         // A bucket counts at most `entries` lines, so 16-bit counters
         // cannot overflow; >= 4 buckets per entry keeps the false
@@ -73,6 +78,9 @@ class AssocArray
         }
     }
 
+    /** The key an invalid line holds; place() refuses to store it. */
+    static constexpr std::uint64_t kInvalidKey = ~std::uint64_t{0};
+
     /**
      * Looks up @p key; on a hit refreshes its LRU position. A miss arms
      * fill(@p key).
@@ -84,10 +92,10 @@ class AssocArray
         // MRU memo: consecutive lookups overwhelmingly repeat the last
         // key (a warp's lines share one page), and for wide sets the
         // way scan is the hottest loop in the simulator. The re-check
-        // makes staleness harmless — a valid slot holding key K can
-        // only be K's home slot, so a hit here is exact.
-        if (key == memo_key_ && memo_idx_ != kNone &&
-            keys_[memo_idx_] == key && valid_[memo_idx_]) {
+        // makes staleness harmless — a slot holding key K can only be
+        // K's home slot, so a hit here is exact; memo_key_ is never
+        // kInvalidKey, so an invalid slot never matches.
+        if (key == memo_key_ && keys_[memo_idx_] == key) {
             last_use_[memo_idx_] = ++tick_;
             return true;
         }
@@ -169,7 +177,7 @@ class AssocArray
     {
         std::size_t n = 0;
         for (std::size_t i = 0; i < keys_.size(); ++i) {
-            if (valid_[i] && pred(keys_[i])) {
+            if (keys_[i] != kInvalidKey && pred(keys_[i])) {
                 clearLine(i);
                 ++n;
             }
@@ -195,7 +203,8 @@ class AssocArray
     lineAt(std::size_t set, std::size_t way) const
     {
         const std::size_t i = set * ways_ + way;
-        return LineView{valid_[i] != 0, keys_[i], last_use_[i]};
+        const bool valid = keys_[i] != kInvalidKey;
+        return LineView{valid, valid ? keys_[i] : 0, last_use_[i]};
     }
 
     /** Number of currently valid entries. */
@@ -203,8 +212,8 @@ class AssocArray
     validCount() const
     {
         std::size_t n = 0;
-        for (const std::uint8_t v : valid_)
-            n += v ? 1 : 0;
+        for (const std::uint64_t k : keys_)
+            n += k != kInvalidKey ? 1 : 0;
         return n;
     }
 
@@ -212,8 +221,11 @@ class AssocArray
     static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
     /**
-     * Sets at least this wide get the absent-key filter. Narrower sets
-     * scan faster than the filter's extra cache line costs.
+     * Sets at least this wide are wide: they get the absent-key filter
+     * and their scan stops at the match. Narrower sets scan faster
+     * than the filter's extra cache line costs, and compare every way
+     * without an early exit. Each scan loop measured faster than the
+     * other on its own side of this cutoff (see DESIGN.md).
      */
     static constexpr std::uint32_t kFilterMinWays = 32;
 
@@ -231,23 +243,26 @@ class AssocArray
     }
 
     /**
-     * Puts absent @p key into its set's victim way: the first invalid
-     * way, else the least recently used one.
+     * Puts absent @p key into its set's victim way: the lowest-index
+     * minimum of last_use, which is the first invalid way (last_use
+     * 0), else the least recently used one (valid lines hold distinct
+     * positive ticks).
      */
     bool
     place(std::uint64_t key, std::uint64_t *evicted_key)
     {
+        if (key == kInvalidKey)
+            panic("AssocArray: key %#llx marks invalid lines",
+                  static_cast<unsigned long long>(key));
         const std::size_t base = setOf(key) * ways_;
-        std::size_t victim = kNone;
-        for (std::size_t i = base; i < base + ways_; ++i) {
-            if (!valid_[i]) {
-                victim = i;
-                break;
-            }
-            if (victim == kNone || last_use_[i] < last_use_[victim])
-                victim = i;
+        std::size_t victim = base;
+        std::uint64_t oldest = last_use_[base];
+        for (std::size_t i = base + 1; i < base + ways_; ++i) {
+            const bool older = last_use_[i] < oldest;
+            victim = older ? i : victim;
+            oldest = older ? last_use_[i] : oldest;
         }
-        const bool displaced = valid_[victim] != 0;
+        const bool displaced = keys_[victim] != kInvalidKey;
         if (displaced) {
             if (evicted_key)
                 *evicted_key = keys_[victim];
@@ -256,7 +271,6 @@ class AssocArray
         }
         if (!filter_.empty())
             ++filter_[bucketOf(key)];
-        valid_[victim] = 1;
         keys_[victim] = key;
         last_use_[victim] = ++tick_;
         memo_key_ = key;
@@ -266,18 +280,16 @@ class AssocArray
     }
 
     /**
-     * Fully clears an invalidated line. Resetting key/last_use (not
-     * just valid) keeps dead tags from ever matching in a loop that
-     * forgets the valid check, and keeps an invalid line from biasing
-     * LRU victim choice through a stale timestamp.
+     * Invalidates a line: its key becomes kInvalidKey, so no lookup
+     * matches it, and its last_use 0, so it is the next victim of its
+     * set rather than an LRU loser with a stale timestamp.
      */
     void
     clearLine(std::size_t i)
     {
-        if (valid_[i] && !filter_.empty())
+        if (keys_[i] != kInvalidKey && !filter_.empty())
             --filter_[bucketOf(keys_[i])];
-        valid_[i] = 0;
-        keys_[i] = 0;
+        keys_[i] = kInvalidKey;
         last_use_[i] = 0;
     }
 
@@ -285,11 +297,19 @@ class AssocArray
     std::size_t
     find(std::uint64_t key) const
     {
-        if (!filter_.empty() && filter_[bucketOf(key)] == 0)
+        if (key == kInvalidKey ||
+            (!filter_.empty() && filter_[bucketOf(key)] == 0))
             return kNone;
         const std::size_t base = setOf(key) * ways_;
+        if (ways_ < kFilterMinWays) {
+            // Keys are unique within a set, so at most one way matches.
+            std::size_t hit = kNone;
+            for (std::size_t i = base; i < base + ways_; ++i)
+                hit = keys_[i] == key ? i : hit;
+            return hit;
+        }
         for (std::size_t i = base; i < base + ways_; ++i)
-            if (keys_[i] == key && valid_[i])
+            if (keys_[i] == key)
                 return i;
         return kNone;
     }
@@ -300,14 +320,16 @@ class AssocArray
     std::uint64_t set_mask_ = 0;
     std::uint64_t tick_ = 0;
     // Last-hit memo (see lookup); never trusted without a re-check.
+    // It starts on key 0 at slot 0, which holds kInvalidKey, so the
+    // first lookup of 0 falls through to the scan.
     std::uint64_t memo_key_ = 0;
-    std::size_t memo_idx_ = kNone;
+    std::size_t memo_idx_ = 0;
     // fill() precondition: the last lookup missed on missed_key_ and
     // nothing has been placed since.
     std::uint64_t missed_key_ = 0;
     bool missed_armed_ = false;
-    // Structure-of-arrays line state, indexed set * ways_ + way.
-    std::vector<std::uint8_t> valid_;
+    // Structure-of-arrays line state, indexed set * ways_ + way; an
+    // invalid line holds kInvalidKey and last_use 0.
     std::vector<std::uint64_t> keys_;
     std::vector<std::uint64_t> last_use_;
     // Absent-key filter (wide arrays only; empty otherwise): valid-line

@@ -69,7 +69,7 @@ hostName()
 /** multiTenantRefusal() of @p job's config; "" for a single-tenant
  *  sweep. */
 std::string
-tenantRefusal(const SweepSpec &spec, const SweepJob &job)
+jobRefusal(const SweepSpec &spec, const SweepJob &job)
 {
     return spec.opt.tenants.empty()
                ? ""
@@ -293,7 +293,7 @@ dropRefusedTenantPolicies(SweepSpec *spec)
 {
     std::string dropped;
     for (const SweepJob &job : expandSweep(*spec)) {
-        const std::string why = tenantRefusal(*spec, job);
+        const std::string why = jobRefusal(*spec, job);
         if (why.empty() || std::erase(spec->policies, job.policy) == 0)
             continue;
         dropped += (dropped.empty() ? "" : "; ") +
@@ -302,6 +302,19 @@ dropRefusedTenantPolicies(SweepSpec *spec)
     if (!dropped.empty())
         std::fprintf(stderr, "%s: a tenant mix cannot run %s\n",
                      spec->bench.c_str(), dropped.c_str());
+}
+
+std::string
+tenantRefusal(const SweepSpec &spec)
+{
+    for (const SweepJob &job : expandSweep(spec)) {
+        const std::string why = jobRefusal(spec, job);
+        if (!why.empty())
+            return "cell " +
+                   cellName(job.workload, job.policy, job.variant) +
+                   ": " + why;
+    }
+    return "";
 }
 
 SweepRunner::SweepRunner(SweepSpec spec)
@@ -323,16 +336,12 @@ SweepRunner::setProgress(ProgressFn fn)
 SweepResult
 SweepRunner::run()
 {
+    const std::string refusal = tenantRefusal(spec_);
+    if (!refusal.empty())
+        fatal("SweepRunner: %s", refusal.c_str());
     // Result slots are preallocated so each cell writes its own slot
     // and completion order never matters.
     const std::vector<SweepJob> jobs = expandSweep(spec_);
-    for (const SweepJob &job : jobs) {
-        const std::string why = tenantRefusal(spec_, job);
-        if (!why.empty())
-            fatal("SweepRunner: cell %s: %s",
-                  cellName(job.workload, job.policy, job.variant).c_str(),
-                  why.c_str());
-    }
 
     if (!spec_.opt.trace_dir.empty()) {
         std::error_code ec;

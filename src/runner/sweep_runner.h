@@ -21,7 +21,7 @@
  *    once (default: an stderr [done/total] line with rate and ETA).
  *  - **Refusal up front.** Before any cell runs, a tenant-mix cell
  *    that multiTenantRefusal() refuses fatal()s the sweep, naming
- *    the cell.
+ *    the cell (tenantRefusal(), which parseSweepRequest also checks).
  */
 
 #ifndef BAUVM_RUNNER_SWEEP_RUNNER_H_
@@ -62,6 +62,15 @@ std::vector<SweepJob> expandSweep(const SweepSpec &spec);
  * that sets the same field.
  */
 SimConfig cellConfig(const SweepSpec &spec, const SweepJob &job);
+
+/**
+ * The first cell of expandSweep(@p spec) that multiTenantRefusal()
+ * refuses under spec.opt.tenants, as "cell <name>: <reason>"; "" when
+ * every cell can run, and always for a single-tenant sweep. The one
+ * check of a sweep's mode facts: SweepRunner::run fatal()s on it and
+ * parseSweepRequest returns it as a parse error.
+ */
+std::string tenantRefusal(const SweepSpec &spec);
 
 /**
  * Removes from spec->policies every policy with a cell that

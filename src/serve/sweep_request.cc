@@ -240,6 +240,11 @@ parseSweepRequest(const JsonValue &v, SweepSpec *out,
     opt.jobs = static_cast<std::size_t>(v.getU64("jobs", 1));
     if (opt.jobs == 0)
         opt.jobs = 1;
+    // A cell the sweep would refuse fails the request here, before
+    // any cell runs.
+    const std::string refusal = tenantRefusal(*out);
+    if (!refusal.empty())
+        return failParse(error, "sweep request: " + refusal);
     return true;
 }
 

@@ -49,7 +49,8 @@ inline constexpr const char *kSweepRequestSchema =
  * field and on any key the request, a variants[] entry or a tenants[]
  * entry does not define, naming the key; the retired keys
  * "hard_timeout_s", "chunk_cells" and "flush_cells" get a message of
- * their own.
+ * their own. A tenant mix with a cell that tenantRefusal() refuses
+ * (an ETC policy, say) fails here too, naming the cell.
  */
 bool parseSweepRequest(const JsonValue &v, SweepSpec *out,
                        std::string *error);

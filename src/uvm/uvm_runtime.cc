@@ -1,6 +1,7 @@
 #include "src/uvm/uvm_runtime.h"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 
 #include "src/check/model_auditor.h"
@@ -9,12 +10,76 @@
 namespace bauvm
 {
 
+namespace
+{
+
+/**
+ * Calls @p put on the seven varint values of each record in turn (the
+ * BatchLog encoding). Cycle differences wrap around in u64, so any
+ * record encodes.
+ */
+template <class Put>
+void
+forEachEncodedValue(const std::vector<BatchRecord> &records, Put &&put)
+{
+    Cycle previous_end = 0;
+    for (const BatchRecord &b : records) {
+        put(b.begin - previous_end);
+        put(b.first_transfer - b.begin);
+        put(b.end - b.begin);
+        put(b.fault_pages);
+        put(b.prefetch_pages);
+        put(b.duplicate_faults);
+        put(b.migrated_bytes);
+        previous_end = b.end;
+    }
+}
+
+std::uint64_t
+readVarint(const std::uint8_t *&p)
+{
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+        const std::uint8_t byte = *p++;
+        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+        if (byte < 0x80)
+            return v;
+    }
+}
+
+} // namespace
+
 BatchLog::BatchLog(std::vector<BatchRecord> records)
 {
     if (records.empty())
         return;
-    records.shrink_to_fit();
-    rep_ = new Rep{.records = std::move(records)};
+    // Size first, so the buffer is allocated once at its exact size.
+    std::size_t bytes = 0;
+    forEachEncodedValue(records, [&bytes](std::uint64_t v) {
+        bytes += static_cast<std::size_t>(std::bit_width(v | 1) + 6) / 7;
+    });
+    rep_ = new Rep{.records = records.size(),
+                   .bytes = std::vector<std::uint8_t>(bytes)};
+    std::uint8_t *out = rep_->bytes.data();
+    forEachEncodedValue(records, [&out](std::uint64_t v) {
+        for (; v >= 0x80; v >>= 7)
+            *out++ = static_cast<std::uint8_t>(v | 0x80);
+        *out++ = static_cast<std::uint8_t>(v);
+    });
+}
+
+void
+BatchLog::Iterator::decode()
+{
+    const Cycle begin = record_.end + readVarint(next_);
+    record_.begin = begin;
+    record_.first_transfer = begin + readVarint(next_);
+    record_.end = begin + readVarint(next_);
+    record_.fault_pages = static_cast<std::uint32_t>(readVarint(next_));
+    record_.prefetch_pages = static_cast<std::uint32_t>(readVarint(next_));
+    record_.duplicate_faults =
+        static_cast<std::uint32_t>(readVarint(next_));
+    record_.migrated_bytes = readVarint(next_);
 }
 
 void

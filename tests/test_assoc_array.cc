@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <list>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/mem/assoc_array.h"
@@ -439,6 +444,273 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{64, 0, 20000},     // L1 TLB, walk cache
                       Geometry{96, 32, 20000},    // 3 sets, filtered
                       Geometry{24, 4, 20000}),    // 6 sets, unfiltered
+    [](const ::testing::TestParamInfo<Geometry> &info) {
+        return "e" + std::to_string(info.param.entries) + "w" +
+               std::to_string(info.param.associativity);
+    });
+
+TEST(AssocArray, InvalidLineKeyIsNeverStored)
+{
+    ScopedAbortCapture capture;
+    constexpr std::uint64_t kInvalid = AssocArray::kInvalidKey;
+    for (const std::uint32_t ways : {4u, 16u, 0u}) {
+        AssocArray a(64, ways);
+        // Every line is invalid and holds the key, yet none matches.
+        EXPECT_FALSE(a.lookup(kInvalid));
+        EXPECT_FALSE(a.probe(kInvalid));
+        EXPECT_FALSE(a.invalidate(kInvalid));
+        EXPECT_THROW(a.fill(kInvalid), SimAbort);
+        EXPECT_THROW(a.insert(kInvalid), SimAbort);
+        EXPECT_EQ(a.validCount(), 0u);
+        EXPECT_FALSE(a.lineAt(0, 0).valid);
+        EXPECT_EQ(a.lineAt(0, 0).key, 0u);
+        // Key 0, the memo's starting key, is an ordinary key.
+        EXPECT_FALSE(a.lookup(0));
+        EXPECT_FALSE(a.fill(0));
+        EXPECT_TRUE(a.lookup(0));
+    }
+}
+
+/**
+ * A second reference model, with no timestamps at all: each set keeps
+ * its keys in a list, most recently used first, each with the way it
+ * occupies, plus the set's free ways. A touch moves a key to the
+ * front; a new key takes the lowest free way, else the way of the key
+ * at the back of the list.
+ */
+class ListLruModel
+{
+  public:
+    ListLruModel(std::uint32_t entries, std::uint32_t associativity)
+        : ways_(associativity == 0 ? entries : associativity),
+          sets_(entries / ways_), lru_(sets_), free_(sets_)
+    {
+        flush();
+    }
+
+    bool
+    lookup(std::uint64_t key)
+    {
+        Set &set = lru_[key % sets_];
+        const auto it = locate(set, key);
+        if (it == set.end())
+            return false;
+        set.splice(set.begin(), set, it);
+        return true;
+    }
+
+    bool
+    probe(std::uint64_t key) const
+    {
+        const Set &set = lru_[key % sets_];
+        return std::any_of(set.begin(), set.end(),
+                           [key](const Line &l) { return l.key == key; });
+    }
+
+    bool
+    insert(std::uint64_t key, std::uint64_t *evicted_key)
+    {
+        if (lookup(key))
+            return false;
+        Set &set = lru_[key % sets_];
+        std::set<std::size_t> &free = free_[key % sets_];
+        if (!free.empty()) {
+            set.push_front({key, *free.begin()});
+            free.erase(free.begin());
+            return false;
+        }
+        *evicted_key = set.back().key;
+        const std::size_t way = set.back().way;
+        set.pop_back();
+        set.push_front({key, way});
+        return true;
+    }
+
+    bool
+    invalidate(std::uint64_t key)
+    {
+        Set &set = lru_[key % sets_];
+        const auto it = locate(set, key);
+        if (it == set.end())
+            return false;
+        free_[key % sets_].insert(it->way);
+        set.erase(it);
+        return true;
+    }
+
+    template <typename Pred>
+    std::size_t
+    invalidateIf(Pred pred)
+    {
+        std::size_t n = 0;
+        for (std::size_t s = 0; s < sets_; ++s) {
+            for (auto it = lru_[s].begin(); it != lru_[s].end();) {
+                if (!pred(it->key)) {
+                    ++it;
+                    continue;
+                }
+                free_[s].insert(it->way);
+                it = lru_[s].erase(it);
+                ++n;
+            }
+        }
+        return n;
+    }
+
+    void
+    flush()
+    {
+        for (std::size_t s = 0; s < sets_; ++s) {
+            lru_[s].clear();
+            free_[s].clear();
+            for (std::size_t w = 0; w < ways_; ++w)
+                free_[s].insert(w);
+        }
+    }
+
+    std::size_t
+    validCount() const
+    {
+        std::size_t n = 0;
+        for (const Set &set : lru_)
+            n += set.size();
+        return n;
+    }
+
+    /** Whether way @p way of set @p set holds a key, and which. */
+    std::pair<bool, std::uint64_t>
+    lineAt(std::size_t set, std::size_t way) const
+    {
+        for (const Line &l : lru_[set])
+            if (l.way == way)
+                return {true, l.key};
+        return {false, 0};
+    }
+
+  private:
+    struct Line {
+        std::uint64_t key;
+        std::size_t way;
+    };
+    using Set = std::list<Line>;
+
+    static Set::iterator
+    locate(Set &set, std::uint64_t key)
+    {
+        return std::find_if(set.begin(), set.end(), [key](const Line &l) {
+            return l.key == key;
+        });
+    }
+
+    std::size_t ways_;
+    std::size_t sets_;
+    std::vector<Set> lru_;                   //!< MRU first
+    std::vector<std::set<std::size_t>> free_; //!< invalid ways
+};
+
+class AssocArrayListLru : public ::testing::TestWithParam<Geometry>
+{
+};
+
+TEST_P(AssocArrayListLru, MatchesListModelOpByOp)
+{
+    const Geometry g = GetParam();
+    AssocArray dut(g.entries, g.associativity);
+    ListLruModel ref(g.entries, g.associativity);
+    const std::uint32_t sets = dut.numSets();
+    const std::uint32_t ways = dut.numWays();
+
+    Rng rng(0x11570000u + g.entries * 7u + g.associativity);
+    // A pool of 2x the ways per set over a few sets, so sets fill,
+    // evict and refill; high tag bits vary the filter buckets.
+    const std::uint64_t sets_used = sets < 5 ? sets : 5;
+    std::vector<std::uint64_t> tags(2 * ways);
+    for (auto &t : tags)
+        t = 1 + rng.nextBelow(std::uint64_t{1} << 44);
+    auto randomKey = [&] {
+        return rng.nextBelow(sets_used) +
+               sets * tags[rng.nextBelow(tags.size())];
+    };
+    auto compareSet = [&](std::size_t s, std::size_t op) {
+        for (std::size_t w = 0; w < ways; ++w) {
+            const AssocArray::LineView d = dut.lineAt(s, w);
+            const auto [valid, key] = ref.lineAt(s, w);
+            ASSERT_EQ(d.valid, valid) << "op " << op << " set " << s;
+            ASSERT_EQ(d.key, key) << "op " << op << " set " << s;
+        }
+    };
+
+    std::uint64_t hits = 0;
+    std::uint64_t evictions = 0;
+    for (std::size_t op = 0; op < g.ops; ++op) {
+        const std::uint64_t key = randomKey();
+        const std::uint64_t roll = rng.nextBelow(1000);
+        bool whole_array = op % 64 == 63;
+        if (roll < 450) {
+            const bool hit = dut.lookup(key);
+            ASSERT_EQ(hit, ref.lookup(key)) << "op " << op;
+            hits += hit ? 1 : 0;
+            // A second lookup of a missed key must miss again.
+            if (!hit && rng.nextBool(0.2)) {
+                ASSERT_FALSE(dut.lookup(key)) << "op " << op;
+            }
+            if (!hit && rng.nextBool(0.8)) {
+                std::uint64_t dut_evicted = 0;
+                std::uint64_t ref_evicted = 0;
+                const bool displaced = dut.fill(key, &dut_evicted);
+                ASSERT_EQ(displaced, ref.insert(key, &ref_evicted))
+                    << "op " << op;
+                if (displaced) {
+                    ASSERT_EQ(dut_evicted, ref_evicted) << "op " << op;
+                }
+                evictions += displaced ? 1 : 0;
+            }
+        } else if (roll < 700) {
+            std::uint64_t dut_evicted = 0;
+            std::uint64_t ref_evicted = 0;
+            const bool displaced = dut.insert(key, &dut_evicted);
+            ASSERT_EQ(displaced, ref.insert(key, &ref_evicted))
+                << "op " << op;
+            if (displaced) {
+                ASSERT_EQ(dut_evicted, ref_evicted) << "op " << op;
+            }
+        } else if (roll < 880) {
+            ASSERT_EQ(dut.invalidate(key), ref.invalidate(key))
+                << "op " << op;
+        } else if (roll < 888) {
+            const std::uint64_t m = 2 + rng.nextBelow(5);
+            const std::uint64_t r = rng.nextBelow(m);
+            auto pred = [m, r](std::uint64_t k) { return k / 3 % m == r; };
+            ASSERT_EQ(dut.invalidateIf(pred), ref.invalidateIf(pred))
+                << "op " << op;
+            whole_array = true;
+        } else if (roll < 999) {
+            ASSERT_EQ(dut.probe(key), ref.probe(key)) << "op " << op;
+        } else {
+            dut.flush();
+            ref.flush();
+            whole_array = true;
+        }
+        ASSERT_EQ(dut.validCount(), ref.validCount()) << "op " << op;
+        if (whole_array) {
+            for (std::size_t s = 0; s < sets; ++s)
+                compareSet(s, op);
+        } else {
+            compareSet(key % sets, op);
+        }
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(evictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, AssocArrayListLru,
+    ::testing::Values(Geometry{128, 4, 20000},  // 4-way x 32 sets
+                      Geometry{256, 16, 20000}, // 16-way x 16 sets
+                      Geometry{64, 0, 20000},   // fully assoc., filtered
+                      Geometry{1024, 32, 8000}, // 32 sets, filtered
+                      Geometry{40, 4, 20000},   // 10 sets
+                      Geometry{160, 32, 20000}), // 5 sets, filtered
     [](const ::testing::TestParamInfo<Geometry> &info) {
         return "e" + std::to_string(info.param.entries) + "w" +
                std::to_string(info.param.associativity);

@@ -188,9 +188,10 @@ TEST(Integration, BatchRecordsConsistent)
 TEST(Integration, BatchesAreTimeOrdered)
 {
     const RunResult r = runTiny("BFS-TF", Policy::Baseline);
-    for (std::size_t i = 1; i < r.batch_records.size(); ++i) {
-        EXPECT_GE(r.batch_records[i].begin,
-                  r.batch_records[i - 1].end);
+    Cycle previous_end = 0;
+    for (const BatchRecord &b : r.batch_records) {
+        EXPECT_GE(b.begin, previous_end);
+        previous_end = b.end;
     }
 }
 
@@ -199,7 +200,7 @@ TEST(Integration, CopiedResultSharesItsBatchLog)
     const RunResult a = runTiny("SSSP-TWC", Policy::Baseline);
     ASSERT_FALSE(a.batch_records.empty());
     RunResult b = a;
-    EXPECT_EQ(&a.batch_records[0], &b.batch_records[0]);
+    EXPECT_TRUE(a.batch_records.sharesBufferWith(b.batch_records));
 
     // Resetting one copy's log leaves the other's whole.
     b.batch_records = {};

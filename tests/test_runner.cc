@@ -82,11 +82,12 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.pcie_h2d_bytes, b.pcie_h2d_bytes);
     EXPECT_EQ(a.pcie_d2h_bytes, b.pcie_d2h_bytes);
     ASSERT_EQ(a.batch_records.size(), b.batch_records.size());
-    for (std::size_t i = 0; i < a.batch_records.size(); ++i) {
-        EXPECT_EQ(a.batch_records[i].begin, b.batch_records[i].begin);
-        EXPECT_EQ(a.batch_records[i].end, b.batch_records[i].end);
-        EXPECT_EQ(a.batch_records[i].fault_pages,
-                  b.batch_records[i].fault_pages);
+    auto next_b = b.batch_records.begin();
+    for (const BatchRecord &ra : a.batch_records) {
+        const BatchRecord rb = *next_b++;
+        EXPECT_EQ(ra.begin, rb.begin);
+        EXPECT_EQ(ra.end, rb.end);
+        EXPECT_EQ(ra.fault_pages, rb.fault_pages);
     }
 }
 

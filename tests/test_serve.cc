@@ -19,6 +19,7 @@
 #include "src/graph/stream/csr_stream_builder.h"
 #include "src/runner/cell_spec.h"
 #include "src/runner/job.h"
+#include "src/runner/json_writer.h"
 #include "src/runner/sweep_result.h"
 #include "src/runner/sweep_runner.h"
 #include "src/serve/cell_json.h"
@@ -425,7 +426,9 @@ TEST(ResultCacheTest, BatchRecordsSurviveRoundTrip)
     CellOutcome hit;
     ASSERT_TRUE(cache.lookup(digest, key, &hit));
     ASSERT_EQ(hit.result.batch_records.size(), 2u);
-    const BatchRecord &ra = hit.result.batch_records[0];
+    const std::vector<BatchRecord> records(hit.result.batch_records.begin(),
+                                           hit.result.batch_records.end());
+    const BatchRecord &ra = records[0];
     EXPECT_EQ(ra.begin, a.begin);
     EXPECT_EQ(ra.first_transfer, a.first_transfer);
     EXPECT_EQ(ra.end, a.end);
@@ -433,11 +436,52 @@ TEST(ResultCacheTest, BatchRecordsSurviveRoundTrip)
     EXPECT_EQ(ra.prefetch_pages, a.prefetch_pages);
     EXPECT_EQ(ra.duplicate_faults, a.duplicate_faults);
     EXPECT_EQ(ra.migrated_bytes, a.migrated_bytes);
-    const BatchRecord &rb = hit.result.batch_records[1];
+    const BatchRecord &rb = records[1];
     EXPECT_EQ(rb.begin, b.begin);
     EXPECT_EQ(rb.end, b.end);
     EXPECT_EQ(rb.fault_pages, b.fault_pages);
     EXPECT_EQ(rb.migrated_bytes, b.migrated_bytes);
+}
+
+TEST(ResultCacheTest, AdversarialBatchRecordsSurviveCellJson)
+{
+    // The cache stores a log as JSON rows and re-encodes it on read,
+    // so records no simulation logs must come back exactly too: all
+    // fields at their maximum, a decreasing begin, end before begin,
+    // and logs of one record and of none.
+    constexpr std::uint64_t kMax = UINT64_MAX;
+    constexpr std::uint32_t kMax32 = UINT32_MAX;
+    const std::vector<BatchRecord> adversarial = {
+        {kMax, kMax, kMax, kMax32, kMax32, kMax32, kMax},
+        {10, 5, 3, 1, 0, 0, 4096},
+        {9, 9, 0, 0, 1, kMax32, 0},
+    };
+    for (const std::vector<BatchRecord> &records :
+         {adversarial, std::vector<BatchRecord>{adversarial[1]},
+          std::vector<BatchRecord>{}}) {
+        CellOutcome out = fakeOutcome("W", 7);
+        out.result.batch_records = BatchLog(records);
+        JsonWriter w(/*pretty=*/false);
+        writeCellJson(w, out, /*with_batch_records=*/true);
+        JsonValue doc;
+        std::string error;
+        ASSERT_TRUE(JsonValue::parse(w.str(), &doc, &error)) << error;
+        CellOutcome parsed;
+        ASSERT_TRUE(parseCellOutcome(doc, &parsed, &error)) << error;
+        ASSERT_EQ(parsed.result.batch_records.size(), records.size());
+        std::size_t i = 0;
+        for (const BatchRecord &b : parsed.result.batch_records) {
+            const BatchRecord &want = records[i];
+            EXPECT_EQ(b.begin, want.begin) << "record " << i;
+            EXPECT_EQ(b.first_transfer, want.first_transfer);
+            EXPECT_EQ(b.end, want.end);
+            EXPECT_EQ(b.fault_pages, want.fault_pages);
+            EXPECT_EQ(b.prefetch_pages, want.prefetch_pages);
+            EXPECT_EQ(b.duplicate_faults, want.duplicate_faults);
+            EXPECT_EQ(b.migrated_bytes, want.migrated_bytes);
+            ++i;
+        }
+    }
 }
 
 TEST(ResultCacheTest, KeyMismatchReadsAsMiss)
@@ -535,6 +579,51 @@ TEST(SweepRequestParse, FullDocumentRoundTrips)
     EXPECT_DOUBLE_EQ(spec.opt.tenants[1].quota, 0.3);
     EXPECT_TRUE(spec.variants.empty());
     EXPECT_EQ(spec.opt.jobs, 1u);
+}
+
+TEST(SweepRequestParse, RefusesAnUnsupportedTenantMixByCell)
+{
+    // ETC cannot run a tenant mix: the request fails as it is parsed,
+    // naming the cell, instead of as a refused sweep at run time.
+    const std::string tenants =
+        " \"tenants\": [{\"workload\": \"BFS-HYB\"},"
+        "              {\"workload\": \"PR\"}]";
+    SweepSpec spec;
+    std::string error;
+    EXPECT_FALSE(parseSweepRequest(
+        parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
+                   " \"workloads\": [\"mix\"],"
+                   " \"policies\": [\"BASELINE\", \"ETC\"]," +
+                   tenants + "}"),
+        &spec, &error));
+    EXPECT_EQ(error, "sweep request: cell mix/ETC: ETC is not supported "
+                     "in multi-tenant runs");
+
+    // So does a mix at unlimited memory, through the default policies.
+    error.clear();
+    EXPECT_FALSE(parseSweepRequest(
+        parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
+                   " \"workloads\": [\"mix\"], \"ratio\": 0," +
+                   tenants + "}"),
+        &spec, &error));
+    EXPECT_NE(error.find("cell mix/BASELINE: multi-tenant runs need a "
+                         "finite memory ratio"),
+              std::string::npos)
+        << error;
+
+    // The same mix without ETC parses, and tenantRefusal() agrees.
+    spec = SweepSpec();
+    ASSERT_TRUE(parseSweepRequest(
+        parseOrDie("{\"schema\": \"bauvm.sweep-request/1\","
+                   " \"workloads\": [\"mix\"],"
+                   " \"policies\": [\"BASELINE\", \"TO+UE\"]," +
+                   tenants + "}"),
+        &spec, &error))
+        << error;
+    EXPECT_EQ(tenantRefusal(spec), "");
+    spec.policies.push_back(Policy::Etc);
+    EXPECT_EQ(tenantRefusal(spec),
+              "cell mix/ETC: ETC is not supported in multi-tenant runs");
 }
 
 TEST(SweepRequestParse, DefaultsAndGroupExpansion)

@@ -332,10 +332,11 @@ TEST(MultiTenant, TenantResultsRoundTripThroughCellJson)
     ASSERT_EQ(parsed.result.tenants.size(), 2u);
     ASSERT_EQ(parsed.result.batch_records.size(),
               out.result.batch_records.size());
-    for (std::size_t i = 0; i < out.result.batch_records.size(); ++i)
-        EXPECT_EQ(exportedText(parsed.result.batch_records[i]),
-                  exportedText(out.result.batch_records[i]))
-            << "batch " << i;
+    auto original = out.result.batch_records.begin();
+    std::size_t i = 0;
+    for (const BatchRecord &b : parsed.result.batch_records)
+        EXPECT_EQ(exportedText(b), exportedText(*original++))
+            << "batch " << i++;
     EXPECT_EQ(parsed.result.workload, out.result.workload);
     EXPECT_EQ(parsed.result.seed, out.result.seed);
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -338,21 +340,39 @@ indexedLog(std::size_t n)
     return BatchLog(std::move(records));
 }
 
+/** @p log's records, decoded front to back. */
+std::vector<BatchRecord>
+decoded(const BatchLog &log)
+{
+    return std::vector<BatchRecord>(log.begin(), log.end());
+}
+
+/** Whether every field of @p a equals the same field of @p b. */
+bool
+sameRecord(const BatchRecord &a, const BatchRecord &b)
+{
+    return a.begin == b.begin && a.first_transfer == b.first_transfer &&
+           a.end == b.end && a.fault_pages == b.fault_pages &&
+           a.prefetch_pages == b.prefetch_pages &&
+           a.duplicate_faults == b.duplicate_faults &&
+           a.migrated_bytes == b.migrated_bytes;
+}
+
 TEST(BatchLog, MovedFromLogIsEmpty)
 {
     BatchLog a = indexedLog(3);
-    const BatchRecord *first = &a[0];
+    const BatchLog shared = a;
     BatchLog b(std::move(a));
     EXPECT_TRUE(a.empty()); // NOLINT(bugprone-use-after-move)
     EXPECT_EQ(a.begin(), a.end());
-    EXPECT_EQ(&b[0], first);
+    EXPECT_TRUE(b.sharesBufferWith(shared));
 
     BatchLog c;
     c = std::move(b);
     EXPECT_TRUE(b.empty()); // NOLINT(bugprone-use-after-move)
     ASSERT_EQ(c.size(), 3u);
-    EXPECT_EQ(&c[0], first);
-    EXPECT_EQ(c[2].begin, 2u);
+    EXPECT_TRUE(c.sharesBufferWith(shared));
+    EXPECT_EQ(decoded(c)[2].begin, 2u);
 }
 
 TEST(BatchLog, EmptyVectorMakesAnEmptyLog)
@@ -360,22 +380,24 @@ TEST(BatchLog, EmptyVectorMakesAnEmptyLog)
     const BatchLog log{std::vector<BatchRecord>{}};
     EXPECT_TRUE(log.empty());
     EXPECT_EQ(log.size(), 0u);
+    EXPECT_EQ(log.encodedBytes(), 0u);
     EXPECT_EQ(log.begin(), log.end());
+    EXPECT_FALSE(log.sharesBufferWith(BatchLog()));
 }
 
 TEST(BatchLog, ConcurrentCopiesLeaveTheLogIntact)
 {
     constexpr std::size_t kRecords = 1000;
     const BatchLog log = indexedLog(kRecords);
-    const BatchRecord *first = &log[0];
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&log, first] {
+        threads.emplace_back([&log] {
             for (int i = 0; i < 20000; ++i) {
                 BatchLog copy = log;
                 BatchLog second = copy;
                 copy = {};
-                if (&second[0] != first || second.size() != kRecords)
+                if (!second.sharesBufferWith(log) ||
+                    second.size() != kRecords)
                     ADD_FAILURE() << "a copy lost the shared buffer";
             }
         });
@@ -383,9 +405,94 @@ TEST(BatchLog, ConcurrentCopiesLeaveTheLogIntact)
     for (std::thread &t : threads)
         t.join();
     ASSERT_EQ(log.size(), kRecords);
-    EXPECT_EQ(&log[0], first);
-    for (std::size_t i = 0; i < kRecords; ++i)
-        EXPECT_EQ(log[i].begin, i);
+    std::size_t i = 0;
+    for (const BatchRecord &b : log)
+        EXPECT_EQ(b.begin, i++);
+    EXPECT_EQ(i, kRecords);
+}
+
+TEST(BatchLog, AdversarialRecordsRoundTripExactly)
+{
+    constexpr std::uint64_t kMax = UINT64_MAX;
+    constexpr std::uint32_t kMax32 = UINT32_MAX;
+    const std::vector<BatchRecord> records = {
+        {kMax, kMax, kMax, kMax32, kMax32, kMax32, kMax}, // every field max
+        {0, 0, 0, 0, 0, 0, 0},          // begin falls back to 0
+        {500, 400, 100, 1, 2, 3, 4},    // transfer and end before begin
+        {7, kMax, 0, 0, kMax32, 0, 1},  // transfer wraps past the end
+        {kMax - 1, 3, kMax, 9, 9, 9, 9}, // begin decreases from kMax
+        {1, 2, 3, 4, 5, 6, 7},
+    };
+    const BatchLog log(records);
+    ASSERT_EQ(log.size(), records.size());
+    const std::vector<BatchRecord> back = decoded(log);
+    ASSERT_EQ(back.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i)
+        EXPECT_TRUE(sameRecord(back[i], records[i])) << "record " << i;
+
+    // A log of one record, and each record alone: the first record
+    // is coded against an end of 0.
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const BatchLog one({records[i]});
+        ASSERT_EQ(one.size(), 1u);
+        auto it = one.begin();
+        EXPECT_TRUE(sameRecord(*it, records[i])) << "record " << i;
+        EXPECT_EQ(++it, one.end());
+    }
+}
+
+TEST(BatchLog, TypicalRecordsEncodeCompactly)
+{
+    // Back-to-back batches of a few pages, ~20 us of handling: the
+    // shape a run logs. Each takes a fraction of sizeof(BatchRecord).
+    std::vector<BatchRecord> records(1000);
+    Cycle t = 1'000'000;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        BatchRecord &b = records[i];
+        b.begin = t + i % 7;
+        b.first_transfer = b.begin + 28'000;
+        b.end = b.first_transfer + 9'000 + 37 * (i % 50);
+        b.fault_pages = 1 + i % 40;
+        b.prefetch_pages = i % 3;
+        b.duplicate_faults = i % 5;
+        b.migrated_bytes = 4096ull * (b.fault_pages + b.prefetch_pages);
+        t = b.end;
+    }
+    const BatchLog log(records);
+    EXPECT_LE(log.encodedBytes(), 16 * records.size());
+    const std::vector<BatchRecord> back = decoded(log);
+    ASSERT_EQ(back.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i)
+        ASSERT_TRUE(sameRecord(back[i], records[i])) << "record " << i;
+}
+
+static_assert(std::forward_iterator<BatchLog::Iterator>);
+
+TEST(BatchLog, CopiedIteratorsReadIndependently)
+{
+    const BatchLog log = indexedLog(4);
+    auto a = log.begin();
+    ++a;
+    auto b = a; // forward: a copy resumes from the same record
+    ++a;
+    EXPECT_EQ((*a).begin, 2u);
+    EXPECT_EQ((*b).begin, 1u);
+    EXPECT_EQ(std::distance(b, log.end()), 3);
+}
+
+TEST(BatchLog, ReferenceToARecordOutlivesItsIterator)
+{
+    const BatchLog log = indexedLog(3);
+    // *it is a value, so these references bind copies that live as
+    // long as the references, not as long as the iterators.
+    const BatchRecord &first = *log.begin();
+    auto it = log.begin();
+    const BatchRecord &held = *it;
+    ++it;
+    ++it;
+    EXPECT_EQ(first.begin, 0u);
+    EXPECT_EQ(held.begin, 0u);
+    EXPECT_EQ((*it).begin, 2u);
 }
 
 } // namespace
