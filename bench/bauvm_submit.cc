@@ -6,7 +6,7 @@
  * Reads a bauvm.sweep-request/1 document (file or stdin), lowers it
  * onto a SweepSpec (src/serve/sweep_request.h) and runs it through
  * SweepRunner on the request's "jobs" worker threads, like every
- * bench. Per-cell progress goes to stderr; the bauvm.sweep/1.4
+ * bench. Per-cell progress goes to stderr; the bauvm.sweep/1.5
  * document goes to --json. --resume=DIR loads finished ok cells from
  * the content-addressed result cache in DIR instead of recomputing
  * them, and stores fresh ones there.

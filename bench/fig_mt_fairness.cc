@@ -18,7 +18,7 @@
  * one-cell SweepRunner sweep (the policy set in its options, the cell
  * labelled by a config variant), so --jobs, --cell-threads, --resume
  * and --trace apply; --json concatenates the three cells into one
- * bauvm.sweep/1.4 document, bit-identical to a sweep request
+ * bauvm.sweep/1.5 document, bit-identical to a sweep request
  * (bauvm_submit) running the same mix.
  */
 

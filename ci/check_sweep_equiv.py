@@ -9,7 +9,7 @@ bauvm_submit on N threads, or rerun with --resume=DIR, must match the
 1-thread run cell for cell.
 
 Only execution provenance is allowed to differ — wall-clock timings,
-parallelism, process identity, and cache attribution.  Everything else, including
+parallelism, and cache attribution.  Everything else, including
 every simulated counter, seed, digest, and the cell order, must be
 identical.  Exits 1 with a field-level diff on the first mismatch:
 this is a correctness gate.
@@ -26,16 +26,14 @@ import json
 import sys
 
 # Fields that legitimately differ between executions of the same cell:
-# timings, parallelism, process identity (the sweep runner stamps
-# worker_pid and hostname), and cache attribution.
+# timings, parallelism, and cache attribution. A unit test pins this
+# set to kProvenanceKeys in src/runner/sweep_result.h.
 PROVENANCE = {
     "wall_s",
     "host_wall_s",
     "events_per_sec",
     "elapsed_s",
     "jobs",
-    "worker_pid",
-    "hostname",
     "cached",
 }
 

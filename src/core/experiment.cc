@@ -13,12 +13,20 @@ namespace bauvm
 namespace
 {
 
+constexpr Named<WorkloadScale> kScaleNames[] = {
+    {WorkloadScale::Tiny, "tiny"},
+    {WorkloadScale::Small, "small"},
+    {WorkloadScale::Medium, "medium"},
+    {WorkloadScale::Large, "large"},
+    {WorkloadScale::Huge, "huge"},
+};
+
 void
 printBenchUsage(std::FILE *out)
 {
     std::fprintf(
         out,
-        "options: --scale tiny|small|medium|large|huge --ratio R "
+        "options: --scale %s --ratio R "
         "--seed N --csv --jobs N --cell-threads N --json PATH "
         "--timeout S "
         "--trace[=DIR] --audit --resume[=DIR] --workloads A,B,C\n"
@@ -44,9 +52,33 @@ printBenchUsage(std::FILE *out)
         "  --tenants A:0.5,B:0.5  run every cell as a concurrent\n"
         "               multi-tenant mix (workload:quota pairs; a\n"
         "               missing quota means an equal share)\n"
-        "  --share-policy free-for-all|strict|proportional  how\n"
+        "  --share-policy %s  how\n"
         "               tenants share device memory (default\n"
-        "               free-for-all)\n");
+        "               %s)\n",
+        joinedNames<WorkloadScale>().c_str(),
+        joinedNames<SharePolicy>().c_str(),
+        sharePolicyName(BenchOptions().share_policy).c_str());
+}
+
+/** The non-empty items of the comma-separated @p list; fatal()s,
+ *  naming @p flag, when it has none. */
+std::vector<std::string>
+splitList(const std::string &list, const char *flag)
+{
+    std::vector<std::string> items;
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t comma = list.find(',', start);
+        std::string item = list.substr(start, comma - start);
+        if (!item.empty())
+            items.push_back(std::move(item));
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
+    }
+    if (items.empty())
+        fatal("%s: empty list", flag);
+    return items;
 }
 
 } // namespace
@@ -61,6 +93,7 @@ BenchOptions::applyTo(SimConfig &config) const
 BenchOptions
 parseBenchArgs(int argc, char **argv)
 {
+    const WorkloadRegistry &registry = WorkloadRegistry::instance();
     BenchOptions opt;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -85,27 +118,18 @@ parseBenchArgs(int argc, char **argv)
                 fatal("invalid value '%s' for %s", v.c_str(), what);
             }
         };
+        auto next_named = [&]<class E>(const char *what, E *out) {
+            const std::string v = next(what);
+            if (!parseName(v, out))
+                fatal("%s: unknown name '%s' (expected %s)", what,
+                      v.c_str(), joinedNames<E>().c_str());
+        };
         if (arg == "--csv") {
             opt.csv = true;
         } else if (arg == "--scale") {
-            const std::string v = next("--scale");
-            if (v == "tiny")
-                opt.scale = WorkloadScale::Tiny;
-            else if (v == "small")
-                opt.scale = WorkloadScale::Small;
-            else if (v == "medium")
-                opt.scale = WorkloadScale::Medium;
-            else if (v == "large")
-                opt.scale = WorkloadScale::Large;
-            else if (v == "huge")
-                opt.scale = WorkloadScale::Huge;
-            else
-                fatal("unknown scale '%s'", v.c_str());
+            next_named("--scale", &opt.scale);
         } else if (arg == "--ratio") {
             opt.ratio = next_f64("--ratio");
-            if (!std::isfinite(opt.ratio) || opt.ratio < 0.0)
-                fatal("--ratio must be a finite number >= 0 "
-                      "(0 = unlimited memory)");
         } else if (arg == "--seed") {
             opt.seed = next_u64("--seed");
         } else if (arg == "--jobs") {
@@ -118,8 +142,6 @@ parseBenchArgs(int argc, char **argv)
             opt.json_path = next("--json");
         } else if (arg == "--timeout") {
             opt.timeout_s = next_f64("--timeout");
-            if (opt.timeout_s < 0.0)
-                fatal("--timeout must be >= 0");
         } else if (arg == "--trace") {
             opt.trace_dir = "traces";
         } else if (arg.rfind("--trace=", 0) == 0) {
@@ -129,65 +151,31 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg == "--audit") {
             opt.audit = true;
         } else if (arg == "--workloads") {
-            const std::string list = next("--workloads");
-            std::size_t start = 0;
-            while (start <= list.size()) {
-                const std::size_t comma = list.find(',', start);
-                const std::string name = list.substr(
-                    start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
-                if (!name.empty()) {
-                    if (!WorkloadRegistry::instance().contains(name)) {
-                        fatal("--workloads: unknown workload '%s'",
-                              name.c_str());
-                    }
-                    opt.workloads.push_back(name);
-                }
-                if (comma == std::string::npos)
-                    break;
-                start = comma + 1;
+            for (std::string &name :
+                 splitList(next("--workloads"), "--workloads")) {
+                if (!registry.contains(name))
+                    fatal("--workloads: unknown workload '%s'",
+                          name.c_str());
+                opt.workloads.push_back(std::move(name));
             }
-            if (opt.workloads.empty())
-                fatal("--workloads: empty workload list");
         } else if (arg == "--tenants") {
-            const std::string list = next("--tenants");
-            std::size_t start = 0;
-            while (start <= list.size()) {
-                const std::size_t comma = list.find(',', start);
-                const std::string item = list.substr(
-                    start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
-                if (!item.empty()) {
-                    TenantSpec t;
-                    const std::size_t colon = item.find(':');
-                    t.workload = item.substr(0, colon);
-                    if (colon != std::string::npos) {
-                        try {
-                            t.quota = std::stod(item.substr(colon + 1));
-                        } catch (const std::exception &) {
-                            fatal("--tenants: invalid quota in '%s'",
-                                  item.c_str());
-                        }
-                        if (t.quota < 0.0)
-                            fatal("--tenants: negative quota in '%s'",
-                                  item.c_str());
+            for (const std::string &item :
+                 splitList(next("--tenants"), "--tenants")) {
+                TenantSpec t;
+                const std::size_t colon = item.find(':');
+                t.workload = item.substr(0, colon);
+                if (colon != std::string::npos) {
+                    try {
+                        t.quota = std::stod(item.substr(colon + 1));
+                    } catch (const std::exception &) {
+                        fatal("--tenants: invalid quota in '%s'",
+                              item.c_str());
                     }
-                    if (!WorkloadRegistry::instance().contains(
-                            t.workload)) {
-                        fatal("--tenants: unknown workload '%s'",
-                              t.workload.c_str());
-                    }
-                    opt.tenants.push_back(std::move(t));
                 }
-                if (comma == std::string::npos)
-                    break;
-                start = comma + 1;
+                opt.tenants.push_back(std::move(t));
             }
-            if (opt.tenants.size() < 2)
-                fatal("--tenants: need at least two tenants");
         } else if (arg == "--share-policy") {
-            opt.share_policy = sharePolicyFromName(
-                next("--share-policy"));
+            next_named("--share-policy", &opt.share_policy);
         } else if (arg == "--resume") {
             opt.resume_dir = ".bauvm-cells";
         } else if (arg.rfind("--resume=", 0) == 0) {
@@ -202,25 +190,44 @@ parseBenchArgs(int argc, char **argv)
             fatal("unknown argument '%s'", arg.c_str());
         }
     }
+    const std::string refusal = benchOptionsRefusal(opt);
+    if (!refusal.empty())
+        fatal("--%s", refusal.c_str());
     return opt;
+}
+
+std::string
+benchOptionsRefusal(const BenchOptions &opt)
+{
+    if (!std::isfinite(opt.ratio) || opt.ratio < 0.0)
+        return "ratio must be a finite number >= 0 (0 = unlimited "
+               "memory)";
+    if (!(opt.timeout_s >= 0.0))
+        return "timeout must be a number >= 0 (0 = none)";
+    if (opt.tenants.empty())
+        return "";
+    if (opt.tenants.size() < 2)
+        return "tenants: need at least two tenants";
+    for (const TenantSpec &t : opt.tenants) {
+        if (!WorkloadRegistry::instance().contains(t.workload))
+            return "tenants: unknown workload '" + t.workload + "'";
+        if (!validTenantQuota(t.quota))
+            return "tenants: the quota of '" + t.workload +
+                   "' must be a finite number >= 0";
+    }
+    return "";
+}
+
+std::span<const Named<WorkloadScale>>
+nameTable(WorkloadScale)
+{
+    return kScaleNames;
 }
 
 std::string
 scaleName(WorkloadScale scale)
 {
-    switch (scale) {
-      case WorkloadScale::Tiny:
-        return "tiny";
-      case WorkloadScale::Small:
-        return "small";
-      case WorkloadScale::Medium:
-        return "medium";
-      case WorkloadScale::Large:
-        return "large";
-      case WorkloadScale::Huge:
-        return "huge";
-    }
-    fatal("scaleName: bad scale");
+    return nameOf(scale);
 }
 
 double

@@ -2,8 +2,9 @@
  * @file
  * Bench-binary helpers: the common command line (--scale / --csv /
  * --ratio / --seed / --jobs / --json / --resume / --trace / --audit /
- * --workloads / --tenants ...) parsed into BenchOptions, and the means
- * the figures report. A bench runs its cells by lowering these options
+ * --workloads / --tenants ...) parsed into BenchOptions, the value
+ * checks it shares with sweep requests, and the means the figures
+ * report. A bench runs its cells by lowering these options
  * into a SweepSpec for SweepRunner (src/runner/sweep_runner.h), which
  * derives each cell's config and seed.
  */
@@ -12,11 +13,13 @@
 #define BAUVM_CORE_EXPERIMENT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/core/presets.h"
 #include "src/core/system.h"
+#include "src/sim/name_table.h"
 #include "src/workloads/workload.h"
 
 namespace bauvm
@@ -78,20 +81,37 @@ struct BenchOptions {
 };
 
 /**
- * Parses --scale tiny|small|medium|large|huge, --csv, --ratio R,
- * --seed N, --jobs N, --json PATH, --timeout S, --trace[=DIR],
- * --audit, --resume[=DIR], --workloads A,B,C,
- * --tenants A:0.5,B:0.5 and --share-policy
- * free-for-all|strict|proportional.
+ * Parses --scale NAME, --csv, --ratio R, --seed N, --jobs N,
+ * --json PATH, --timeout S, --trace[=DIR], --audit, --resume[=DIR],
+ * --workloads A,B,C, --tenants A:0.5,B:0.5 and --share-policy NAME,
+ * where the scale and share-policy names are those of their enum's
+ * name table.
  *
  * An unknown argument prints the usage text to stderr and exits with an
- * error (fatal(), so a ScopedAbortCapture turns it into SimAbort). A
- * --ratio that is negative or not finite fails the same way; 0 means
- * unlimited memory.
+ * error (fatal(), so a ScopedAbortCapture turns it into SimAbort), and
+ * so does an unknown name or an empty list. Then the options must pass
+ * benchOptionsRefusal(); its message is fatal()ed behind "--" (for
+ * example "--ratio must be ..."). A --ratio of 0 means unlimited
+ * memory.
  */
 BenchOptions parseBenchArgs(int argc, char **argv);
 
-/** Lower-case scale name ("tiny" ... "large") as --scale accepts it. */
+/**
+ * The value checks both front doors apply to their options:
+ * parseBenchArgs() fatal()s on a refusal and parseSweepRequest()
+ * (src/serve/sweep_request.h) returns it as an error. The ratio must
+ * be finite and >= 0, the timeout a number >= 0, and a non-empty
+ * tenant mix must have at least two tenants, each a registered
+ * workload with a validTenantQuota(). @return "" when @p opt passes,
+ * else the first failure, starting with the option's name ("ratio",
+ * "timeout", "tenants").
+ */
+std::string benchOptionsRefusal(const BenchOptions &opt);
+
+/** Every WorkloadScale with its lower-case name (src/sim/name_table.h). */
+std::span<const Named<WorkloadScale>> nameTable(WorkloadScale);
+
+/** Lower-case scale name ("tiny" ... "huge") as --scale accepts it. */
 std::string scaleName(WorkloadScale scale);
 
 /**

@@ -15,41 +15,41 @@ allPolicies()
     return policies;
 }
 
+namespace
+{
+
+constexpr Named<Policy> kPolicyNames[] = {
+    {Policy::Baseline, "BASELINE"},
+    {Policy::BaselinePcieComp, "BASELINE+PCIeC"},
+    {Policy::To, "TO"},
+    {Policy::Ue, "UE"},
+    {Policy::ToUe, "TO+UE"},
+    {Policy::Etc, "ETC"},
+    {Policy::IdealEviction, "IDEAL-EVICTION"},
+    {Policy::Unlimited, "UNLIMITED"},
+};
+
+} // namespace
+
+std::span<const Named<Policy>>
+nameTable(Policy)
+{
+    return kPolicyNames;
+}
+
 std::string
 policyName(Policy policy)
 {
-    switch (policy) {
-      case Policy::Baseline:
-        return "BASELINE";
-      case Policy::BaselinePcieComp:
-        return "BASELINE+PCIeC";
-      case Policy::To:
-        return "TO";
-      case Policy::Ue:
-        return "UE";
-      case Policy::ToUe:
-        return "TO+UE";
-      case Policy::Etc:
-        return "ETC";
-      case Policy::IdealEviction:
-        return "IDEAL-EVICTION";
-      case Policy::Unlimited:
-        return "UNLIMITED";
-    }
-    fatal("policyName: bad policy");
+    return nameOf(policy);
 }
 
 Policy
 policyFromName(const std::string &name)
 {
-    for (Policy p :
-         {Policy::Baseline, Policy::BaselinePcieComp, Policy::To,
-          Policy::Ue, Policy::ToUe, Policy::Etc, Policy::IdealEviction,
-          Policy::Unlimited}) {
-        if (policyName(p) == name)
-            return p;
-    }
-    fatal("policyFromName: unknown policy '%s'", name.c_str());
+    Policy policy = Policy::Baseline;
+    if (!parseName(name, &policy))
+        fatal("policyFromName: unknown policy '%s'", name.c_str());
+    return policy;
 }
 
 SimConfig

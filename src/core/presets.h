@@ -7,10 +7,12 @@
 #ifndef BAUVM_CORE_PRESETS_H_
 #define BAUVM_CORE_PRESETS_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/sim/config.h"
+#include "src/sim/name_table.h"
 
 namespace bauvm
 {
@@ -30,10 +32,14 @@ enum class Policy {
 /** All policies in Fig 11 presentation order. */
 const std::vector<Policy> &allPolicies();
 
+/** Every policy with its name as the figures print it and requests
+ *  spell it (src/sim/name_table.h). */
+std::span<const Named<Policy>> nameTable(Policy);
+
 /** Human-readable policy name as the figures print it. */
 std::string policyName(Policy policy);
 
-/** Parses a policy name (as printed by policyName); fatal() on error. */
+/** parseName() for a Policy that fatal()s on an unknown name. */
 Policy policyFromName(const std::string &name);
 
 /** The paper's Table 1 system with a given oversubscription ratio. */

@@ -190,6 +190,11 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
 {
     if (specs.empty())
         fatal("GpuUvmSystem: empty tenant mix");
+    for (const TenantSpec &spec : specs)
+        if (!validTenantQuota(spec.quota))
+            fatal("GpuUvmSystem: the quota of '%s' must be a finite "
+                  "number >= 0",
+                  spec.workload.c_str());
     const std::string refusal =
         multiTenantRefusal(config_, specs.size());
     if (!refusal.empty())
@@ -239,11 +244,8 @@ GpuUvmSystem::run(const std::vector<TenantSpec> &specs)
     manager_.setCapacityPages(capacity);
 
     double quota_sum = 0.0;
-    for (const TenantSpec &spec : specs) {
-        if (spec.quota < 0.0)
-            fatal("GpuUvmSystem: negative tenant quota");
+    for (const TenantSpec &spec : specs)
         quota_sum += spec.quota;
-    }
     for (std::uint32_t i = 0; i < n; ++i) {
         const double share = quota_sum > 0.0
                                  ? specs[i].quota / quota_sum

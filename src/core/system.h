@@ -156,9 +156,9 @@ class GpuUvmSystem
      *
      * Per-tenant statistics land in RunResult::tenants (slowdown is
      * left 0; callers with a solo reference fill it in). fatal()s on a
-     * config that multiTenantRefusal() refuses. Each tenant's
-     * functional results stay in its workload (tenantWorkloads()) for
-     * validation.
+     * config that multiTenantRefusal() refuses and on a quota that
+     * validTenantQuota() refuses. Each tenant's functional results
+     * stay in its workload (tenantWorkloads()) for validation.
      */
     RunResult run(const std::vector<TenantSpec> &specs);
 

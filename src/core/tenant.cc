@@ -1,5 +1,7 @@
 #include "src/core/tenant.h"
 
+#include <cmath>
+
 #include "src/sim/log.h"
 
 namespace bauvm
@@ -21,30 +23,42 @@ deriveTenantSeed(std::uint64_t base_seed, std::uint32_t tenant_index)
     return x ? x : 1;
 }
 
+namespace
+{
+
+constexpr Named<SharePolicy> kSharePolicyNames[] = {
+    {SharePolicy::FreeForAll, "free-for-all"},
+    {SharePolicy::StrictQuota, "strict"},
+    {SharePolicy::Proportional, "proportional"},
+};
+
+} // namespace
+
+std::span<const Named<SharePolicy>>
+nameTable(SharePolicy)
+{
+    return kSharePolicyNames;
+}
+
 std::string
 sharePolicyName(SharePolicy policy)
 {
-    switch (policy) {
-      case SharePolicy::FreeForAll:
-        return "free-for-all";
-      case SharePolicy::StrictQuota:
-        return "strict";
-      case SharePolicy::Proportional:
-        return "proportional";
-    }
-    fatal("sharePolicyName: bad policy");
+    return nameOf(policy);
 }
 
 SharePolicy
 sharePolicyFromName(const std::string &name)
 {
-    if (name == "free-for-all")
-        return SharePolicy::FreeForAll;
-    if (name == "strict")
-        return SharePolicy::StrictQuota;
-    if (name == "proportional")
-        return SharePolicy::Proportional;
-    fatal("sharePolicyFromName: unknown policy '%s'", name.c_str());
+    SharePolicy policy = SharePolicy::FreeForAll;
+    if (!parseName(name, &policy))
+        fatal("sharePolicyFromName: unknown policy '%s'", name.c_str());
+    return policy;
+}
+
+bool
+validTenantQuota(double quota)
+{
+    return std::isfinite(quota) && quota >= 0.0;
 }
 
 std::string

@@ -21,11 +21,13 @@
 #define BAUVM_CORE_TENANT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/mem/tenant_directory.h"
 #include "src/sim/config.h"
+#include "src/sim/name_table.h"
 #include "src/sim/types.h"
 #include "src/workloads/workload.h"
 
@@ -98,11 +100,18 @@ BAUVM_FIELD_TABLE_COMPLETE(TenantResult);
 std::uint64_t deriveTenantSeed(std::uint64_t base_seed,
                                std::uint32_t tenant_index);
 
-/** "free-for-all" | "strict" | "proportional". */
+/** Every SharePolicy with its name as --share-policy and requests
+ *  spell it (src/sim/name_table.h). */
+std::span<const Named<SharePolicy>> nameTable(SharePolicy);
+
+/** The policy's name in nameTable(SharePolicy). */
 std::string sharePolicyName(SharePolicy policy);
 
-/** Inverse of sharePolicyName(); fatal on unknown names. */
+/** parseName() for a SharePolicy that fatal()s on an unknown name. */
 SharePolicy sharePolicyFromName(const std::string &name);
+
+/** The one quota rule: a TenantSpec::quota is finite and >= 0. */
+bool validTenantQuota(double quota);
 
 /** Display label for a tenant mix, e.g. "BFS-HYB+PR". */
 std::string tenantMixLabel(const std::vector<TenantSpec> &specs);

@@ -60,14 +60,13 @@ struct CellOutcome {
     std::string error;     //!< fatal()/panic()/exception text when !ok
     double wall_s = 0.0;   //!< host wall-clock for this cell
 
-    // Provenance (schema bauvm.sweep/1.2): which process produced the
-    // result, where, and under which content address. The digest is a
-    // pure function of the cell's final config (see cell_spec.h) and
-    // therefore deterministic; the rest is host-side provenance and
-    // MUST stay out of determinism comparisons.
+    // Provenance (schema bauvm.sweep/1.2): the content address the
+    // result is stored under and whether it came from the cache. The
+    // digest is a pure function of the cell's final config (see
+    // cell_spec.h) and therefore deterministic; from_cache is
+    // host-side provenance and MUST stay out of determinism
+    // comparisons (kProvenanceKeys, sweep_result.h).
     std::string digest;    //!< 32-hex content address of the cell
-    std::uint64_t worker_pid = 0; //!< pid of the producing process
-    std::string hostname;  //!< host of the producing process
     bool from_cache = false; //!< replayed from the result cache
 
     RunResult result;      //!< valid only when ok

@@ -201,13 +201,6 @@ JsonWriter::rawField(const std::string &k, const std::string &raw_json)
 }
 
 void
-JsonWriter::rawValue(const std::string &raw_json)
-{
-    comma();
-    raw(raw_json);
-}
-
-void
 JsonWriter::value(const std::string &v)
 {
     comma();

@@ -53,9 +53,6 @@ class JsonWriter
      */
     void rawField(const std::string &key, const std::string &raw_json);
 
-    /** rawField()'s array twin: splices @p raw_json as one element. */
-    void rawValue(const std::string &raw_json);
-
     /** Finished document. panic()s if scopes are unbalanced. */
     std::string str() const;
 

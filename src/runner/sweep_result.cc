@@ -99,8 +99,6 @@ writeCellJson(JsonWriter &w, const CellOutcome &c,
     w.field("error", c.error);
     w.field("wall_s", c.wall_s);
     w.field("digest", c.digest);
-    w.field("worker_pid", c.worker_pid);
-    w.field("hostname", c.hostname);
     w.field("cached", c.from_cache);
     if (c.ok) {
         w.beginObject("result");

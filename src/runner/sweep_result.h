@@ -4,18 +4,17 @@
  * sweep-level metadata, exportable as schema-versioned JSON alongside
  * the Table/CSV output the bench binaries already print.
  *
- * JSON schema "bauvm.sweep/1.4":
+ * JSON schema "bauvm.sweep/1.5":
  * {
- *   "schema": "bauvm.sweep/1.4",
+ *   "schema": "bauvm.sweep/1.5",
  *   "bench": "<bench name>",
- *   "base_seed": u64, "scale": "tiny|small|medium|large",
+ *   "base_seed": u64, "scale": scaleName(),
  *   "ratio": f64, "jobs": u64, "elapsed_s": f64,
  *   "cells": [
  *     { "workload": str, "policy": str, "variant": str,
  *       "seed": u64, "job_seed": u64,
  *       "ok": bool, "timed_out": bool, "error": str, "wall_s": f64,
- *       "digest": str, "worker_pid": u64, "hostname": str,
- *       "cached": bool,
+ *       "digest": str, "cached": bool,
  *       "result": { <RunResult's kExported fields> } // iff ok
  *     }, ...
  *   ]
@@ -31,9 +30,11 @@
  * "digest" (the content address from cell_spec.h — deterministic),
  * plus "worker_pid", "hostname" and "cached", which record *where* a
  * result came from and are excluded from determinism comparisons
- * alongside the wall-clock fields (see ci/check_sweep_equiv.py).
+ * alongside the wall-clock fields (kProvenanceKeys).
  * Minor /1.3 adds "result.tenants" and /1.4 the deterministic
- * "result.event_order_digest".
+ * "result.event_order_digest". /1.5 drops "worker_pid" and "hostname":
+ * every cell of a sweep comes from one process, so they named nothing
+ * a reader used (parseCellOutcome ignores them in older documents).
  * Cells appear in deterministic matrix order (variant-major, then
  * workload, then policy), never in completion order.
  */
@@ -56,6 +57,18 @@ namespace bauvm
 class JsonWriter;
 
 /**
+ * The keys of a sweep document that legitimately differ between runs
+ * of the same cells: wall-clock timings, parallelism and cache
+ * attribution. Determinism comparisons strip them and nothing else;
+ * ci/check_sweep_equiv.py's PROVENANCE set is pinned to this list by
+ * a test.
+ */
+inline constexpr const char *kProvenanceKeys[] = {
+    "wall_s", "host_wall_s", "events_per_sec", "elapsed_s", "jobs",
+    "cached",
+};
+
+/**
  * Serializes one cell outcome as a JSON object (the element shape of
  * the "cells" array above). With @p with_batch_records, the per-batch
  * records are appended as "batch_records": [[<BatchRecord's seven
@@ -71,7 +84,7 @@ struct SweepResult {
      * Major bumped whenever the JSON layout changes incompatibly;
      * minor bumped for additive fields within the same major.
      */
-    static constexpr const char *kSchema = "bauvm.sweep/1.4";
+    static constexpr const char *kSchema = "bauvm.sweep/1.5";
 
     std::string bench;          //!< producing binary, e.g. "fig11_speedup"
     std::uint64_t base_seed = 0;

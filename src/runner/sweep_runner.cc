@@ -1,7 +1,5 @@
 #include "src/runner/sweep_runner.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -53,19 +51,6 @@ cellFileStem(const SweepSpec &spec, const SweepJob &job)
     return stem;
 }
 
-/** Cached gethostname(), "unknown" on failure. */
-std::string
-hostName()
-{
-    static const std::string cached = [] {
-        char buf[256] = {0};
-        if (gethostname(buf, sizeof buf - 1) != 0)
-            return std::string("unknown");
-        return std::string(buf);
-    }();
-    return cached;
-}
-
 /** multiTenantRefusal() of @p job's config; "" for a single-tenant
  *  sweep. */
 std::string
@@ -79,10 +64,10 @@ jobRefusal(const SweepSpec &spec, const SweepJob &job)
 
 /**
  * Runs one cell on its cellConfig() with abort capture; never throws.
- * Stamps provenance: digest (a pure function of the config), worker
- * pid, hostname, and the soft-timeout verdict. With a resume cache,
- * finished ok cells load by content address instead of recomputing,
- * and fresh ok results are stored for the next run.
+ * Stamps provenance: digest (a pure function of the config) and the
+ * soft-timeout verdict. With a resume cache, finished ok cells load by
+ * content address instead of recomputing, and fresh ok results are
+ * stored for the next run.
  */
 CellOutcome
 executeJob(const SweepJob &job, const SweepSpec &spec,
@@ -120,8 +105,6 @@ executeJob(const SweepJob &job, const SweepSpec &spec,
     out.seed = config.seed;
     out.job_seed = job.job_seed;
     out.digest = digest;
-    out.worker_pid = static_cast<std::uint64_t>(getpid());
-    out.hostname = hostName();
 
     const bool tracing = !opt.trace_dir.empty();
     config.trace.enabled = tracing;

@@ -2,7 +2,7 @@
 
 #include <type_traits>
 
-#include "src/core/experiment.h"
+#include "src/core/presets.h"
 #include "src/sim/log.h"
 
 namespace bauvm
@@ -104,36 +104,6 @@ parseConfigOverrides(const JsonValue &v,
 }
 
 bool
-policyFromNameSafe(const std::string &name, Policy *out)
-{
-    for (Policy p :
-         {Policy::Baseline, Policy::BaselinePcieComp, Policy::To,
-          Policy::Ue, Policy::ToUe, Policy::Etc, Policy::IdealEviction,
-          Policy::Unlimited}) {
-        if (policyName(p) == name) {
-            *out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-scaleFromName(const std::string &name, WorkloadScale *out)
-{
-    for (WorkloadScale s :
-         {WorkloadScale::Tiny, WorkloadScale::Small,
-          WorkloadScale::Medium, WorkloadScale::Large,
-          WorkloadScale::Huge}) {
-        if (scaleName(s) == name) {
-            *out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
 parseCellOutcome(const JsonValue &v, CellOutcome *out,
                  std::string *error)
 {
@@ -143,8 +113,9 @@ parseCellOutcome(const JsonValue &v, CellOutcome *out,
     out->workload = v.getString("workload");
     if (out->workload.empty())
         return failParse(error, "cell outcome: missing workload");
-    const std::string policy = v.getString("policy", "BASELINE");
-    if (!policyFromNameSafe(policy, &out->policy))
+    const std::string policy =
+        v.getString("policy", policyName(out->policy));
+    if (!parseName(policy, &out->policy))
         return failParse(
             error, "cell outcome: unknown policy '" + policy + "'");
     out->variant = v.getString("variant");
@@ -155,8 +126,6 @@ parseCellOutcome(const JsonValue &v, CellOutcome *out,
     out->error = v.getString("error");
     out->wall_s = v.getDouble("wall_s");
     out->digest = v.getString("digest");
-    out->worker_pid = v.getU64("worker_pid");
-    out->hostname = v.getString("hostname");
     out->from_cache = v.getBool("cached");
 
     if (!out->ok)

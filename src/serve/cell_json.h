@@ -39,12 +39,6 @@ bool parseConfigOverrides(const JsonValue &v,
 bool parseCellOutcome(const JsonValue &v, CellOutcome *out,
                       std::string *error);
 
-/** Parses a WorkloadScale name; @return false on an unknown name. */
-bool scaleFromName(const std::string &name, WorkloadScale *out);
-
-/** policyFromName() without the fatal(); @return false when unknown. */
-bool policyFromNameSafe(const std::string &name, Policy *out);
-
 } // namespace bauvm
 
 #endif // BAUVM_SERVE_CELL_JSON_H_

@@ -1,14 +1,15 @@
 #include "src/serve/sweep_request.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/runner/cell_spec.h"
 #include "src/serve/cell_json.h"
 #include "src/sim/log.h"
+#include "src/sim/name_table.h"
 #include "src/workloads/workload_registry.h"
 
 namespace bauvm
@@ -50,24 +51,20 @@ rejectUnknownKeys(const JsonValue &obj, std::span<const char *const> known,
     return true;
 }
 
-/** Expands one workloads[] entry: "@irregular"/"@regular"/"@frontier"/
- *  "@all" into registry enumerations, anything else checked against
- *  the registry — unless @p labels_only, in which case non-group
- *  entries are opaque cell labels (a tenant-mix request runs its
- *  tenants, not the workload axis). */
+/** Expands one workloads[] entry: "@" plus a kindName() (or "@all")
+ *  into registry enumerations, anything else checked against the
+ *  registry — unless @p labels_only, in which case non-group entries
+ *  are opaque cell labels (a tenant-mix request runs its tenants, not
+ *  the workload axis). */
 bool
 expandWorkloadEntry(const std::string &entry,
                     std::vector<std::string> *out, std::string *error,
                     bool labels_only)
 {
     const WorkloadRegistry &reg = WorkloadRegistry::instance();
-    if (entry == "@irregular" || entry == "@regular" ||
-        entry == "@frontier") {
-        const WorkloadKind kind = entry == "@irregular"
-                                      ? WorkloadKind::Irregular
-                                  : entry == "@regular"
-                                      ? WorkloadKind::Regular
-                                      : WorkloadKind::Frontier;
+    WorkloadKind kind = WorkloadKind::Irregular;
+    if (entry.starts_with('@') &&
+        parseName(std::string_view(entry).substr(1), &kind)) {
         for (const std::string &name : reg.enumerate(kind))
             out->push_back(name);
         return true;
@@ -131,9 +128,8 @@ parseSweepRequest(const JsonValue &v, SweepSpec *out,
                                     "non-empty array");
         for (std::size_t i = 0; i < policies->size(); ++i) {
             const JsonValue &entry = policies->at(i);
-            Policy p;
-            if (!entry.isString() ||
-                !policyFromNameSafe(entry.asString(), &p))
+            Policy p = Policy::Baseline;
+            if (!entry.isString() || !parseName(entry.asString(), &p))
                 return failParse(
                     error, "sweep request: unknown policy '" +
                                (entry.isString() ? entry.asString()
@@ -181,22 +177,17 @@ parseSweepRequest(const JsonValue &v, SweepSpec *out,
         }
     }
 
-    const std::string scale = v.getString("scale", "small");
-    if (!scaleFromName(scale, &opt.scale))
+    const std::string scale = v.getString("scale", scaleName(opt.scale));
+    if (!parseName(scale, &opt.scale))
         return failParse(
             error, "sweep request: unknown scale '" + scale + "'");
     opt.ratio = v.getDouble("ratio", 0.5);
-    if (!std::isfinite(opt.ratio) || opt.ratio < 0.0)
-        return failParse(error, "sweep request: ratio must be a finite "
-                                "number >= 0");
     opt.seed = v.getU64("seed", 1);
     opt.audit = v.getBool("audit", false);
     if (const JsonValue *tenants = v.find("tenants")) {
-        if (!tenants->isArray() || tenants->size() < 2)
-            return failParse(error,
-                             "sweep request: tenants must be an array "
-                             "of at least two entries");
-        const WorkloadRegistry &reg = WorkloadRegistry::instance();
+        if (!tenants->isArray() || tenants->size() == 0)
+            return failParse(error, "sweep request: tenants must be a "
+                                    "non-empty array");
         for (std::size_t i = 0; i < tenants->size(); ++i) {
             const JsonValue &t = tenants->at(i);
             if (!rejectUnknownKeys(t, kTenantKeys,
@@ -206,43 +197,29 @@ parseSweepRequest(const JsonValue &v, SweepSpec *out,
                 return false;
             TenantSpec spec;
             spec.workload = t.getString("workload");
-            if (!reg.contains(spec.workload))
-                return failParse(error,
-                                 "sweep request: unknown tenant "
-                                 "workload '" +
-                                     spec.workload + "'");
             spec.quota = t.getDouble("quota", 0.0);
-            if (spec.quota < 0.0)
-                return failParse(
-                    error, "sweep request: negative tenant quota");
             opt.tenants.push_back(std::move(spec));
         }
     }
     if (const JsonValue *policy = v.find("share_policy")) {
-        if (!policy->isString())
-            return failParse(
-                error, "sweep request: share_policy is not a string");
-        const std::string name = policy->asString();
-        if (name == "free-for-all")
-            opt.share_policy = SharePolicy::FreeForAll;
-        else if (name == "strict")
-            opt.share_policy = SharePolicy::StrictQuota;
-        else if (name == "proportional")
-            opt.share_policy = SharePolicy::Proportional;
-        else
+        if (!policy->isString() ||
+            !parseName(policy->asString(), &opt.share_policy))
             return failParse(error,
                              "sweep request: unknown share_policy '" +
-                                 name + "'");
+                                 (policy->isString() ? policy->asString()
+                                                     : std::string("?")) +
+                                 "'");
     }
     opt.timeout_s = v.getDouble("timeout_s", 0.0);
-    if (opt.timeout_s < 0.0)
-        return failParse(error, "sweep request: negative timeout");
     opt.jobs = static_cast<std::size_t>(v.getU64("jobs", 1));
     if (opt.jobs == 0)
         opt.jobs = 1;
+    std::string refusal = benchOptionsRefusal(opt);
+    if (!refusal.empty())
+        return failParse(error, "sweep request: " + refusal);
     // A cell the sweep would refuse fails the request here, before
     // any cell runs.
-    const std::string refusal = tenantRefusal(*out);
+    refusal = tenantRefusal(*out);
     if (!refusal.empty())
         return failParse(error, "sweep request: " + refusal);
     return true;

@@ -38,12 +38,16 @@ inline constexpr const char *kSweepRequestSchema =
 /**
  * Parses and validates a bauvm.sweep-request/1 document into @p out.
  * Workload names are checked against the registry (for a tenant mix
- * they only label the cells); "@irregular", "@regular", "@frontier"
- * and "@all" expand in registration order. Missing "policies" means
- * allPolicies(); missing "variants" means one default variant;
- * "jobs" defaults to 1 worker thread. The request maps onto
- * SweepSpec::opt the way the bench flags do, so SweepRunner applies
- * "audit" and "share_policy" after each variant's overrides.
+ * they only label the cells); "@" plus a kindName() ("@irregular",
+ * "@regular", "@frontier") and "@all" expand in registration order.
+ * "scale", "policies" and "share_policy" take the names of their
+ * enum's name table. Missing "policies" means allPolicies(); missing
+ * "variants" means one default variant; "jobs" defaults to 1 worker
+ * thread. The request maps onto SweepSpec::opt the way the bench
+ * flags do, so SweepRunner applies "audit" and "share_policy" after
+ * each variant's overrides, and the options must pass the same
+ * benchOptionsRefusal() as the bench flags (ratio, timeout, tenant
+ * count, workloads and quotas).
  * @p out starts from a default SweepSpec; the caller sets resume_dir
  * and verbose. @return false with a reason in @p error on any invalid
  * field and on any key the request, a variants[] entry or a tenants[]

@@ -230,7 +230,8 @@ BAUVM_FIELD_TABLE_COMPLETE(CheckConfig);
 /** ETC baseline (Li et al., ASPLOS'19) parameters. */
 struct EtcConfig {
     bool enabled = false;
-    bool proactive_eviction = false; //!< disabled for irregular apps
+    /** Disabled for irregular apps. */
+    bool proactive_eviction = false;
     bool memory_aware_throttling = true;
     bool capacity_compression = true;
     double compression_ratio = 1.5;  //!< effective capacity multiplier

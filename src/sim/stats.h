@@ -2,9 +2,8 @@
  * @file
  * Statistics primitives used across the simulator.
  *
- * Components keep their own stat structs; RunningStat and Histogram give
- * them aggregation without retaining every sample, and StatRegistry lets
- * the report layer enumerate named scalars for table/CSV output.
+ * Components keep their own stat structs; RunningStat gives them
+ * aggregation without retaining every sample.
  */
 
 #ifndef BAUVM_SIM_STATS_H_
@@ -12,10 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace bauvm
 {
@@ -81,81 +77,6 @@ class RunningStat
     double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Linear-bucket histogram with a RunningStat summary.
- *
- * Values beyond the last bucket are accumulated in an overflow bucket.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width  width of each linear bucket (> 0).
-     * @param num_buckets   number of regular buckets (> 0); one extra
-     *                      overflow bucket is kept implicitly.
-     */
-    Histogram(double bucket_width, std::size_t num_buckets);
-
-    /** Adds one sample. */
-    void add(double v);
-
-    /** Count in regular bucket @p i (values in [i*w, (i+1)*w)). */
-    std::uint64_t bucketCount(std::size_t i) const;
-
-    /** Count of samples beyond the last regular bucket. */
-    std::uint64_t overflowCount() const { return overflow_; }
-
-    /** Number of regular buckets. */
-    std::size_t numBuckets() const { return buckets_.size(); }
-
-    /** Lower bound of bucket @p i. */
-    double bucketLow(std::size_t i) const { return width_ * i; }
-
-    /** Fraction of all samples in bucket @p i (0 if empty). */
-    double bucketFraction(std::size_t i) const;
-
-    const RunningStat &summary() const { return summary_; }
-
-  private:
-    double width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t overflow_ = 0;
-    RunningStat summary_;
-};
-
-/**
- * A flat name -> value view over a component's statistics.
- *
- * Components register getter closures; dump() evaluates them lazily so
- * registration can happen once at construction time.
- */
-class StatRegistry
-{
-  public:
-    using Getter = std::function<double()>;
-
-    /** Registers a named scalar statistic. */
-    void add(std::string name, Getter getter);
-
-    /** Convenience overload for a counter the component keeps alive. */
-    void add(std::string name, const std::uint64_t *counter);
-
-    /** Evaluates every registered statistic. */
-    std::vector<std::pair<std::string, double>> snapshot() const;
-
-    /**
-     * Looks up one statistic by exact name.
-     * @return the value; calls panic() if the name is unknown.
-     */
-    double value(const std::string &name) const;
-
-    /** True if @p name has been registered. */
-    bool has(const std::string &name) const;
-
-  private:
-    std::vector<std::pair<std::string, Getter>> stats_;
 };
 
 } // namespace bauvm

@@ -6,18 +6,27 @@
 namespace bauvm
 {
 
+namespace
+{
+
+constexpr Named<WorkloadKind> kKindNames[] = {
+    {WorkloadKind::Irregular, "irregular"},
+    {WorkloadKind::Regular, "regular"},
+    {WorkloadKind::Frontier, "frontier"},
+};
+
+} // namespace
+
+std::span<const Named<WorkloadKind>>
+nameTable(WorkloadKind)
+{
+    return kKindNames;
+}
+
 const char *
 kindName(WorkloadKind kind)
 {
-    switch (kind) {
-      case WorkloadKind::Irregular:
-        return "irregular";
-      case WorkloadKind::Regular:
-        return "regular";
-      case WorkloadKind::Frontier:
-        return "frontier";
-    }
-    fatal("kindName: bad workload kind");
+    return nameOf(kind);
 }
 
 WorkloadRegistry &

@@ -14,10 +14,12 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/sim/name_table.h"
 #include "src/workloads/workload.h"
 
 namespace bauvm
@@ -29,7 +31,12 @@ namespace bauvm
  *  whose per-kernel access pattern depends on the evolving frontier. */
 enum class WorkloadKind { Irregular, Regular, Frontier };
 
-/** Lower-case family tag ("irregular" | "regular" | "frontier"). */
+/** Every WorkloadKind with its lower-case family tag, as a sweep
+ *  request's "@<tag>" workload group spells it
+ *  (src/sim/name_table.h). */
+std::span<const Named<WorkloadKind>> nameTable(WorkloadKind);
+
+/** The kind's tag in nameTable(WorkloadKind). */
 const char *kindName(WorkloadKind kind);
 
 /**

@@ -232,7 +232,7 @@ TEST(SweepResult, JsonExportCarriesSchemaAndCells)
     const SweepResult sweep = runner.run();
     const std::string json = sweep.toJson();
 
-    EXPECT_NE(json.find("\"schema\": \"bauvm.sweep/1.4\""),
+    EXPECT_NE(json.find("\"schema\": \"bauvm.sweep/1.5\""),
               std::string::npos);
     EXPECT_NE(json.find("\"bench\": \"test_export\""),
               std::string::npos);

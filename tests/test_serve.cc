@@ -10,11 +10,17 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <regex>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "src/core/experiment.h"
 #include "src/core/presets.h"
 #include "src/graph/stream/csr_stream_builder.h"
 #include "src/runner/cell_spec.h"
@@ -26,6 +32,9 @@
 #include "src/serve/json.h"
 #include "src/serve/result_cache.h"
 #include "src/serve/sweep_request.h"
+#include "src/sim/log.h"
+#include "src/sim/name_table.h"
+#include "src/workloads/workload_registry.h"
 
 namespace bauvm
 {
@@ -43,19 +52,15 @@ parseOrDie(const std::string &text)
 
 /**
  * Canonical re-serialization of a parsed JSON tree with the
- * execution-provenance members removed (the fields that legitimately
- * differ between a serial run, a threaded run, and a cache replay —
- * the C++ twin of ci/check_sweep_equiv.py's strip set).
+ * execution-provenance members removed (kProvenanceKeys: the fields
+ * that legitimately differ between a serial run, a threaded run, and
+ * a cache replay).
  * Member order is preserved, so two documents produced by the same
  * writer compare equal iff their deterministic content matches.
  */
 void
 canonStripped(const JsonValue &v, std::string *out)
 {
-    static const std::vector<std::string> kProvenance = {
-        "wall_s",     "host_wall_s", "events_per_sec", "elapsed_s",
-        "jobs",       "worker_pid",  "hostname",       "cached",
-    };
     switch (v.kind()) {
       case JsonValue::Kind::Null:
         *out += "null";
@@ -98,7 +103,7 @@ canonStripped(const JsonValue &v, std::string *out)
         bool first = true;
         for (const auto &m : v.members()) {
             bool skip = false;
-            for (const auto &p : kProvenance)
+            for (const char *p : kProvenanceKeys)
                 skip = skip || m.first == p;
             if (skip)
                 continue;
@@ -910,5 +915,210 @@ TEST(SweepRunner, ResumeReplaysEveryOkCell)
     }
     EXPECT_EQ(cacheEntryCount(cache_dir), 8u);
 }
+
+// ---------------------------------------------------------------------
+// The two front doors: bench flags and sweep requests
+// ---------------------------------------------------------------------
+
+/** A JSON string token for a name (names hold no quote or escape). */
+std::string
+quoted(const std::string &name)
+{
+    return "\"" + name + "\"";
+}
+
+/** parseBenchArgs() over "prog" + @p args: "" when it parses (into
+ *  @p out when given), else the fatal() message. */
+std::string
+benchArgsError(std::vector<std::string> args, BenchOptions *out = nullptr)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    ScopedAbortCapture capture;
+    try {
+        const BenchOptions opt =
+            parseBenchArgs(static_cast<int>(argv.size()), argv.data());
+        if (out)
+            *out = opt;
+        return "";
+    } catch (const SimAbort &e) {
+        return std::string("fatal: ") + e.what();
+    }
+}
+
+/** parseSweepRequest() over a request with the given @p members: ""
+ *  when it parses (into @p out when given), else the error. */
+std::string
+requestError(const std::string &members, SweepSpec *out = nullptr)
+{
+    SweepSpec spec;
+    std::string error;
+    if (!parseSweepRequest(
+            parseOrDie("{\"schema\": \"bauvm.sweep-request/1\", " +
+                       members + "}"),
+            &spec, &error))
+        return "error: " + error;
+    if (out)
+        *out = spec;
+    return "";
+}
+
+const std::string kOnePr = "\"workloads\": [\"PR\"]";
+
+TEST(FrontDoors, EveryTableNameMeansTheSameAtBothDoors)
+{
+    for (const Named<WorkloadScale> &n : nameTable(WorkloadScale{})) {
+        BenchOptions opt;
+        ASSERT_EQ(benchArgsError({"--scale", n.name}, &opt), "");
+        EXPECT_EQ(opt.scale, n.value) << n.name;
+        SweepSpec spec;
+        ASSERT_EQ(requestError(kOnePr + ", \"scale\": " + quoted(n.name),
+                               &spec),
+                  "");
+        EXPECT_EQ(spec.opt.scale, n.value) << n.name;
+    }
+    for (const Named<SharePolicy> &n : nameTable(SharePolicy{})) {
+        BenchOptions opt;
+        ASSERT_EQ(benchArgsError({"--share-policy", n.name}, &opt), "");
+        EXPECT_EQ(opt.share_policy, n.value) << n.name;
+        SweepSpec spec;
+        ASSERT_EQ(requestError(kOnePr + ", \"share_policy\": " +
+                                   quoted(n.name),
+                               &spec),
+                  "");
+        EXPECT_EQ(spec.opt.share_policy, n.value) << n.name;
+    }
+    for (const Named<Policy> &n : nameTable(Policy{})) {
+        SweepSpec spec;
+        ASSERT_EQ(requestError(kOnePr + ", \"policies\": [" +
+                                   quoted(n.name) + "]",
+                               &spec),
+                  "");
+        EXPECT_EQ(spec.policies, std::vector<Policy>{n.value}) << n.name;
+    }
+    for (const Named<WorkloadKind> &n : nameTable(WorkloadKind{})) {
+        SweepSpec spec;
+        ASSERT_EQ(requestError("\"workloads\": [" +
+                                   quoted(std::string("@") + n.name) + "]",
+                               &spec),
+                  "");
+        EXPECT_FALSE(spec.workloads.empty()) << n.name;
+        EXPECT_EQ(spec.workloads,
+                  WorkloadRegistry::instance().enumerate(n.value))
+            << n.name;
+    }
+}
+
+TEST(FrontDoors, BothDoorsRefuseNearMisses)
+{
+    // Names match exactly: no case folding, no '_' for '-', no spaces.
+    for (const std::string bad : {"baseline", "Tiny", "free_for_all",
+                                  "TO + UE", "", "@Irregular"}) {
+        EXPECT_NE(benchArgsError({"--scale", bad}), "") << bad;
+        EXPECT_NE(benchArgsError({"--share-policy", bad}), "") << bad;
+        EXPECT_NE(requestError(kOnePr + ", \"scale\": " + quoted(bad)), "")
+            << bad;
+        EXPECT_NE(requestError(kOnePr + ", \"share_policy\": " +
+                               quoted(bad)),
+                  "")
+            << bad;
+        EXPECT_NE(requestError(kOnePr + ", \"policies\": [" + quoted(bad) +
+                               "]"),
+                  "")
+            << bad;
+        for (const std::string &entry : {bad, "@" + bad})
+            EXPECT_NE(requestError("\"workloads\": [" + quoted(entry) + "]"),
+                      "")
+                << entry;
+    }
+}
+
+TEST(FrontDoors, BothDoorsRefuseTheSameBadValues)
+{
+    // The bench flags, each refusal naming its flag.
+    for (const auto &[args, flag] :
+         std::vector<std::pair<std::vector<std::string>, std::string>>{
+             {{"--ratio", "-0.5"}, "--ratio"},
+             {{"--ratio", "nan"}, "--ratio"},
+             {{"--ratio", "inf"}, "--ratio"},
+             {{"--tenants", "PR:nan,BFS-TWC:0.5"}, "--tenants"},
+             {{"--tenants", "PR:inf,BFS-TWC:0.5"}, "--tenants"},
+             {{"--tenants", "PR:-1,BFS-TWC:0.5"}, "--tenants"},
+             {{"--tenants", "PR"}, "--tenants"},
+             {{"--tenants", "PR,NOPE"}, "--tenants"},
+             {{"--timeout", "nan"}, "--timeout"},
+             {{"--timeout", "-1"}, "--timeout"},
+         }) {
+        const std::string error = benchArgsError(args);
+        EXPECT_NE(error.find(flag), std::string::npos)
+            << args[0] << " " << args[1] << ": " << error;
+    }
+    BenchOptions opt;
+    ASSERT_EQ(benchArgsError({"--tenants", "PR:0.25,BFS-TWC"}, &opt), "");
+    ASSERT_EQ(opt.tenants.size(), 2u);
+    EXPECT_DOUBLE_EQ(opt.tenants[0].quota, 0.25);
+
+    // The same values in a request. JSON has no NaN token (1e999 reads
+    // as infinity), so the NaN cases go to the shared check below.
+    const std::string mix = "\"workloads\": [\"mix\"], "
+                            "\"policies\": [\"BASELINE\"], ";
+    auto tenants = [&](const std::string &quota) {
+        return mix + "\"tenants\": [{\"workload\": \"PR\", \"quota\": " +
+               quota + "}, {\"workload\": \"BFS-TWC\"}]";
+    };
+    for (const auto &[members, key] :
+         std::vector<std::pair<std::string, std::string>>{
+             {kOnePr + ", \"ratio\": -0.5", "ratio"},
+             {kOnePr + ", \"ratio\": 1e999", "ratio"},
+             {kOnePr + ", \"ratio\": -1e999", "ratio"},
+             {tenants("1e999"), "quota"},
+             {tenants("-1"), "quota"},
+             {kOnePr + ", \"timeout_s\": -1", "timeout"},
+         }) {
+        const std::string error = requestError(members);
+        EXPECT_NE(error.find(key), std::string::npos)
+            << members << ": " << error;
+    }
+    EXPECT_EQ(requestError(tenants("0.25")), "");
+
+    // Both doors share benchOptionsRefusal(), which refuses NaN too.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    BenchOptions bad_ratio;
+    bad_ratio.ratio = nan;
+    EXPECT_EQ(benchOptionsRefusal(bad_ratio).rfind("ratio", 0), 0u);
+    BenchOptions bad_timeout;
+    bad_timeout.timeout_s = nan;
+    EXPECT_EQ(benchOptionsRefusal(bad_timeout).rfind("timeout", 0), 0u);
+    BenchOptions bad_quota;
+    bad_quota.tenants = {{"PR", nan}, {"BFS-TWC", 0.5}};
+    EXPECT_NE(benchOptionsRefusal(bad_quota).find("quota"),
+              std::string::npos);
+    bad_quota.tenants[0].quota = 0.5;
+    EXPECT_EQ(benchOptionsRefusal(bad_quota), "");
+}
+
+TEST(ProvenanceKeys, EquivCheckerStripsExactlyTheCppList)
+{
+    std::ifstream in(BAUVM_SOURCE_DIR "/ci/check_sweep_equiv.py");
+    ASSERT_TRUE(in) << "cannot read ci/check_sweep_equiv.py";
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const std::size_t open = text.find("PROVENANCE = {");
+    ASSERT_NE(open, std::string::npos);
+    const std::size_t close = text.find('}', open);
+    ASSERT_NE(close, std::string::npos);
+    const std::string body = text.substr(open, close - open);
+    const std::regex item("\"([^\"]*)\"");
+    std::set<std::string> python;
+    for (std::sregex_iterator it(body.begin(), body.end(), item), end;
+         it != end; ++it)
+        python.insert((*it)[1].str());
+    const std::set<std::string> cpp(std::begin(kProvenanceKeys),
+                                    std::end(kProvenanceKeys));
+    EXPECT_EQ(python, cpp);
+}
+
 } // namespace
 } // namespace bauvm

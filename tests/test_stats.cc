@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for RunningStat, Histogram and StatRegistry.
+ * Unit tests for RunningStat.
  */
 
 #include <gtest/gtest.h>
@@ -55,34 +55,6 @@ TEST(RunningStat, ResetClears)
     EXPECT_EQ(s.count(), 0u);
 }
 
-TEST(Histogram, BucketsLinearly)
-{
-    Histogram h(10.0, 4); // [0,10) [10,20) [20,30) [30,40) + overflow
-    h.add(0.0);
-    h.add(9.999);
-    h.add(10.0);
-    h.add(35.0);
-    h.add(40.0); // overflow
-    h.add(1000.0);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(2), 0u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.overflowCount(), 2u);
-    EXPECT_EQ(h.summary().count(), 6u);
-}
-
-TEST(Histogram, FractionsSumToOne)
-{
-    Histogram h(1.0, 10);
-    for (int i = 0; i < 10; ++i)
-        h.add(i + 0.5);
-    double total = 0.0;
-    for (std::size_t i = 0; i < h.numBuckets(); ++i)
-        total += h.bucketFraction(i);
-    EXPECT_DOUBLE_EQ(total, 1.0);
-}
-
 TEST(RunningStat, NonFiniteSamplesAreTalliedNotFolded)
 {
     RunningStat s;
@@ -110,46 +82,6 @@ TEST(RunningStat, MergePropagatesNonfiniteCount)
     EXPECT_EQ(a.count(), 1u);
     EXPECT_EQ(a.nonfiniteCount(), 2u);
     EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-}
-
-TEST(Histogram, NonFiniteSamplesDoNotTouchBuckets)
-{
-    Histogram h(1.0, 4);
-    h.add(std::numeric_limits<double>::quiet_NaN()); // would be UB cast
-    h.add(std::numeric_limits<double>::infinity());
-    h.add(2.5);
-    EXPECT_EQ(h.bucketCount(2), 1u);
-    EXPECT_EQ(h.overflowCount(), 0u);
-    EXPECT_EQ(h.summary().count(), 1u);
-    EXPECT_EQ(h.summary().nonfiniteCount(), 2u);
-}
-
-TEST(Histogram, BucketLowBounds)
-{
-    Histogram h(2.5, 4);
-    EXPECT_DOUBLE_EQ(h.bucketLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.bucketLow(3), 7.5);
-}
-
-TEST(StatRegistry, SnapshotEvaluatesLazily)
-{
-    StatRegistry reg;
-    std::uint64_t counter = 0;
-    reg.add("counter", &counter);
-    counter = 42;
-    const auto snap = reg.snapshot();
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].first, "counter");
-    EXPECT_EQ(snap[0].second, 42.0);
-}
-
-TEST(StatRegistry, ValueLookupByName)
-{
-    StatRegistry reg;
-    reg.add("pi", [] { return 3.14; });
-    EXPECT_DOUBLE_EQ(reg.value("pi"), 3.14);
-    EXPECT_TRUE(reg.has("pi"));
-    EXPECT_FALSE(reg.has("tau"));
 }
 
 } // namespace

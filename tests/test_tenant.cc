@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -404,6 +405,26 @@ TEST(MultiTenant, RejectsUnsupportedConfigurations)
                              {});
             },
             SimAbort);
+    }
+}
+
+TEST(MultiTenant, RunRefusesAQuotaThatIsNotFiniteAndNonNegative)
+{
+    // A NaN quota reached the share's cast to u64 and an infinite one
+    // turned the share into NaN; both ran with nonsense budgets.
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(), -1.0}) {
+        GpuUvmSystem system(mixConfig(0.5, SharePolicy::StrictQuota,
+                                      /*audit=*/false));
+        ScopedAbortCapture capture;
+        try {
+            system.run(twoTenants(bad, 0.5));
+            ADD_FAILURE() << "quota " << bad << " must not run";
+        } catch (const SimAbort &e) {
+            EXPECT_NE(std::string(e.what()).find("quota"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
